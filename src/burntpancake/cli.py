@@ -17,6 +17,7 @@ import time
 
 from . import bp_graph, oracle
 from .constructor import (
+    SOFT_DIMENSION_LIMIT,
     BudgetExceededError,
     StrictModeFailure,
     UsageError,
@@ -77,14 +78,7 @@ def _artifact_text(vertices) -> str:
 
 def cmd_cycle(args) -> int:
     fs = _load_faults(args.faults, args.n)
-    if fs.size > args.n - 2:
-        print(f"fault budget exceeded: |F|={fs.size} > n-2={args.n - 2}", file=sys.stderr)
-        return EXIT_BUDGET
-    try:
-        built = hamiltonian_cycle(args.n, fs, mode=args.mode)
-    except StrictModeFailure as exc:
-        print(f"strict-mode failure: {exc}", file=sys.stderr)
-        return EXIT_STRICT
+    built = hamiltonian_cycle(args.n, fs, mode=args.mode)
     report = oracle.verify_cycle(args.n, fs, built)
     if not report.ok:
         print(f"self-verification failed: {report}", file=sys.stderr)
@@ -98,19 +92,9 @@ def cmd_cycle(args) -> int:
 
 def cmd_path(args) -> int:
     fs = _load_faults(args.faults, args.n)
-    if fs.size > args.n - 3:
-        print(f"fault budget exceeded: |F|={fs.size} > n-3={args.n - 3}", file=sys.stderr)
-        return EXIT_BUDGET
     u = parse_vertex(args.source, args.n)
     v = parse_vertex(args.target, args.n)
-    removed = fs.removed_vertices()
-    if u in removed or v in removed:
-        raise UsageError("endpoint lies in the removed vertex set")
-    try:
-        built = hamiltonian_path(args.n, u, v, fs, mode=args.mode)
-    except StrictModeFailure as exc:
-        print(f"strict-mode failure: {exc}", file=sys.stderr)
-        return EXIT_STRICT
+    built = hamiltonian_path(args.n, u, v, fs, mode=args.mode)
     report = oracle.verify_path(args.n, fs, u, v, built)
     if not report.ok:
         print(f"self-verification failed: {report}", file=sys.stderr)
@@ -133,6 +117,8 @@ def cmd_verify(args) -> int:
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"malformed artifact file: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    if not 1 <= n <= SOFT_DIMENSION_LIMIT:
+        raise UsageError(f"artifact dimension n={n} outside 1..{SOFT_DIMENSION_LIMIT}")
     fs = _load_faults(args.faults, n)
     if kind == "cycle":
         report = oracle.verify_cycle(n, fs, vertices)
@@ -330,6 +316,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"fault budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except StrictModeFailure as exc:
+        print(f"strict-mode failure: {exc}", file=sys.stderr)
+        return EXIT_STRICT
     except (UsageError, bp_graph.CapabilityError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -14,6 +14,14 @@ a pair to one side leaves one forbidden vertex there.  Cases driven purely
 by pairs and edges follow the fixed case tree; scans needed only when
 singles are present carry ``EXT/`` labels.
 
+A splice replaces an edge (a, b) of a path or ring with a detour.  Each
+splice is assembled once, as if (a, b) ran forward along the path: ``_cut``
+gives the piece that ends at a and the piece that starts at b, the detour
+goes between them, and the finished sequence is reversed when b comes
+before a.  A bridge chain inside the detour is built from the endpoint the
+finished sequence lists first, then reversed into place, so the chain's
+junction scan does not depend on the orientation.
+
 Strict mode fails (with the trace) when a prescribed candidate scan comes up
 empty.  Fallback mode additionally permits a bounded backtracking search,
 limited to instances of size n <= 4, before giving up; fallback engagements
@@ -45,7 +53,6 @@ from .signed_perm import (
     check_vertex,
     format_vertex,
     left_translate,
-    prefix_reversal,
 )
 
 Pair = Edge
@@ -507,39 +514,33 @@ def order_subgraphs(indices, first: int, last: int) -> tuple[int, ...]:
 # chain and loop engines
 
 
-def _subgraph_path(n: int, i: int, a: Vertex, b: Vertex, f: _Faults, ctx: _Ctx):
-    """Hamiltonian path of subgraph ``i`` minus its faults, via recursion."""
-    if a == b:
+def _fallback(n: int, f: _Faults, ctx: _Ctx, u: Vertex | None = None, v: Vertex | None = None):
+    """Fallback mode's rescue of a failed build at n = 4, counted on the context."""
+    if ctx.mode != "fallback" or n != 4:
         return None
-    fi = _restrict_embed(f, i)
-    if fi.weight > (n - 1) - 3 and not f.has_singles_anywhere:
-        raise InternalInvariantError(
-            f"path recursion into subgraph {i} with weight {fi.weight} at n={n - 1}"
-        )
-    res = _path(n - 1, subgraph_embed(a), subgraph_embed(b), fi, ctx)
-    if res is None and ctx.mode == "fallback" and n - 1 == 4:
-        ctx.fallback_invocations += 1
-        got = _rotation_search(n - 1, fi.removed, fi.edge_set, subgraph_embed(a), subgraph_embed(b))
-        if got is not None:
-            res = (list(got), CaseTrace("FALLBACK/path", {"n": n - 1}))
-    if res is None:
+    ctx.fallback_invocations += 1
+    got = _rotation_search(n, f.removed, f.edge_set, u, v)
+    if got is None:
         return None
-    verts, tr = res
-    return [subgraph_lift(i, x) for x in verts], tr
+    return list(got), CaseTrace("FALLBACK/cycle" if u is None else "FALLBACK/path", {"n": n})
 
 
-def _subgraph_cycle(n: int, i: int, f: _Faults, ctx: _Ctx):
+def _subgraph(n: int, i: int, f: _Faults, ctx: _Ctx, a: Vertex | None = None, b: Vertex | None = None):
+    """Hamiltonian cycle of subgraph ``i`` minus its faults, or with ``a`` and
+    ``b`` given a Hamiltonian path between them, via recursion."""
+    cycle = a is None
+    if not cycle and a == b:
+        return None
     fi = _restrict_embed(f, i)
-    if fi.weight > (n - 1) - 2 and not f.has_singles_anywhere:
+    if fi.weight > (n - 1) - (2 if cycle else 3) and not f.has_singles_anywhere:
         raise InternalInvariantError(
-            f"cycle recursion into subgraph {i} with weight {fi.weight} at n={n - 1}"
+            f"{'cycle' if cycle else 'path'} recursion into subgraph {i} with weight {fi.weight} at n={n - 1}"
         )
-    res = _cycle(n - 1, fi, ctx)
-    if res is None and ctx.mode == "fallback" and n - 1 == 4:
-        ctx.fallback_invocations += 1
-        got = _rotation_search(n - 1, fi.removed, fi.edge_set, None, None)
-        if got is not None:
-            res = (list(got), CaseTrace("FALLBACK/cycle", {"n": n - 1}))
+    if cycle:
+        res = _cycle(n - 1, fi, ctx) or _fallback(n - 1, fi, ctx)
+    else:
+        ea, eb = subgraph_embed(a), subgraph_embed(b)
+        res = _path(n - 1, ea, eb, fi, ctx) or _fallback(n - 1, fi, ctx, ea, eb)
     if res is None:
         return None
     verts, tr = res
@@ -581,14 +582,14 @@ def _chain(n: int, I, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
         if t == m - 1:
             if entry == v:
                 return None
-            return _solve_leaf(t, entry)
-        out = None
+            seg = _subgraph(n, ordering[t], f, ctx, entry, v)
+            return None if seg is None else (seg[0], [seg[1]])
         for x, y in candidates[t]:
             if x == entry or (t + 1 == m - 1 and y == v):
                 continue
             if not ctx.spend():
                 return None
-            seg = _subgraph_path(n, ordering[t], entry, x, f, ctx)
+            seg = _subgraph(n, ordering[t], f, ctx, entry, x)
             if seg is None:
                 continue
             seg_vertices, seg_trace = seg
@@ -596,14 +597,7 @@ def _chain(n: int, I, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
             if rest is not None:
                 rest_vertices, rest_traces = rest
                 return seg_vertices + rest_vertices, [seg_trace] + rest_traces
-        return out
-
-    def _solve_leaf(t: int, entry: Vertex):
-        seg = _subgraph_path(n, ordering[t], entry, v, f, ctx)
-        if seg is None:
-            return None
-        seg_vertices, seg_trace = seg
-        return seg_vertices, [seg_trace]
+        return None
 
     got = solve(0, u)
     if got is None:
@@ -622,7 +616,7 @@ def _loop(n: int, I, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
     k1 = last_symbol(u)
     if last_symbol(v) != k1:
         raise InternalInvariantError("loop endpoints must share a subgraph")
-    base = _subgraph_path(n, k1, u, v, f, ctx)
+    base = _subgraph(n, k1, f, ctx, u, v)
     if base is None:
         return None
     path, base_trace = base
@@ -696,6 +690,16 @@ def _ring_span(C: list[Vertex], start: int, end: int) -> list[Vertex]:
     return out
 
 
+def _cut(P: list[Vertex], pos: dict[Vertex, int], a: Vertex, b: Vertex) -> tuple[list[Vertex], list[Vertex]]:
+    """Split P at its edge (a, b): the piece that ends at a, the piece that starts at b.
+
+    When b precedes a on P, both pieces run against P's direction.
+    """
+    if pos[a] < pos[b]:
+        return P[: pos[a] + 1], P[pos[b] :]
+    return P[pos[a] :][::-1], P[: pos[b] + 1][::-1]
+
+
 def _usable_stub(x: Vertex, f: _Faults) -> Vertex | None:
     """Out-neighbor of a splice stub if the hop is fault-free, else None."""
     nx = out_neighbor(x)
@@ -763,11 +767,11 @@ def _cycle_case2(n: int, f: _Faults, ctx: _Ctx, istar: int, ws: dict[int, int]):
 
 def _cycle_case21(n: int, f: _Faults, ctx: _Ctx, istar: int, i2: int):
     """Two heavy subgraphs joined by one cross edge and an outside chain."""
-    c1 = _subgraph_cycle(n, istar, f, ctx)
+    c1 = _subgraph(n, istar, f, ctx)
     if c1 is None:
         return None
     C1, tr1 = c1
-    c2 = _subgraph_cycle(n, i2, f, ctx)
+    c2 = _subgraph(n, i2, f, ctx)
     if c2 is None:
         return None
     C2, tr2 = c2
@@ -805,11 +809,11 @@ def _cycle_case21(n: int, f: _Faults, ctx: _Ctx, istar: int, i2: int):
 def _cycle_case22(n: int, f: _Faults, ctx: _Ctx, istar: int):
     """Heavy subgraph paired with its complement: no direct cross edges, so
     both cycles are joined through a shared intermediate subgraph."""
-    c1 = _subgraph_cycle(n, istar, f, ctx)
+    c1 = _subgraph(n, istar, f, ctx)
     if c1 is None:
         return None
     C1, tr1 = c1
-    cb = _subgraph_cycle(n, -istar, f, ctx)
+    cb = _subgraph(n, -istar, f, ctx)
     if cb is None:
         return None
     CB, trb0 = cb
@@ -835,7 +839,7 @@ def _cycle_case22(n: int, f: _Faults, ctx: _Ctx, istar: int):
                         continue
                     if not ctx.spend():
                         return None
-                    mid = _subgraph_path(n, h, ns, nz, f, ctx)
+                    mid = _subgraph(n, h, f, ctx, ns, nz)
                     if mid is None:
                         break  # the h-path does not depend on t, w
                     mv, trm = mid
@@ -877,7 +881,7 @@ def _cycle_case3(n: int, f: _Faults, ctx: _Ctx, istar: int):
 
 def _cycle_case3_pair(n: int, f: _Faults, ctx: _Ctx, istar: int, pair: Pair):
     reduced = f.without_pair(pair)
-    c1 = _subgraph_cycle(n, istar, reduced, ctx)
+    c1 = _subgraph(n, istar, reduced, ctx)
     if c1 is None:
         return None
     C1, tr1 = c1
@@ -885,20 +889,16 @@ def _cycle_case3_pair(n: int, f: _Faults, ctx: _Ctx, istar: int, pair: Pair):
     a1, b1 = pair
     if a1 not in idx1 or b1 not in idx1:
         raise InternalInvariantError("re-admitted pair missing from subgraph cycle")
-    if _ring_neighbors(C1, idx1, a1)[1] != b1 and _ring_neighbors(C1, idx1, a1)[0] == b1:
+    if _ring_neighbors(C1, idx1, a1)[0] == b1:
         a1, b1 = b1, a1  # normalize so b1 follows a1 when they are ring-adjacent
     pa, pb = idx1[a1], idx1[b1]
-    L = len(C1)
-    if (pb - pa) % L == 1:
+    if (pb - pa) % len(C1) == 1:
         arc = _ring_span(C1, pb + 1, pa - 1)  # y1 .. x1
-        res = _reconnect_one_arc(n, f, ctx, istar, arc, "L18/3.1")
-    elif (pa - pb) % L == 1:
-        arc = _ring_span(C1, pa + 1, pb - 1)
         res = _reconnect_one_arc(n, f, ctx, istar, arc, "L18/3.1")
     else:
         arc_a = _ring_span(C1, pa + 1, pb - 1)  # x2 .. y2
         arc_b = _ring_span(C1, pb + 1, pa - 1)  # y1 .. x1
-        res = _reconnect_two_arcs(n, f, ctx, istar, arc_a, arc_b, "L18/3.2", allow_isolated=True)
+        res = _reconnect_two_arcs(n, f, ctx, istar, arc_a, arc_b, "L18/3.2")
     if res is None:
         return None
     vertices, tr = res
@@ -921,7 +921,7 @@ def _cycle_case3_single(n: int, f: _Faults, ctx: _Ctx, istar: int, sv: Vertex):
                 )
     else:
         reduced = f.without_single(sv)
-    c1 = _subgraph_cycle(n, istar, reduced, ctx)
+    c1 = _subgraph(n, istar, reduced, ctx)
     if c1 is None:
         return None
     C1, tr1 = c1
@@ -945,7 +945,7 @@ def _cycle_edge_excise(n: int, f: _Faults, ctx: _Ctx, istar: int):
     intra = sorted(e for e in f.edges if e[0][-1] == istar and e[1][-1] == istar)
     for e in intra:
         reduced = f.without_edge(e)
-        c1 = _subgraph_cycle(n, istar, reduced, ctx)
+        c1 = _subgraph(n, istar, reduced, ctx)
         if c1 is None:
             continue
         C1, tr1 = c1
@@ -978,8 +978,6 @@ def _cycle_edge_excise(n: int, f: _Faults, ctx: _Ctx, istar: int):
 def _reconnect_one_arc(n: int, f: _Faults, ctx: _Ctx, istar: int, arc: list[Vertex], label: str):
     """Close one subgraph arc through a connector over all other subgraphs."""
     p, q = arc[0], arc[-1]
-    if p == q:
-        return None
     np_, nq = _usable_stub(p, f), _usable_stub(q, f)
     if np_ is None or nq is None:
         return None
@@ -992,32 +990,25 @@ def _reconnect_one_arc(n: int, f: _Faults, ctx: _Ctx, istar: int, arc: list[Vert
 
 
 def _reconnect_two_arcs(
-    n: int,
-    f: _Faults,
-    ctx: _Ctx,
-    istar: int,
-    arc_a: list[Vertex],
-    arc_b: list[Vertex],
-    prefix: str,
-    allow_isolated: bool,
+    n: int, f: _Faults, ctx: _Ctx, istar: int, arc_a: list[Vertex], arc_b: list[Vertex], prefix: str
 ):
     """Rejoin two subgraph arcs into a full cycle through outside subgraphs.
 
-    The dispatch follows the coincidence pattern of the four stub
-    out-subgraphs; singleton arcs are first merged into the long arc via an
-    inside neighbor, reducing to the two-arc or one-arc shape.
-    """
-    if len(arc_a) == 1 and len(arc_b) == 1:
-        return None
-    if len(arc_a) == 1 or len(arc_b) == 1:
-        if not allow_isolated:
-            return None
-        if len(arc_a) == 1:
-            lone, big = arc_a[0], arc_b
-        else:
-            lone, big = arc_b[0], arc_a
-        return _reconnect_isolated(n, f, ctx, istar, lone, big, prefix)
+    The arcs are what remains of a ring after excising the non-adjacent pair
+    (a1, b1): arc A runs x2 .. y2 and arc B runs y1 .. x1, where x1, x2 are
+    a1's ring neighbors and y1, y2 are b1's.  The dispatch follows the
+    coincidence pattern of the four stub out-subgraphs.
 
+    Two shapes cannot occur, so no code handles them:
+
+    - A one-vertex arc.  With the pair's edge it would close a triangle, but
+      BP_n has girth 8, so every arc has at least six vertices.
+    - Complementary out-subgraphs for x1 and x2 (or y1 and y2).  x1 and x2 are
+      a1 with distinct prefixes k1, k2 < n reversed, so their out-neighbors
+      lie in subgraphs a1[k1-1] and a1[k2-1] (0-based), whose absolute values
+      differ.  The subgraphs are neither equal nor complementary, and in the
+      double split h2 is never -h1.
+    """
     x2, y2 = arc_a[0], arc_a[-1]
     y1, x1 = arc_b[0], arc_b[-1]
     nx1, nx2 = _usable_stub(x1, f), _usable_stub(x2, f)
@@ -1026,8 +1017,8 @@ def _reconnect_two_arcs(
         return None
     sx1, sx2 = last_symbol(nx1), last_symbol(nx2)
     sy1, sy2 = last_symbol(ny1), last_symbol(ny2)
-    if sx1 == sx2 or sy1 == sy2:
-        raise InternalInvariantError("stub out-neighbors of one excised vertex coincide")
+    if abs(sx1) == abs(sx2) or abs(sy1) == abs(sy2):
+        raise InternalInvariantError("stub out-subgraphs of one excised vertex coincide or are complementary")
     distinct = len({sx1, sx2, sy1, sy2})
 
     if distinct == 4:
@@ -1067,13 +1058,9 @@ def _reconnect_pairings(
             continue
         sob, soa = last_symbol(nob), last_symbol(noa)
 
-        conn1_subgraphs: tuple[int, ...]
-        if sp == sq:
-            conn1_subgraphs = (sp,)
-        elif sp != -sq:
-            conn1_subgraphs = (sp, sq)
-        else:
+        if sp == -sq:
             continue  # complementary pair: no cross edges between them
+        conn1_subgraphs = (sp,) if sp == sq else (sp, sq)
         if soa in conn1_subgraphs or sob in conn1_subgraphs:
             continue
         rest = [j for j in subgraph_indices(n) if j != istar and j not in conn1_subgraphs]
@@ -1081,7 +1068,7 @@ def _reconnect_pairings(
         conn1 = None
         conn1_traces: list[CaseTrace] = []
         if sp == sq:
-            got = _subgraph_path(n, sp, np_, nq, f, ctx)
+            got = _subgraph(n, sp, f, ctx, np_, nq)
             if got is not None:
                 conn1, tr = got
                 conn1_traces = [tr]
@@ -1091,10 +1078,10 @@ def _reconnect_pairings(
                     continue
                 if not ctx.spend():
                     return None
-                first = _subgraph_path(n, sp, np_, uu, f, ctx)
+                first = _subgraph(n, sp, f, ctx, np_, uu)
                 if first is None:
                     continue
-                second = _subgraph_path(n, sq, nuu, nq, f, ctx)
+                second = _subgraph(n, sq, f, ctx, nuu, nq)
                 if second is None:
                     continue
                 conn1 = first[0] + second[0]
@@ -1138,7 +1125,7 @@ def _reconnect_same_side(
     n_start, n_end = _usable_stub(g_start, f), _usable_stub(g_end, f)
     if n_start is None or n_end is None:
         return None
-    base = _subgraph_path(n, h, e_hi, e_lo, f, ctx)
+    base = _subgraph(n, h, f, ctx, e_hi, e_lo)
     if base is None:
         return None
     ph, tr_ph = base
@@ -1161,23 +1148,18 @@ def _reconnect_same_side(
                 continue
             if not ctx.spend():
                 return None
-            mid = _subgraph_path(n, mid_sub, ns, mid_target, f, ctx)
+            mid = _subgraph(n, mid_sub, f, ctx, ns, mid_target)
             if mid is None:
                 continue
             mv, tr_mid = mid
+            # the free stubs lead into two subgraphs other than h, so
+            # chain_start lies outside h and mid_sub, among the 2n-3 in rest
             rest = [j for j in subgraph_indices(n) if j not in (istar, h, mid_sub)]
-            if last_symbol(chain_start) == snt or last_symbol(chain_start) in (h, mid_sub):
-                bridge = None
-                if last_symbol(chain_start) == snt and len(rest) >= 2:
-                    bridge = _connector(n, rest, chain_start, nt, f, ctx)
-            else:
-                bridge = _chain(n, rest, chain_start, nt, f, ctx)
+            bridge = _connector(n, rest, chain_start, nt, f, ctx)
             if bridge is None:
                 continue
             bv, trb = bridge
-            seg1 = ph[: pos + 1]
-            seg2 = ph[pos + 1 :]
-            full = eq_arc + seg1 + mv + free_dir + bv + seg2
+            full = eq_arc + ph[: pos + 1] + mv + free_dir + bv + ph[pos + 1 :]
             return full, CaseTrace(
                 label, {"h": h, "split": [format_vertex(s), format_vertex(t)]}, [tr_ph, tr_mid, trb]
             )
@@ -1189,10 +1171,10 @@ def _reconnect_double_split(
 ):
     """Stub out-subgraphs coincide side-by-side: h1 for arc B, h2 for arc A.
 
-    Both subgraphs are covered by stub-to-stub paths; each path is split at
-    one edge and the four pieces are rewoven with the arcs.  When h2 is the
-    complement of h1 the hand-off runs through a shared intermediate
-    subgraph, otherwise through a direct cross edge.
+    Both subgraphs are covered by stub-to-stub paths: P1 closes a ring R1 with
+    arc B, and P2 a ring R2 with arc A.  R1 is cut at an edge (s, t) of P1
+    whose s leads into h2; R2 is opened at the P2 edge (ns, z), and a chain
+    over the remaining subgraphs runs from z's out-neighbor back to t's.
     """
     x2, y2 = arc_a[0], arc_a[-1]
     y1, x1 = arc_b[0], arc_b[-1]
@@ -1201,162 +1183,48 @@ def _reconnect_double_split(
     if None in (nx1, ny1, nx2, ny2):
         return None
     h1, h2 = last_symbol(nx1), last_symbol(nx2)
-    p1 = _subgraph_path(n, h1, nx1, ny1, f, ctx)
+    p1 = _subgraph(n, h1, f, ctx, nx1, ny1)
     if p1 is None:
         return None
     P1, tr1 = p1
-    p2 = _subgraph_path(n, h2, nx2, ny2, f, ctx)
+    p2 = _subgraph(n, h2, f, ctx, nx2, ny2)
     if p2 is None:
         return None
     P2, tr2 = p2
-    pos1 = {v: i for i, v in enumerate(P1)}
-    pos2 = {v: i for i, v in enumerate(P2)}
-
-    if h2 != -h1:
-        rest = [j for j in subgraph_indices(n) if j not in (istar, h1, h2)]
-        for i1 in range(len(P1) - 1):
-            for s, t in ((P1[i1], P1[i1 + 1]), (P1[i1 + 1], P1[i1])):
-                ns, nt = _usable_stub(s, f), _usable_stub(t, f)
-                if ns is None or nt is None:
-                    continue
-                if last_symbol(ns) != h2:
-                    continue
-                if last_symbol(nt) in (istar, h2):
-                    continue
-                i2 = pos2[ns]
-                for z in (P2[i2 - 1] if i2 > 0 else None, P2[i2 + 1] if i2 + 1 < len(P2) else None):
-                    if z is None:
-                        continue
-                    nz = _usable_stub(z, f)
-                    if nz is None or last_symbol(nz) in (istar, h1):
-                        continue
-                    if last_symbol(nz) == last_symbol(nt):
-                        raise InternalInvariantError("double-split chain endpoints coincide")
-                    if not ctx.spend():
-                        return None
-                    s_first = pos2[ns] < pos2[z]
-                    t_first = pos1[t] < pos1[s]
-                    # P1 pieces
-                    if t_first:
-                        segU1, segV1 = P1[: pos1[t] + 1], P1[pos1[s] :]
-                    else:
-                        segU1, segV1 = P1[: pos1[s] + 1], P1[pos1[t] :]
-                    # P2 pieces, split at edge (ns, z)
-                    if s_first:
-                        segU2, segV2 = P2[: pos2[ns] + 1], P2[pos2[z] :]
-                    else:
-                        segU2, segV2 = P2[: pos2[z] + 1], P2[pos2[ns] :]
-                    if t_first:
-                        bridge = _chain(n, rest, nt, nz, f, ctx)
-                    else:
-                        bridge = _chain(n, rest, nz, nt, f, ctx)
-                    if bridge is None:
-                        continue
-                    bv, trb = bridge
-                    if not t_first and s_first:
-                        full = arc_b + segU1 + list(reversed(segU2)) + arc_a + list(reversed(segV2)) + bv + segV1
-                    elif not t_first and not s_first:
-                        full = arc_b + segU1 + segV2 + list(reversed(arc_a)) + segU2 + bv + segV1
-                    elif t_first and s_first:
-                        full = arc_b + segU1 + bv + segV2 + list(reversed(arc_a)) + segU2 + segV1
-                    else:
-                        full = arc_b + segU1 + bv + list(reversed(segU2)) + arc_a + list(reversed(segV2)) + segV1
-                    return full, CaseTrace(
-                        label, {"h1": h1, "h2": h2}, [tr1, tr2, trb]
-                    )
-        return None
-
-    # complementary subgraphs: hand off through an intermediate subgraph g
-    rest_base = [istar, h1, h2]
+    R1 = arc_b + P1  # y1 .. x1, nx1 .. ny1
+    R2 = P2 + arc_a[::-1]  # nx2 .. ny2, y2 .. x2
+    pos1, pos2 = _ring_index(R1), _ring_index(R2)
+    rest = [j for j in subgraph_indices(n) if j not in (istar, h1, h2)]
     for i1 in range(len(P1) - 1):
         for s, t in ((P1[i1], P1[i1 + 1]), (P1[i1 + 1], P1[i1])):
             ns, nt = _usable_stub(s, f), _usable_stub(t, f)
             if ns is None or nt is None:
                 continue
-            g = last_symbol(ns)
-            if g == istar or last_symbol(nt) in (istar, g):
+            if last_symbol(ns) != h2:
                 continue
-            for j2 in range(len(P2) - 1):
-                for z, w in ((P2[j2], P2[j2 + 1]), (P2[j2 + 1], P2[j2])):
-                    nz, nw = _usable_stub(z, f), _usable_stub(w, f)
-                    if nz is None or nw is None:
-                        continue
-                    if last_symbol(nz) != g:
-                        continue
-                    if last_symbol(nw) in (istar, g) or last_symbol(nw) == last_symbol(nt):
-                        continue
-                    if not ctx.spend():
-                        return None
-                    mid = _subgraph_path(n, g, ns, nz, f, ctx)
-                    if mid is None:
-                        continue
-                    mv, trm = mid
-                    rest = [j for j in subgraph_indices(n) if j not in rest_base and j != g]
-                    t_first = pos1[t] < pos1[s]
-                    w_first = pos2[w] < pos2[z]
-                    if t_first:
-                        segU1, segV1 = P1[: pos1[t] + 1], P1[pos1[s] :]
-                    else:
-                        segU1, segV1 = P1[: pos1[s] + 1], P1[pos1[t] :]
-                    if w_first:
-                        segU2, segV2 = P2[: pos2[w] + 1], P2[pos2[z] :]
-                    else:
-                        segU2, segV2 = P2[: pos2[z] + 1], P2[pos2[w] :]
-                    if t_first:
-                        bridge = _chain(n, rest, nt, nw, f, ctx)
-                    else:
-                        bridge = _chain(n, rest, nw, nt, f, ctx)
-                    if bridge is None:
-                        continue
-                    bv, trb = bridge
-                    if not t_first and not w_first:
-                        # s ends segU1; z ends segU2
-                        full = arc_b + segU1 + mv + list(reversed(segU2)) + arc_a + list(reversed(segV2)) + bv + segV1
-                    elif not t_first and w_first:
-                        full = arc_b + segU1 + mv + segV2 + list(reversed(arc_a)) + segU2 + bv + segV1
-                    elif t_first and not w_first:
-                        full = arc_b + segU1 + bv + segV2 + list(reversed(arc_a)) + segU2 + list(reversed(mv)) + segV1
-                    else:
-                        full = arc_b + segU1 + bv + list(reversed(segU2)) + arc_a + list(reversed(segV2)) + list(reversed(mv)) + segV1
-                    return full, CaseTrace(
-                        label, {"h1": h1, "h2": h2, "g": g, "complementary": True}, [tr1, tr2, trm, trb]
-                    )
-    return None
-
-
-def _reconnect_isolated(
-    n: int, f: _Faults, ctx: _Ctx, istar: int, lone: Vertex, big: list[Vertex], prefix: str
-):
-    """A singleton arc: stitch the lone vertex to an inside neighbor on the
-    long arc, reducing to the one-arc or two-arc reconnection."""
-    big_pos = {v: i for i, v in enumerate(big)}
-    inside = [prefix_reversal(lone, k) for k in range(1, n)]
-    for m in sorted(x for x in inside if x in big_pos):
-        i = big_pos[m]
-        if i == 0:
-            res = _reconnect_one_arc(n, f, ctx, istar, [lone] + big, f"EXT/{prefix}-lone-merge")
-            if res is not None:
-                return res
-            continue
-        if i == len(big) - 1:
-            res = _reconnect_one_arc(n, f, ctx, istar, big + [lone], f"EXT/{prefix}-lone-merge")
-            if res is not None:
-                return res
-            continue
-        joined = [lone] + list(reversed(big[: i + 1]))
-        rest = big[i + 1 :]
-        res = _reconnect_two_arcs(
-            n, f, ctx, istar, joined, rest, f"EXT/{prefix}-lone", allow_isolated=False
-        )
-        if res is not None:
-            return res
-        joined = [lone] + big[i:]
-        rest = big[:i]
-        res = _reconnect_two_arcs(
-            n, f, ctx, istar, joined, rest, f"EXT/{prefix}-lone", allow_isolated=False
-        )
-        if res is not None:
-            return res
+            if last_symbol(nt) in (istar, h2):
+                continue
+            i2 = pos2[ns]
+            for z in (P2[i2 - 1] if i2 > 0 else None, P2[i2 + 1] if i2 + 1 < len(P2) else None):
+                if z is None:
+                    continue
+                nz = _usable_stub(z, f)
+                if nz is None or last_symbol(nz) in (istar, h1):
+                    continue
+                if last_symbol(nz) == last_symbol(nt):
+                    raise InternalInvariantError("double-split chain endpoints coincide")
+                if not ctx.spend():
+                    return None
+                forward = pos1[s] < pos1[t]
+                bridge = _chain(n, rest, *((nz, nt) if forward else (nt, nz)), f, ctx)
+                if bridge is None:
+                    continue
+                bv, trb = bridge
+                head, tail = _cut(R1, pos1, s, t)
+                full = head + _open_ring(R2, pos2, ns, z) + (bv if forward else bv[::-1]) + tail
+                return (full if forward else full[::-1]), CaseTrace(
+                    label, {"h1": h1, "h2": h2}, [tr1, tr2, trb]
+                )
     return None
 
 
@@ -1387,7 +1255,7 @@ def _path_case2(n: int, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx, istar: int)
     """All fault weight concentrated in one subgraph, which therefore gets a
     recursive cycle; the cycle is opened and threaded into the endpoints'
     structure depending on where the endpoints sit."""
-    c1 = _subgraph_cycle(n, istar, f, ctx)
+    c1 = _subgraph(n, istar, f, ctx)
     if c1 is None:
         return None
     C1, tr1 = c1
@@ -1428,7 +1296,7 @@ def _path_c2_outside_two(n, u, v, f, ctx, istar, C1, idx1, tr1):
                     continue
                 if not ctx.spend():
                     return None
-                first = _subgraph_path(n, jx, e_x, ns, f, ctx)
+                first = _subgraph(n, jx, f, ctx, e_x, ns)
                 if first is None:
                     break  # independent of s1
                 fv, trf = first
@@ -1469,7 +1337,7 @@ def _path_c2_outside_pair(n, u, v, f, ctx, istar, C1, idx1, tr1):
     cover j endpoint-to-endpoint, then splice the heavy cycle and the rest
     into an edge of that path whose one side crosses into the heavy subgraph."""
     j = last_symbol(u)
-    base = _subgraph_path(n, j, u, v, f, ctx)
+    base = _subgraph(n, j, f, ctx, u, v)
     if base is None:
         return None
     P, trp = base
@@ -1493,19 +1361,14 @@ def _path_c2_outside_pair(n, u, v, f, ctx, istar, C1, idx1, tr1):
                     raise InternalInvariantError("outside-pair chain endpoints coincide")
                 if not ctx.spend():
                     return None
-                if pos[s] < pos[t]:
-                    bridge = _chain(n, rest, nz, nt, f, ctx)
-                    if bridge is None:
-                        continue
-                    bv, trb = bridge
-                    full = P[: pos[s] + 1] + _open_ring(C1, idx1, ns, z) + bv + P[pos[t] :]
-                else:
-                    bridge = _chain(n, rest, nt, nz, f, ctx)
-                    if bridge is None:
-                        continue
-                    bv, trb = bridge
-                    full = P[: pos[t] + 1] + bv + _open_ring(C1, idx1, z, ns) + P[pos[s] :]
-                return full, CaseTrace(
+                forward = pos[s] < pos[t]
+                bridge = _chain(n, rest, *((nz, nt) if forward else (nt, nz)), f, ctx)
+                if bridge is None:
+                    continue
+                bv, trb = bridge
+                head, tail = _cut(P, pos, s, t)
+                full = head + _open_ring(C1, idx1, ns, z) + (bv if forward else bv[::-1]) + tail
+                return (full if forward else full[::-1]), CaseTrace(
                     "L19/2.2", {"shape": "outside-pair", "j": j}, [tr1, trp, trb]
                 )
     return None
@@ -1514,7 +1377,7 @@ def _path_c2_outside_pair(n, u, v, f, ctx, istar, C1, idx1, tr1):
 def _path_c2_complement_pair(n, u, v, f, ctx, istar, C1, idx1, tr1):
     """Both endpoints in the complement of the heavy subgraph.  No edges join
     the two, so the splice hands off through a shared intermediate subgraph."""
-    base = _subgraph_path(n, -istar, u, v, f, ctx)
+    base = _subgraph(n, -istar, f, ctx, u, v)
     if base is None:
         return None
     P, trp = base
@@ -1541,36 +1404,19 @@ def _path_c2_complement_pair(n, u, v, f, ctx, istar, C1, idx1, tr1):
                         continue
                     if not ctx.spend():
                         return None
-                    mid = _subgraph_path(n, g, ns, nz, f, ctx)
+                    mid = _subgraph(n, g, f, ctx, ns, nz)
                     if mid is None:
                         continue
                     mv, trm = mid
                     rest = [q for q in subgraph_indices(n) if q not in (istar, -istar, g)]
-                    if pos[s] < pos[t]:
-                        bridge = _chain(n, rest, nw, nt, f, ctx)
-                        if bridge is None:
-                            continue
-                        bv, trb = bridge
-                        full = (
-                            P[: pos[s] + 1]
-                            + mv
-                            + _open_ring(C1, idx1, z, w)
-                            + bv
-                            + P[pos[t] :]
-                        )
-                    else:
-                        bridge = _chain(n, rest, nt, nw, f, ctx)
-                        if bridge is None:
-                            continue
-                        bv, trb = bridge
-                        full = (
-                            P[: pos[t] + 1]
-                            + bv
-                            + _open_ring(C1, idx1, w, z)
-                            + list(reversed(mv))
-                            + P[pos[s] :]
-                        )
-                    return full, CaseTrace(
+                    forward = pos[s] < pos[t]
+                    bridge = _chain(n, rest, *((nw, nt) if forward else (nt, nw)), f, ctx)
+                    if bridge is None:
+                        continue
+                    bv, trb = bridge
+                    head, tail = _cut(P, pos, s, t)
+                    full = head + mv + _open_ring(C1, idx1, z, w) + (bv if forward else bv[::-1]) + tail
+                    return (full if forward else full[::-1]), CaseTrace(
                         "L19/2.2", {"shape": "complement-pair", "g": g}, [tr1, trp, trm, trb]
                     )
     return None
@@ -1581,7 +1427,6 @@ def _path_c2_inside_pair(n, u, v, f, ctx, istar, C1, idx1, tr1):
     rest = [q for q in subgraph_indices(n) if q != istar]
     if v in _ring_neighbors(C1, idx1, u):
         Q = _open_ring(C1, idx1, u, v)
-        posq = {x: i for i, x in enumerate(Q)}
         for i in range(len(Q) - 1):
             s, t = Q[i], Q[i + 1]
             ns, nt = _usable_stub(s, f), _usable_stub(t, f)
@@ -1598,17 +1443,13 @@ def _path_c2_inside_pair(n, u, v, f, ctx, istar, C1, idx1, tr1):
             full = Q[: i + 1] + bv + Q[i + 1 :]
             return full, CaseTrace("L19/2.3.1", {}, [tr1, trb])
         return None
-    # endpoints non-adjacent on the cycle: open both endpoint positions
-    L = len(C1)
+    # endpoints non-adjacent on the cycle: walk one arc between them, cross
+    # to the outside and come back along the other
     pu, pv = idx1[u], idx1[v]
     arc_p = _ring_span(C1, pu + 1, pv - 1)  # forward arc strictly between u and v
-    arc_q = _ring_span(C1, pv + 1, pu - 1)  # forward arc strictly between v and u
-    combos = (
-        (arc_p[0], arc_q[0], "forward"),
-        (arc_q[-1], arc_p[-1], "backward"),
-    )
-    for u1, v1, shape in combos:
-        nu1, nv1 = _usable_stub(u1, f), _usable_stub(v1, f)
+    arc_q = _ring_span(C1, pv + 1, pu - 1)[::-1]  # backward arc strictly between u and v
+    for first, second in ((arc_q, arc_p), (arc_p, arc_q)):
+        nv1, nu1 = _usable_stub(first[-1], f), _usable_stub(second[0], f)
         if nu1 is None or nv1 is None:
             continue
         if not ctx.spend():
@@ -1617,11 +1458,7 @@ def _path_c2_inside_pair(n, u, v, f, ctx, istar, C1, idx1, tr1):
         if bridge is None:
             continue
         bv, trb = bridge
-        if shape == "forward":
-            full = [u] + list(reversed(arc_q)) + bv + arc_p + [v]
-        else:
-            full = [u] + arc_p + bv + list(reversed(arc_q)) + [v]
-        return full, CaseTrace("L19/2.3.2", {}, [tr1, trb])
+        return [u] + first + bv + second + [v], CaseTrace("L19/2.3.2", {}, [tr1, trb])
     return None
 
 
@@ -1654,7 +1491,23 @@ def _check_output(n: int, f: _Faults, vertices: list[Vertex], closed: bool, u=No
         raise InternalInvariantError("wrong path endpoints")
 
 
-def _public_faults(n: int, fault_set: FaultSet, bound: int) -> _Faults:
+SOFT_DIMENSION_LIMIT = 8
+
+
+def _public_input(n: int, fault_set: FaultSet, bound: int, mode: str, u=None, v=None):
+    """The public builders' one input check.
+
+    Returns the faults in internal form and the endpoints (when given) as
+    vertices; raises UsageError, or BudgetExceededError past ``bound``.
+    """
+    if not 3 <= n <= SOFT_DIMENSION_LIMIT:
+        raise UsageError(f"construction needs 3 <= n <= {SOFT_DIMENSION_LIMIT}, got n={n}")
+    if mode not in ("strict", "fallback"):
+        raise UsageError(f"unknown mode {mode!r}")
+    if u is not None:
+        u, v = check_vertex(u, n), check_vertex(v, n)
+        if u == v:
+            raise UsageError("path endpoints must be distinct")
     if fault_set.n != n:
         raise UsageError(f"fault set is for n={fault_set.n}, expected {n}")
     report = validate(fault_set)
@@ -1662,122 +1515,83 @@ def _public_faults(n: int, fault_set: FaultSet, bound: int) -> _Faults:
         raise UsageError("invalid fault set: " + "; ".join(str(x) for x in report.violations))
     if fault_set.size > bound:
         raise BudgetExceededError(f"|F|={fault_set.size} exceeds tolerance {bound}")
-    return _Faults.from_fault_set(fault_set)
+    f = _Faults.from_fault_set(fault_set)
+    if u in f.removed or v in f.removed:
+        raise UsageError("path endpoints must be fault-free vertices")
+    return f, u, v
 
 
-def _finish(ctx: _Ctx, trace: CaseTrace, mode: str, n: int) -> CaseTrace:
+def _finish(ctx: _Ctx, trace: CaseTrace, n: int) -> CaseTrace:
     return CaseTrace(
         "root",
-        {"n": n, "mode": mode, "fallback_invocations": ctx.fallback_invocations},
+        {"n": n, "mode": ctx.mode, "fallback_invocations": ctx.fallback_invocations},
         [trace],
     )
 
 
-SOFT_DIMENSION_LIMIT = 8
-
-
 def hamiltonian_cycle(n: int, fault_set: FaultSet, mode: str = "strict") -> VertexCycle:
     """Hamiltonian cycle of BP_n minus the fault set, for |F| <= n-2."""
-    if n < 3:
-        raise UsageError("cycle construction needs n >= 3")
-    if n > SOFT_DIMENSION_LIMIT:
-        raise UsageError(f"construction output would exceed the n <= {SOFT_DIMENSION_LIMIT} size limit")
-    if mode not in ("strict", "fallback"):
-        raise UsageError(f"unknown mode {mode!r}")
-    f = _public_faults(n, fault_set, n - 2)
+    f, _, _ = _public_input(n, fault_set, n - 2, mode)
     ctx = _Ctx(mode=mode)
-    got = _cycle(n, f, ctx)
-    if got is None and mode == "fallback" and n == 4:
-        ctx.fallback_invocations += 1
-        raw = _rotation_search(n, f.removed, f.edge_set, None, None)
-        if raw is not None:
-            got = (list(raw), CaseTrace("FALLBACK/cycle", {"n": n}))
+    got = _cycle(n, f, ctx) or _fallback(n, f, ctx)
     if got is None:
         raise StrictModeFailure(
             f"no construction found (attempts={ctx.attempts}, note={ctx.note or 'scan exhausted'})"
         )
     vertices, tr = got
     _check_output(n, f, vertices, closed=True)
-    return VertexCycle(tuple(vertices), _finish(ctx, tr, mode, n))
+    return VertexCycle(tuple(vertices), _finish(ctx, tr, n))
 
 
 def hamiltonian_path(n: int, u, v, fault_set: FaultSet, mode: str = "strict") -> VertexPath:
     """Hamiltonian path between u and v in BP_n minus the fault set, |F| <= n-3."""
-    if n < 3:
-        raise UsageError("path construction needs n >= 3")
-    if n > SOFT_DIMENSION_LIMIT:
-        raise UsageError(f"construction output would exceed the n <= {SOFT_DIMENSION_LIMIT} size limit")
-    if mode not in ("strict", "fallback"):
-        raise UsageError(f"unknown mode {mode!r}")
-    u = check_vertex(u, n)
-    v = check_vertex(v, n)
-    if u == v:
-        raise UsageError("path endpoints must be distinct")
-    f = _public_faults(n, fault_set, n - 3)
-    if u in f.removed or v in f.removed:
-        raise UsageError("path endpoints must be fault-free vertices")
+    f, u, v = _public_input(n, fault_set, n - 3, mode, u, v)
     ctx = _Ctx(mode=mode)
-    got = _path(n, u, v, f, ctx)
-    if got is None and mode == "fallback" and n == 4:
-        ctx.fallback_invocations += 1
-        raw = _rotation_search(n, f.removed, f.edge_set, u, v)
-        if raw is not None:
-            got = (list(raw), CaseTrace("FALLBACK/path", {"n": n}))
+    got = _path(n, u, v, f, ctx) or _fallback(n, f, ctx, u, v)
     if got is None:
         raise StrictModeFailure(
             f"no construction found (attempts={ctx.attempts}, note={ctx.note or 'scan exhausted'})"
         )
     vertices, tr = got
     _check_output(n, f, vertices, closed=False, u=u, v=v)
-    return VertexPath(tuple(vertices), _finish(ctx, tr, mode, n))
+    return VertexPath(tuple(vertices), _finish(ctx, tr, n))
 
 
-def chain_path(n: int, indices, u, v, fault_set: FaultSet, mode: str = "strict") -> VertexPath:
-    """Hamiltonian path across >= 5 subgraphs with endpoints in two of them."""
-    u = check_vertex(u, n)
-    v = check_vertex(v, n)
+def _engine_input(n: int, indices, u, v, fault_set: FaultSet, mode: str, least: int):
+    """Shared checks of chain_path and loop_path: ``least`` or more subgraph
+    indices, the endpoints' subgraphs among them, and every member subgraph
+    within the chain engine's n-4 weight budget."""
+    f, u, v = _public_input(n, fault_set, n - 2, mode, u, v)
     pool = sorted(set(indices), key=index_sort_key)
-    if len(pool) < 5:
-        raise UsageError("chain_path needs at least five subgraph indices")
-    if last_symbol(u) == last_symbol(v):
-        raise UsageError("chain_path endpoints must lie in different subgraphs")
+    if len(pool) < least:
+        raise UsageError(f"need at least {least} subgraph indices")
     if last_symbol(u) not in pool or last_symbol(v) not in pool:
         raise UsageError("endpoint subgraphs must belong to the index set")
-    f = _public_faults(n, fault_set, n - 2)
-    if u in f.removed or v in f.removed:
-        raise UsageError("endpoints must be fault-free vertices")
     ws = _weights(f)
     for i in pool:
         if ws[i] > n - 4:
             raise UsageError(f"subgraph {i} carries weight {ws[i]} > n-4")
+    return f, pool, u, v
+
+
+def chain_path(n: int, indices, u, v, fault_set: FaultSet, mode: str = "strict") -> VertexPath:
+    """Hamiltonian path across >= 5 subgraphs with endpoints in two of them."""
+    f, pool, u, v = _engine_input(n, indices, u, v, fault_set, mode, 5)
+    if last_symbol(u) == last_symbol(v):
+        raise UsageError("chain_path endpoints must lie in different subgraphs")
     ctx = _Ctx(mode=mode)
     got = _chain(n, pool, u, v, f, ctx)
     if got is None:
         raise StrictModeFailure("chain construction exhausted its candidates")
     vertices, tr = got
-    return VertexPath(tuple(vertices), _finish(ctx, tr, mode, n))
+    return VertexPath(tuple(vertices), _finish(ctx, tr, n))
 
 
 def loop_path(n: int, indices, u, v, fault_set: FaultSet, mode: str = "strict") -> VertexPath:
     """Hamiltonian path across >= 6 subgraphs with both endpoints in one."""
-    u = check_vertex(u, n)
-    v = check_vertex(v, n)
-    pool = sorted(set(indices), key=index_sort_key)
-    if len(pool) < 6:
-        raise UsageError("loop_path needs at least six subgraph indices")
-    if u == v:
-        raise UsageError("endpoints must be distinct")
+    f, pool, u, v = _engine_input(n, indices, u, v, fault_set, mode, 6)
     if last_symbol(u) != last_symbol(v):
         raise UsageError("loop_path endpoints must share a subgraph")
-    if last_symbol(u) not in pool:
-        raise UsageError("endpoint subgraph must belong to the index set")
-    f = _public_faults(n, fault_set, n - 2)
-    if u in f.removed or v in f.removed:
-        raise UsageError("endpoints must be fault-free vertices")
-    ws = _weights(f)
-    for i in pool:
-        if ws[i] > n - 4:
-            raise UsageError(f"subgraph {i} carries weight {ws[i]} > n-4")
     ctx = _Ctx(mode=mode)
     got = _loop(n, pool, u, v, f, ctx)
     if got is None:
@@ -1785,13 +1599,11 @@ def loop_path(n: int, indices, u, v, fault_set: FaultSet, mode: str = "strict") 
             raise NoUsableEdgeError("no spliceable edge with fault-free out-neighbors")
         raise StrictModeFailure("loop construction exhausted its candidates")
     vertices, tr = got
-    return VertexPath(tuple(vertices), _finish(ctx, tr, mode, n))
+    return VertexPath(tuple(vertices), _finish(ctx, tr, n))
 
 
 def base_cycle_bp3(fault_set: FaultSet, mode: str = "strict") -> VertexCycle:
     """Hamiltonian cycle of BP_3 minus at most one fault element."""
-    if fault_set.size > 1:
-        raise UsageError("BP_3 base case tolerates at most one fault element")
     return hamiltonian_cycle(3, fault_set, mode=mode)
 
 

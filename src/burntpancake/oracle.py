@@ -16,7 +16,7 @@ from typing import Iterable
 
 from . import bp_graph
 from .fault_model import FaultSet
-from .signed_perm import Vertex, all_vertices, format_vertex, identity
+from .signed_perm import Vertex, all_vertices, format_vertex, identity, iter_vertices
 
 SEARCH_LIMIT = 4
 CONNECTIVITY_STRIDE = 32
@@ -58,8 +58,9 @@ def _verify_common(
         if v in removed:
             bad.append(("FaultyVertexUsed", pos, format_vertex(v)))
 
-    for v in set(all_vertices(n)) - removed - seen:
-        bad.append(("MissingVertex", -1, format_vertex(v)))
+    for v in iter_vertices(n):
+        if v not in seen and v not in removed:
+            bad.append(("MissingVertex", -1, format_vertex(v)))
 
     faulty = {bp_graph.edge_key(a, b) for a, b in fault_set.faulty_edges}
     steps = len(vertices) if closed else len(vertices) - 1

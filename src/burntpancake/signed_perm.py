@@ -30,14 +30,6 @@ def check_vertex(u: Iterable[int], n: int | None = None) -> Vertex:
     return v
 
 
-def is_vertex(u: Iterable[int], n: int | None = None) -> bool:
-    try:
-        check_vertex(u, n)
-    except ValueError:
-        return False
-    return True
-
-
 def identity(n: int) -> Vertex:
     return tuple(range(1, n + 1))
 

@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 
 from burntpancake import bp_graph
@@ -160,6 +162,31 @@ def test_not_bipartite_n3():
             elif color[w] == color[u]:
                 conflict = True
     assert conflict
+
+
+def _girth(n: int) -> int:
+    """Shortest cycle length: BFS from every vertex, closing each non-tree edge."""
+    best = None
+    for root in all_vertices(n):
+        dist, parent = {root: 0}, {root: None}
+        queue = deque([root])
+        while queue:
+            x = queue.popleft()
+            for y in neighbors(x):
+                if y not in dist:
+                    dist[y], parent[y] = dist[x] + 1, x
+                    queue.append(y)
+                elif y != parent[x]:
+                    length = dist[x] + dist[y] + 1
+                    best = length if best is None else min(best, length)
+    return best
+
+
+def test_girth_is_eight():
+    # no cycle shorter than 8: the constructor relies on this for its
+    # splice arcs and for _check_output's length bound
+    assert _girth(3) == 8
+    assert _girth(4) == 8
 
 
 def test_subgraph_embed_lift_round_trip():

@@ -191,3 +191,15 @@ def test_stats_n4(capsys):
     assert "PASS |V|: 384" in out
     assert "PASS |E|: 768" in out
     assert out.count("    8") > 0  # off-diagonal non-complementary entries
+
+
+def test_verify_rejects_dimension_above_limit(tmp_path, monkeypatch):
+    import burntpancake.oracle as oracle
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the oracle must not run on an out-of-range n")
+
+    monkeypatch.setattr(oracle, "verify_cycle", boom)
+    artifact = tmp_path / "big.json"
+    artifact.write_text(json.dumps({"kind": "cycle", "n": 12, "vertices": [list(range(1, 13))]}))
+    assert main(["verify", str(artifact)]) == 2

@@ -317,3 +317,33 @@ def test_chain_path_rejects_overweight_member_subgraph():
     u, v = identity(5), out_neighbor(identity(5))
     with pytest.raises(UsageError):
         chain_path(5, subgraph_indices(5), u, v, fs)
+
+
+def test_public_builders_reject_unknown_mode():
+    fs = FaultSet.build(4)
+    u = identity(4)
+    with pytest.raises(UsageError):
+        hamiltonian_cycle(4, fs, mode="bogus")
+    with pytest.raises(UsageError):
+        hamiltonian_path(4, u, (-1, 2, 3, 4), fs, mode="bogus")
+    with pytest.raises(UsageError):
+        chain_path(4, subgraph_indices(4), u, out_neighbor(u), fs, mode="bogus")
+    with pytest.raises(UsageError):
+        loop_path(4, subgraph_indices(4), u, (-2, -1, 3, 4), fs, mode="bogus")
+
+
+def test_public_builders_reject_dimension_above_limit(monkeypatch):
+    import burntpancake.constructor as cons
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the engines must not run on an out-of-range n")
+
+    # n = 9 would list 645 120 cross edges per subgraph pair before recursing
+    monkeypatch.setattr(cons, "_chain", boom)
+    monkeypatch.setattr(cons, "_loop", boom)
+    fs = FaultSet.build(9)
+    u = identity(9)
+    with pytest.raises(UsageError):
+        chain_path(9, subgraph_indices(9), u, out_neighbor(u), fs)
+    with pytest.raises(UsageError):
+        loop_path(9, subgraph_indices(9), u, prefix_reversal(u, 2), fs)
