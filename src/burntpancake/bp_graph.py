@@ -3,15 +3,25 @@
 The graph is never materialized: neighbors are computed on demand from the
 signed-permutation algebra.  Vertices with the same last symbol ``i`` form
 the subgraph ``BP_n^i``, which is isomorphic to ``BP_{n-1}``; the recursion
-in the constructor relies on :func:`subgraph_embed` / :func:`subgraph_lift`
-realizing that isomorphism.
+in the constructor relies on :func:`subgraph_embed` / :func:`lift_all`
+realizing that isomorphism.  :func:`lift_all` maps a whole ``BP_{n-1}``
+result into subgraph ``i`` through one signed relabel table, built once per
+call; :func:`subgraph_lift` is its single-vertex form.
+
+Adjacency is tested directly: if ``v`` is the k-th prefix reversal of ``u``,
+the last position where the two differ is k (the symbol arriving there is
+``-u[0]``, which differs from what was there), so one comparison of the
+first k symbols decides.  Cross edges between two subgraphs are produced
+lazily by :func:`iter_cross_edges`, already in lexicographic order, so a
+caller that wants only the first usable edge builds no more than it reads.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from itertools import permutations, product
+from collections.abc import Iterator, Sequence
 from math import factorial
+from operator import neg
 
 from .signed_perm import Vertex, check_vertex, prefix_reversal
 
@@ -43,22 +53,31 @@ def edge_key(u: Vertex, v: Vertex) -> Edge:
     return (u, v) if u <= v else (v, u)
 
 
+def _dimension(u: Vertex, v: Vertex) -> int:
+    """The k with ``v == prefix_reversal(u, k)``, or 0 when there is none.
+
+    Only one k can work: one past the last position where u and v differ.
+    """
+    k = len(u)
+    if len(v) != k:
+        return 0
+    while k and u[k - 1] == v[k - 1]:
+        k -= 1
+    if k and v[:k] == tuple(map(neg, u[k - 1 :: -1])):
+        return k
+    return 0
+
+
 def edge_dimension(u: Vertex, v: Vertex) -> int:
     """The k with ``v == prefix_reversal(u, k)``; ValueError if not adjacent."""
-    for k in range(1, len(u) + 1):
-        if prefix_reversal(u, k) == v:
-            return k
-    raise ValueError(f"not adjacent: {u!r}, {v!r}")
+    k = _dimension(u, v)
+    if not k:
+        raise ValueError(f"not adjacent: {u!r}, {v!r}")
+    return k
 
 
 def is_adjacent(u: Vertex, v: Vertex) -> bool:
-    if len(u) != len(v):
-        return False
-    try:
-        edge_dimension(u, v)
-    except ValueError:
-        return False
-    return True
+    return _dimension(u, v) != 0
 
 
 def subgraph_indices(n: int) -> list[int]:
@@ -88,11 +107,23 @@ def cross_edge_count(n: int) -> int:
     return factorial(n - 2) * 2 ** (n - 2)
 
 
-def cross_edges(n: int, i: int, j: int) -> list[Edge]:
+def _signed_perms(symbols: list[int]) -> Iterator[Vertex]:
+    """Signed permutations of the sorted positive ``symbols``, in lexicographic order."""
+    if not symbols:
+        yield ()
+        return
+    for head in [-x for x in reversed(symbols)] + symbols:
+        rest = [x for x in symbols if x != abs(head)]
+        for tail in _signed_perms(rest):
+            yield (head,) + tail
+
+
+def iter_cross_edges(n: int, i: int, j: int) -> Iterator[Edge]:
     """All edges between subgraphs i and j, as (i-side, j-side) pairs.
 
-    Enumeration is in lexicographic order of the i-side endpoint.  Empty
-    when j == -i; a ValueError when i == j.
+    The i-side endpoint is ``(-j, middle..., i)``, so lexicographic order
+    of the endpoints is that of the middles, which are generated in order.
+    Empty when j == -i; a ValueError, raised at the call, when i == j.
     """
     for x in (i, j):
         if x == 0 or abs(x) > n:
@@ -100,15 +131,15 @@ def cross_edges(n: int, i: int, j: int) -> list[Edge]:
     if i == j:
         raise ValueError(f"cross edges need distinct subgraphs, got {i} twice")
     if i == -j:
-        return []
-    rest = sorted(set(range(1, n + 1)) - {abs(i), abs(j)})
-    sides: list[Vertex] = []
-    for base in permutations(rest):
-        for signs in product((1, -1), repeat=n - 2):
-            middle = tuple(s * x for s, x in zip(signs, base))
-            sides.append((-j,) + middle + (i,))
-    sides.sort()
-    return [(u, out_neighbor(u)) for u in sides]
+        return iter(())
+    rest = [x for x in range(1, n + 1) if x not in (abs(i), abs(j))]
+    sides = ((-j,) + middle + (i,) for middle in _signed_perms(rest))
+    return ((u, out_neighbor(u)) for u in sides)
+
+
+def cross_edges(n: int, i: int, j: int) -> list[Edge]:
+    """:func:`iter_cross_edges` as a list."""
+    return list(iter_cross_edges(n, i, j))
 
 
 def distance(u: Vertex, v: Vertex) -> int:
@@ -163,10 +194,25 @@ def subgraph_embed(u: Vertex) -> Vertex:
     return tuple(rank[abs(x)] * (1 if x > 0 else -1) for x in u[:-1])
 
 
-def subgraph_lift(i: int, v: Vertex) -> Vertex:
-    """Inverse of :func:`subgraph_embed` into subgraph ``i`` of ``BP_{len(v)+1}``."""
-    n = len(v) + 1
+def lift_all(i: int, vertices: Sequence[Vertex]) -> list[Vertex]:
+    """:func:`subgraph_lift` of each of ``vertices``, all vertices of one ``BP_{n-1}``.
+
+    One relabel table serves the whole list: it maps each signed symbol x of
+    ``BP_{n-1}`` to its image in subgraph ``i`` and is indexed by x itself,
+    so the negative symbols sit at the table's end.
+    """
+    if not vertices:
+        return []
+    n = len(vertices[0]) + 1
     if i == 0 or abs(i) > n:
         raise ValueError(f"subgraph index {i} out of range for n={n}")
-    rest = sorted(set(range(1, n + 1)) - {abs(i)})
-    return tuple(rest[abs(x) - 1] * (1 if x > 0 else -1) for x in v) + (i,)
+    rest = [a for a in range(1, n + 1) if a != abs(i)]
+    table = [0] + rest + [-a for a in reversed(rest)]
+    look = table.__getitem__
+    tail = (i,)
+    return [tuple(map(look, v)) + tail for v in vertices]
+
+
+def subgraph_lift(i: int, v: Vertex) -> Vertex:
+    """Inverse of :func:`subgraph_embed` into subgraph ``i`` of ``BP_{len(v)+1}``."""
+    return lift_all(i, [v])[0]

@@ -61,15 +61,29 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _artifact_json(kind: str, n: int, vertices, trace, extra: dict | None = None) -> str:
+    """The artifact exactly as ``json.dumps(doc, indent=2) + "\\n"`` writes it.
+
+    The vertex block, one signed integer per line, is most of the bytes, so
+    it is formatted directly from one template for a length-n vertex (a
+    built object is never empty); the other members go through
+    ``json.dumps`` and are indented one level, as the encoder nests them.
+    """
     doc = {
         "kind": kind,
         "n": n,
-        "vertices": [list(v) for v in vertices],
+        "vertices": None,
         "trace": [label for label in trace.labels() if label != "root"],
     }
     if extra:
         doc.update(extra)
-    return json.dumps(doc, indent=2) + "\n"
+    template = "    [\n" + ",\n".join(["      %d"] * n) + "\n    ]"
+    block = "[\n" + ",\n".join(map(template.__mod__, vertices)) + "\n  ]"
+    members = [
+        f"  {json.dumps(key)}: "
+        + (block if key == "vertices" else json.dumps(value, indent=2).replace("\n", "\n  "))
+        for key, value in doc.items()
+    ]
+    return "{\n" + ",\n".join(members) + "\n}\n"
 
 
 def _artifact_text(vertices) -> str:
@@ -113,7 +127,7 @@ def cmd_verify(args) -> int:
             doc = json.load(fh)
         kind = doc["kind"]
         n = int(doc["n"])
-        vertices = [tuple(int(x) for x in v) for v in doc["vertices"]]
+        vertices = [tuple(map(int, v)) for v in doc["vertices"]]
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"malformed artifact file: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -263,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, budgeted=True):
+    def common(p):
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--faults", type=str, default=None, help="fault file (JSON)")
         p.add_argument("--mode", choices=("strict", "fallback"), default="strict")

@@ -30,6 +30,7 @@ are counted on the trace root.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -40,11 +41,12 @@ from .bp_graph import (
     edge_dimension,
     edge_key,
     index_sort_key,
+    iter_cross_edges,
     last_symbol,
+    lift_all,
     out_neighbor,
     subgraph_embed,
     subgraph_indices,
-    subgraph_lift,
 )
 from .fault_model import FaultSet, validate
 from .signed_perm import (
@@ -261,7 +263,6 @@ def _small_search(
     banned: frozenset[Pair],
     u: Vertex | None,
     v: Vertex | None,
-    node_cap: int | None = None,
 ) -> tuple[Vertex, ...] | None:
     """Complete DFS for a Hamiltonian path (u -> v) or cycle (u = v = None).
 
@@ -269,7 +270,7 @@ def _small_search(
     tie-break, so results are deterministic.  Degrees of unvisited vertices
     are maintained incrementally; a vertex left with fewer usable
     connections than a Hamiltonian continuation requires prunes the branch.
-    Returns None when the search space is exhausted (or the cap is hit).
+    Returns None when the search space is exhausted.
     """
     vertices = [x for x in all_vertices(n) if x not in removed]
     if not vertices:
@@ -292,7 +293,6 @@ def _small_search(
     unvisited.discard(start)
     adeg = {x: sum(1 for w in adj[x] if w in unvisited) for x in vertices}
     path = [start]
-    nodes = 0
 
     def prune(head: Vertex) -> bool:
         head_adj = adj_sets[head]
@@ -319,10 +319,6 @@ def _small_search(
         return False
 
     def rec(cur: Vertex) -> tuple[Vertex, ...] | None:
-        nonlocal nodes
-        nodes += 1
-        if node_cap is not None and nodes > node_cap:
-            return None
         if len(path) == total:
             return tuple(path) if cur in finals else None
         if prune(cur):
@@ -544,18 +540,29 @@ def _subgraph(n: int, i: int, f: _Faults, ctx: _Ctx, a: Vertex | None = None, b:
     if res is None:
         return None
     verts, tr = res
-    return [subgraph_lift(i, x) for x in verts], tr
+    return lift_all(i, verts), tr
 
 
-def _cross_candidates(n: int, i: int, j: int, f: _Faults) -> list[Edge]:
-    out = []
-    for x, y in bp_graph.cross_edges(n, i, j):
-        if x in f.removed or y in f.removed:
-            continue
-        if edge_key(x, y) in f.edge_set:
-            continue
-        out.append((x, y))
-    return out
+@dataclass(frozen=True)
+class _cross_candidates:
+    """The fault-free cross edges from subgraph i to j, in ``iter_cross_edges``
+    order.  Like ``range``, a lazy view: each pass enumerates afresh and only
+    as far as the caller reads, since the first usable edge usually wins."""
+
+    n: int
+    i: int
+    j: int
+    f: _Faults
+
+    def __iter__(self) -> Iterator[Edge]:
+        removed, edge_set = self.f.removed, self.f.edge_set
+        for x, y in iter_cross_edges(self.n, self.i, self.j):
+            if x in removed or y in removed or edge_key(x, y) in edge_set:
+                continue
+            yield x, y
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
 
 
 def _chain(n: int, I, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
@@ -574,17 +581,16 @@ def _chain(n: int, I, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
     except NoOrderingError:
         return None
     m = len(ordering)
-    candidates = [
-        _cross_candidates(n, ordering[t], ordering[t + 1], f) for t in range(m - 1)
-    ]
 
     def solve(t: int, entry: Vertex):
+        """(path, trace) per subgraph covering ordering[t:] from entry to v,
+        last subgraph first, so each level appends instead of concatenating."""
         if t == m - 1:
             if entry == v:
                 return None
             seg = _subgraph(n, ordering[t], f, ctx, entry, v)
-            return None if seg is None else (seg[0], [seg[1]])
-        for x, y in candidates[t]:
+            return None if seg is None else [seg]
+        for x, y in _cross_candidates(n, ordering[t], ordering[t + 1], f):
             if x == entry or (t + 1 == m - 1 and y == v):
                 continue
             if not ctx.spend():
@@ -592,18 +598,18 @@ def _chain(n: int, I, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
             seg = _subgraph(n, ordering[t], f, ctx, entry, x)
             if seg is None:
                 continue
-            seg_vertices, seg_trace = seg
             rest = solve(t + 1, y)
             if rest is not None:
-                rest_vertices, rest_traces = rest
-                return seg_vertices + rest_vertices, [seg_trace] + rest_traces
+                rest.append(seg)
+                return rest
         return None
 
     got = solve(0, u)
     if got is None:
         return None
-    vertices, traces = got
-    return vertices, CaseTrace("L17", {"order": list(ordering)}, traces)
+    got.reverse()
+    vertices = [x for seg, _ in got for x in seg]
+    return vertices, CaseTrace("L17", {"order": list(ordering)}, [tr for _, tr in got])
 
 
 def _loop(n: int, I, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):

@@ -145,7 +145,7 @@ def run_fuzz(
                 check = oracle.verify_path(n, fs, u, v, built)
                 expected_len = bp_graph.vertex_count(n) - 2 * len(fs.matching_pairs)
                 length_ok = len(built.vertices) == expected_len
-        except StrictModeFailure as exc:
+        except StrictModeFailure:
             report.strict_failures += 1
             report.failures.append({"trial": trial, "kind": "strict", "faults": fs.to_json_dict()})
             continue

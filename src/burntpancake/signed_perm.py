@@ -9,6 +9,7 @@ spaces, e.g. ``"-2,1,-3"``.
 from __future__ import annotations
 
 from itertools import permutations, product
+from operator import mul
 from typing import Iterable, Iterator
 
 Vertex = tuple[int, ...]
@@ -101,7 +102,7 @@ def iter_vertices(n: int) -> Iterator[Vertex]:
     """All 2^n * n! signed permutations, in lexicographic order."""
     for base in permutations(range(1, n + 1)):
         for signs in product((1, -1), repeat=n):
-            yield tuple(s * x for s, x in zip(signs, base))
+            yield tuple(map(mul, signs, base))
 
 
 def all_vertices(n: int) -> list[Vertex]:

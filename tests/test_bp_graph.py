@@ -11,7 +11,9 @@ from burntpancake.bp_graph import (
     distance,
     edge_count,
     edge_dimension,
+    is_adjacent,
     last_symbol,
+    lift_all,
     neighbors,
     out_neighbor,
     subgraph_embed,
@@ -89,6 +91,19 @@ def test_cross_edges_counts():
                     continue
                 got = len(cross_edges(n, i, j))
                 assert got == (0 if i == -j else want), (n, i, j)
+
+
+def test_cross_edges_equal_sorted_enumeration():
+    # every edge between subgraphs i and j, found from the full vertex set
+    for n in (3, 4, 5):
+        by_pair = {}
+        for u in all_vertices(n):
+            w = out_neighbor(u)
+            by_pair.setdefault((last_symbol(u), last_symbol(w)), []).append((u, w))
+        for i in subgraph_indices(n):
+            for j in subgraph_indices(n):
+                if i != j:
+                    assert cross_edges(n, i, j) == sorted(by_pair.get((i, j), [])), (n, i, j)
 
 
 def test_cross_edges_endpoints_live_in_right_subgraphs():
@@ -198,6 +213,17 @@ def test_subgraph_embed_lift_round_trip():
             assert subgraph_lift(i, v) == u
 
 
+def test_lift_all_matches_per_vertex_lift():
+    for n in (3, 4):
+        below = all_vertices(n - 1)
+        for i in subgraph_indices(n):
+            lifted = lift_all(i, below)
+            assert lifted == [subgraph_lift(i, v) for v in below]
+            assert sorted(lifted) == [u for u in all_vertices(n) if last_symbol(u) == i]
+            assert [subgraph_embed(u) for u in lifted] == below
+    assert lift_all(2, []) == []
+
+
 def test_subgraph_embed_examples():
     assert subgraph_embed((1, 2, 3)) == (1, 2)
     assert subgraph_embed((3, -4, 1, -2)) == (2, -3, 1)
@@ -222,3 +248,38 @@ def test_edge_dimension():
     assert edge_dimension(u, (-3, -2, -1)) == 3
     with pytest.raises(ValueError):
         edge_dimension(u, (3, 2, 1))
+
+
+def _brute_dimension(u, v):
+    """Every k tried, as the definition of adjacency reads."""
+    hits = [k for k in range(1, len(u) + 1) if prefix_reversal(u, k) == v]
+    assert len(hits) <= 1
+    return hits[0] if hits else None
+
+
+def _check_dimension(u, v):
+    k = _brute_dimension(u, v)
+    assert is_adjacent(u, v) == (k is not None), (u, v)
+    if k is None:
+        with pytest.raises(ValueError):
+            edge_dimension(u, v)
+    else:
+        assert edge_dimension(u, v) == k
+
+
+def test_edge_dimension_matches_brute_force():
+    bp3 = all_vertices(3)
+    for u in bp3:
+        for v in bp3:
+            _check_dimension(u, v)
+    for u in all_vertices(4):
+        for v in neighbors(u):
+            _check_dimension(u, v)
+    for u, v in (((1, 2, 3), (1, 2)), ((-1, 2), (1, -2, 3)), ((1, 2, 3, 4), (-1, 2, 3)), ((), ())):
+        assert not is_adjacent(u, v)
+        with pytest.raises(ValueError):
+            edge_dimension(u, v)
+    for u in ((1, 2, 3), (-2, 1, -3, 4)):
+        assert not is_adjacent(u, u)
+        with pytest.raises(ValueError):
+            edge_dimension(u, u)

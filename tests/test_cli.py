@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from burntpancake.cli import main
+from burntpancake.cli import _artifact_json, main
+from burntpancake.constructor import hamiltonian_cycle, hamiltonian_path
 from burntpancake.fault_model import FaultSet
 from burntpancake.signed_perm import generator, identity
 
@@ -203,3 +204,26 @@ def test_verify_rejects_dimension_above_limit(tmp_path, monkeypatch):
     artifact = tmp_path / "big.json"
     artifact.write_text(json.dumps({"kind": "cycle", "n": 12, "vertices": [list(range(1, 13))]}))
     assert main(["verify", str(artifact)]) == 2
+
+
+def test_verify_rejects_non_integer_vertex_entry(tmp_path):
+    artifact = tmp_path / "a.json"
+    for entry in ("x", None, [1]):
+        artifact.write_text(json.dumps({"kind": "cycle", "n": 3, "vertices": [[1, 2, 3], [1, entry, 3]]}))
+        assert main(["verify", str(artifact)]) == 2
+
+
+def test_artifact_json_matches_reference_encoder():
+    fs = FaultSet.build(4, matching_pairs=[[identity(4), generator(4, 2)]])
+    built = hamiltonian_cycle(4, fs)
+    u, v = (2, 1, 3, 4), (-4, 1, -2, 3)
+    path = hamiltonian_path(4, u, v, FaultSet.build(4))
+    for kind, obj, extra in (("cycle", built, None), ("path", path, {"source": list(u), "target": list(v)})):
+        doc = {
+            "kind": kind,
+            "n": 4,
+            "vertices": [list(x) for x in obj.vertices],
+            "trace": [label for label in obj.trace.labels() if label != "root"],
+            **(extra or {}),
+        }
+        assert _artifact_json(kind, 4, obj.vertices, obj.trace, extra) == json.dumps(doc, indent=2) + "\n"
