@@ -176,9 +176,8 @@ def cmd_fuzz(args) -> int:
 
 def cmd_stats(args) -> int:
     n = args.n
-    if n > 5:
-        print("stats enumerates the full graph; n <= 5 only", file=sys.stderr)
-        return EXIT_INPUT
+    if not 1 <= n <= 5:
+        raise UsageError(f"stats enumerates the full graph; needs 1 <= n <= 5, got n={n}")
     vertices = all_vertices(n)
     vcount = len(vertices)
     ecount = sum(len(bp_graph.neighbors(v)) for v in vertices) // 2

@@ -22,10 +22,12 @@ before a.  A bridge chain inside the detour is built from the endpoint the
 finished sequence lists first, then reversed into place, so the chain's
 junction scan does not depend on the orientation.
 
-Strict mode fails (with the trace) when a prescribed candidate scan comes up
-empty.  Fallback mode additionally permits a bounded backtracking search,
-limited to instances of size n <= 4, before giving up; fallback engagements
-are counted on the trace root.
+Strict mode (the default) raises StrictModeFailure when a prescribed
+candidate scan comes up empty; the exception carries a message, not the
+partial trace.  Fallback mode, when the prescribed construction of a
+4-dimensional instance or subgraph fails, tries a heuristic
+rotation-extension search (``_rotation_search``) before giving up, and
+counts each try on the trace root.
 """
 
 from __future__ import annotations
@@ -105,13 +107,6 @@ class CaseTrace:
         for child in self.children:
             out.extend(child.labels())
         return out
-
-    def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "detail": self.detail,
-            "children": [c.to_json_dict() for c in self.children],
-        }
 
 
 @dataclass(frozen=True)

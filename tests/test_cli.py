@@ -143,6 +143,15 @@ def test_stats_n1(capsys):
     assert "PASS |E|: 1" in out
 
 
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_stats_rejects_n_below_one(n, capsys):
+    assert main(["stats", f"--n={n}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid input: ")
+    assert "1 <= n <= 5" in captured.err
+
+
 def test_tightness_n3(tmp_path, capsys):
     out = tmp_path / "witness.json"
     assert main(["tightness", "--n", "3", "--out", str(out)]) == 0

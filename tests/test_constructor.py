@@ -5,6 +5,7 @@ from burntpancake.bp_graph import out_neighbor, subgraph_indices, vertex_count
 from burntpancake.constructor import (
     BudgetExceededError,
     NoOrderingError,
+    StrictModeFailure,
     UsageError,
     base_cycle_bp3,
     base_path_bp3,
@@ -286,6 +287,50 @@ def test_fallback_mode_idle_on_healthy_instances():
     got = hamiltonian_cycle(4, fs, mode="fallback")
     assert got.trace.detail["fallback_invocations"] == 0
     assert verify_cycle(4, fs, got).ok
+
+
+def test_strict_construction_certified_on_small_n4_families():
+    # every fault-free n=4 path from the identity (by left translation this
+    # covers every fault-free ordered pair) and every one-element n=4 cycle
+    # instance up to translation: the element sits on {e, g_k}
+    e = identity(4)
+    fs = FaultSet.build(4)
+    for v in all_vertices(4):
+        if v == e:
+            continue
+        got = hamiltonian_path(4, e, v, fs)
+        assert verify_path(4, fs, e, v, got).ok and len(got.vertices) == 384
+    for k in range(1, 5):
+        pair = [e, generator(4, k)]
+        for fs, size in (
+            (FaultSet.build(4, matching_pairs=[pair]), 382),
+            (FaultSet.build(4, faulty_edges=[pair]), 384),
+        ):
+            got = hamiltonian_cycle(4, fs)
+            assert verify_cycle(4, fs, got).ok and len(got.vertices) == size
+
+
+# The only strict failures of an exhaustive n=4 sweep of paths with |F| <= 1
+# (up to left translation and path reversal): a matching pair on the n-edge
+# {e, g_4} gives subgraphs -1 and 4 weight 1 each, the path dispatch takes
+# -1 as the heavy subgraph, and subgraph 4 minus e has no Hamiltonian path
+# between the endpoints.
+_TIED_HEAVY_PATHS = [((-3, -2, 1, 4), (-2, 1, 3, 4)), ((-3, 1, 2, 4), (2, -1, 3, 4))]
+
+
+@pytest.mark.parametrize("u, v", _TIED_HEAVY_PATHS)
+@pytest.mark.xfail(raises=StrictModeFailure, strict=True, reason="heavy-subgraph tie broken by scan order only")
+def test_strict_path_n4_pair_on_n_edge(u, v):
+    fs = FaultSet.build(4, matching_pairs=[[identity(4), generator(4, 4)]])
+    got = hamiltonian_path(4, u, v, fs)
+    assert verify_path(4, fs, u, v, got).ok
+
+
+@pytest.mark.parametrize("u, v", _TIED_HEAVY_PATHS)
+def test_fallback_mode_builds_strict_failures(u, v):
+    fs = FaultSet.build(4, matching_pairs=[[identity(4), generator(4, 4)]])
+    got = hamiltonian_path(4, u, v, fs, mode="fallback")
+    assert verify_path(4, fs, u, v, got).ok and len(got.vertices) == 382
 
 
 def test_cross_edge_candidates_stay_abundant_under_faults():
