@@ -1,12 +1,15 @@
+import itertools
+
 import pytest
 
 from burntpancake.bp3_fixtures import PAIR_CYCLES
-from burntpancake.bp_graph import out_neighbor, subgraph_indices, vertex_count
+from burntpancake.bp_graph import edge_key, out_neighbor, subgraph_indices, vertex_count
 from burntpancake.constructor import (
     BudgetExceededError,
     NoOrderingError,
     StrictModeFailure,
     UsageError,
+    _small_search,
     base_cycle_bp3,
     base_path_bp3,
     chain_path,
@@ -16,7 +19,7 @@ from burntpancake.constructor import (
     order_subgraphs,
 )
 from burntpancake.fault_model import FaultSet
-from burntpancake.oracle import verify_cycle, verify_path
+from burntpancake.oracle import SearchStatus, exhaustive_path_search, verify_cycle, verify_path
 from burntpancake.signed_perm import (
     all_vertices,
     generator,
@@ -103,6 +106,47 @@ def test_base_path_examples():
 def test_base_path_rejects_equal_endpoints():
     with pytest.raises(UsageError):
         base_path_bp3((1, 2, 3), (1, 2, 3))
+
+
+class _OneVertexRemoved:
+    """The part of a fault set the oracle reads, with one vertex removed.
+
+    A public fault set removes vertices in matching pairs only; inside the
+    constructor a single removed vertex arises where a pair straddles two
+    subgraphs."""
+
+    def __init__(self, vertex, faulty_edges=()):
+        self.vertex = vertex
+        self.faulty_edges = tuple(faulty_edges)
+
+    def removed_vertices(self):
+        return frozenset((self.vertex,))
+
+
+@pytest.mark.parametrize("faulty_edges", [(), (((-1, 2, 3), (-2, 1, 3)),)])
+def test_bp3_solver_agrees_with_exhaustive_search(faulty_edges):
+    # every 8th ordered pair with the identity removed; with the faulty edge
+    # the identity's neighbour (-1, 2, 3) is left with one edge, so most
+    # pairs have no Hamiltonian path
+    e = identity(3)
+    fs = _OneVertexRemoved(e, faulty_edges)
+    banned = frozenset(edge_key(a, b) for a, b in faulty_edges)
+    absent = 0
+    for u, v in list(itertools.permutations(all_vertices(3), 2))[::8]:
+        got = _small_search(3, frozenset((e,)), banned, u, v)
+        if e in (u, v):
+            assert got is None
+            with pytest.raises(ValueError):
+                exhaustive_path_search(3, fs, u, v)
+            continue
+        status = exhaustive_path_search(3, fs, u, v).status
+        assert status is not SearchStatus.TIMEOUT
+        assert (got is None) == (status is SearchStatus.PROVEN_ABSENT)
+        if got is None:
+            absent += 1
+        else:
+            assert verify_path(3, fs, u, v, got).ok
+    assert absent == (259 if faulty_edges else 0)
 
 
 # ----------------------------------------------------------- chain / loop

@@ -12,7 +12,12 @@ Groups:
   of n=5, rebuilt from ``trial_rng`` with the acceptance suite's fault
   budgets (fuzz reports hold no vertices);
 - two of the acceptance suite's n=6 smoke instances;
-- directed instances that reach each splice orientation a sweep reached.
+- directed instances that reach each splice orientation a sweep reached;
+- ``bp3_solver``: the BP_3 base solver ``_small_search`` called directly,
+  past its memo, on every fault-free ordered endpoint pair, every cycle with
+  one edge banned, every cycle with one matching pair removed, and every 8th
+  ordered pair (``itertools.permutations`` order) with the identity removed,
+  whose pairs that contain the identity give None.
 
 On orientations.  ``_reconnect_double_split`` splits the path P1 at an edge
 (s, t) and the path P2 at an edge (ns, z), so it has four orientations: s
@@ -28,12 +33,15 @@ with one fault and both endpoints in one other subgraph).
 """
 
 import hashlib
+import itertools
 
 import pytest
 
-from burntpancake.constructor import hamiltonian_cycle, hamiltonian_path
+from burntpancake.bp_graph import edge_key, neighbors
+from burntpancake.constructor import _small_search, hamiltonian_cycle, hamiltonian_path
 from burntpancake.fault_model import FaultSet
 from burntpancake.fuzz import sample_endpoints, sample_fault_set, trial_rng
+from burntpancake.signed_perm import all_vertices, identity
 from test_acceptance import CASE_TABLE
 
 # Splice orientations: (what the build reaches, n, pairs, edges, endpoints).
@@ -106,6 +114,7 @@ GOLDEN = {
     "fuzz_n5": "99e64b417cccac913bb4e6801033e9cd2d957d4f985326f751da97323e296cfb",
     "smoke_n6": "6c8f4f8e0fb49676a30a6d4dcf4b21e535b8be3135e1269e5cb65b47e46ff44f",
     "directed": "1580b0f21c71ea95213f02abe8adcd5ad61120a2509a92329848f7e426b6ae2a",
+    "bp3_solver": "be288b6ef999d84dd14413d40b34e92de57bec92b5101f4aff6d4fafd0d98d1e",
 }
 
 
@@ -165,3 +174,26 @@ GROUPS = {
 @pytest.mark.parametrize("group", sorted(GROUPS))
 def test_golden_digest(group):
     assert _digest(GROUPS[group]()) == GOLDEN[group]
+
+
+def _bp3_solver():
+    none = frozenset()
+    vertices = all_vertices(3)
+    pairs = list(itertools.permutations(vertices, 2))
+    edges = sorted({edge_key(x, w) for x in vertices for w in neighbors(x)})
+    for u, v in pairs:
+        yield _small_search(3, none, none, u, v)
+    for e in edges:
+        yield _small_search(3, none, frozenset((e,)), None, None)
+    for e in edges:
+        yield _small_search(3, frozenset(e), none, None, None)
+    for u, v in pairs[::8]:
+        yield _small_search(3, frozenset((identity(3),)), none, u, v)
+
+
+def test_golden_bp3_solver():
+    h = hashlib.sha256()
+    for got in _bp3_solver():
+        h.update(repr(got).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == GOLDEN["bp3_solver"]
