@@ -248,6 +248,12 @@ class _Ctx:
 # BP_3 base level: complete backtracking search, memoized
 
 _BP3_VERTICES = all_vertices(3)
+_BP3_INDEX = {x: i for i, x in enumerate(_BP3_VERTICES)}
+# Neighbour indices of each BP_3 vertex, ascending.  Indices follow the
+# lexicographic order of _BP3_VERTICES, so comparing indices compares vertices.
+_BP3_NEIGHBORS = tuple(
+    tuple(sorted(_BP3_INDEX[w] for w in bp_graph.neighbors(x))) for x in _BP3_VERTICES
+)
 _bp3_path_cache: dict[tuple, tuple[Vertex, ...] | None] = {}
 _bp3_cycle_cache: dict[tuple, tuple[Vertex, ...] | None] = {}
 
@@ -259,89 +265,83 @@ def _small_search(
     u: Vertex | None,
     v: Vertex | None,
 ) -> tuple[Vertex, ...] | None:
-    """Complete DFS for a Hamiltonian path (u -> v) or cycle (u = v = None).
+    """Complete DFS in BP_3 (``n`` is always 3) for a Hamiltonian path
+    (u -> v) or cycle (u = v = None).
 
     Moves are ordered fewest-onward-options first with lexicographic
     tie-break, so results are deterministic.  Degrees of unvisited vertices
     are maintained incrementally; a vertex left with fewer usable
     connections than a Hamiltonian continuation requires prunes the branch.
-    Returns None when the search space is exhausted.
+    Only a vertex with at most one unvisited neighbour can fall short, so
+    the pruning test scans just those (``low``).  Returns None when the
+    search space is exhausted.
     """
-    vertices = [x for x in all_vertices(n) if x not in removed]
-    if not vertices:
+    skip = {_BP3_INDEX[x] for x in removed}
+    cut = {(_BP3_INDEX[a], _BP3_INDEX[b]) for a, b in banned}
+    adj = [
+        () if i in skip else tuple(j for j in ws if j not in skip and (i, j) not in cut and (j, i) not in cut)
+        for i, ws in enumerate(_BP3_NEIGHBORS)
+    ]
+    free = [i not in skip for i in range(len(adj))]
+    total = sum(free)
+    if not total:
         return None
-    adj: dict[Vertex, tuple[Vertex, ...]] = {}
-    for x in vertices:
-        adj[x] = tuple(
-            w
-            for w in sorted(bp_graph.neighbors(x))
-            if w not in removed and edge_key(x, w) not in banned
-        )
-    adj_sets = {x: frozenset(ws) for x, ws in adj.items()}
-    total = len(vertices)
     cycle_mode = u is None
-    start = vertices[0] if cycle_mode else u
-    if start not in adj or (v is not None and v not in adj):
+    start = free.index(True) if cycle_mode else _BP3_INDEX[u]
+    end = None if cycle_mode else _BP3_INDEX[v]
+    if start in skip or end in skip:
         return None
-    finals = adj_sets[start] if cycle_mode else frozenset((v,))
-    unvisited = set(vertices)
-    unvisited.discard(start)
-    adeg = {x: sum(1 for w in adj[x] if w in unvisited) for x in vertices}
+    finals = frozenset(adj[start]) if cycle_mode else frozenset((end,))
+    free[start] = False
+    adeg = [sum(free[j] for j in ws) for ws in adj]
+    low = {i for i, ok in enumerate(free) if ok and adeg[i] <= 1}
     path = [start]
 
-    def prune(head: Vertex) -> bool:
-        head_adj = adj_sets[head]
+    def rec(cur: int) -> bool:
+        depth = len(path)
+        if depth == total:
+            return cur in finals
         lows = 0
-        for x in unvisited:
-            avail = adeg[x] + (1 if x in head_adj else 0)
-            if avail >= 2:
-                continue
-            if avail == 0:
-                return True
-            lows += 1
-            if lows >= 2 or x not in finals:
-                return True
-        if len(path) % 16 == 0 and unvisited:
-            stack, seen = [head], {head}
+        for x in low:
+            avail = adeg[x] + (x in adj[cur])
+            if avail < 2:
+                if avail == 0 or x not in finals or lows:
+                    return False
+                lows = 1
+        if depth % 16 == 0:
+            stack, seen = [cur], {cur}
             while stack:
-                node = stack.pop()
-                for x in adj[node]:
-                    if x in unvisited and x not in seen:
+                for x in adj[stack.pop()]:
+                    if free[x] and x not in seen:
                         seen.add(x)
                         stack.append(x)
-            if not unvisited <= seen:
-                return True
-        return False
-
-    def rec(cur: Vertex) -> tuple[Vertex, ...] | None:
-        if len(path) == total:
-            return tuple(path) if cur in finals else None
-        if prune(cur):
-            return None
+            if len(seen) + depth <= total:
+                return False
         # The target endpoint may only be stepped on as the final move.
-        last_step = len(path) == total - 1
-        cands = sorted(
-            (adeg[w], w)
-            for w in adj[cur]
-            if w in unvisited and (cycle_mode or w != v or last_step)
-        )
-        for _, w in cands:
-            unvisited.discard(w)
+        last_step = depth == total - 1
+        for _, w in sorted((adeg[w], w) for w in adj[cur] if free[w] and (w != end or last_step)):
+            free[w] = False
+            low.discard(w)
             for x in adj[w]:
-                if x in unvisited:
+                if free[x]:
                     adeg[x] -= 1
+                    if adeg[x] == 1:
+                        low.add(x)
             path.append(w)
-            got = rec(w)
-            if got is not None:
-                return got
+            if rec(w):
+                return True
             path.pop()
             for x in adj[w]:
-                if x in unvisited:
+                if free[x]:
                     adeg[x] += 1
-            unvisited.add(w)
-        return None
+                    if adeg[x] == 2:
+                        low.discard(x)
+            free[w] = True
+            if adeg[w] <= 1:
+                low.add(w)
+        return False
 
-    return rec(start)
+    return tuple(_BP3_VERTICES[i] for i in path) if rec(start) else None
 
 
 def _rotation_search(
