@@ -1240,8 +1240,7 @@ def _path(n: int, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
         return _path_bp3(u, v, f, ctx)
     ws = _weights(f)
     order = subgraph_indices(n)
-    istar = max(order, key=lambda i: ws[i])
-    wmax = ws[istar]
+    wmax = max(ws.values())
     if wmax <= n - 4 or wmax > n - 3:
         label = "L19/1" if wmax <= n - 4 else "EXT/path-heavy"
         got = _connector(n, order, u, v, f, ctx)
@@ -1249,7 +1248,14 @@ def _path(n: int, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
             return None
         vertices, tr = got
         return vertices, CaseTrace(label, {}, [tr])
-    return _path_case2(n, u, v, f, ctx, istar)
+    # Two subgraphs can tie for the heaviest (a matching pair on an n-edge
+    # gives both of its subgraphs weight 1); try each in scan order.
+    for istar in order:
+        if ws[istar] == wmax:
+            got = _path_case2(n, u, v, f, ctx, istar)
+            if got is not None:
+                return got
+    return None
 
 
 def _path_case2(n: int, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx, istar: int):

@@ -7,7 +7,6 @@ from burntpancake.bp_graph import edge_key, out_neighbor, subgraph_indices, vert
 from burntpancake.constructor import (
     BudgetExceededError,
     NoOrderingError,
-    StrictModeFailure,
     UsageError,
     _small_search,
     base_cycle_bp3,
@@ -355,15 +354,18 @@ def test_strict_construction_certified_on_small_n4_families():
 
 
 # The only strict failures of an exhaustive n=4 sweep of paths with |F| <= 1
-# (up to left translation and path reversal): a matching pair on the n-edge
-# {e, g_4} gives subgraphs -1 and 4 weight 1 each, the path dispatch takes
-# -1 as the heavy subgraph, and subgraph 4 minus e has no Hamiltonian path
-# between the endpoints.
-_TIED_HEAVY_PATHS = [((-3, -2, 1, 4), (-2, 1, 3, 4)), ((-3, 1, 2, 4), (2, -1, 3, 4))]
+# (up to left translation) when the path dispatch took the first of two tied
+# heavy subgraphs: a matching pair on the n-edge {e, g_4} gives subgraphs -1
+# and 4 weight 1 each, and with -1 taken, subgraph 4 minus e has no
+# Hamiltonian path between the endpoints.
+_TIED_HEAVY_PATHS = [
+    ((-3, -2, 1, 4), (-2, 1, 3, 4)),
+    ((-3, 1, 2, 4), (2, -1, 3, 4)),
+    ((-2, 1, 3, 4), (-3, -2, 1, 4)),
+]
 
 
 @pytest.mark.parametrize("u, v", _TIED_HEAVY_PATHS)
-@pytest.mark.xfail(raises=StrictModeFailure, strict=True, reason="heavy-subgraph tie broken by scan order only")
 def test_strict_path_n4_pair_on_n_edge(u, v):
     fs = FaultSet.build(4, matching_pairs=[[identity(4), generator(4, 4)]])
     got = hamiltonian_path(4, u, v, fs)
