@@ -3,11 +3,14 @@ import itertools
 import pytest
 
 from burntpancake.bp3_fixtures import PAIR_CYCLES
-from burntpancake.bp_graph import edge_key, out_neighbor, subgraph_indices, vertex_count
+from burntpancake.bp_graph import edge_key, neighbors, out_neighbor, subgraph_indices, vertex_count
 from burntpancake.constructor import (
     BudgetExceededError,
+    InternalInvariantError,
     NoOrderingError,
     UsageError,
+    _check_output,
+    _Faults,
     _small_search,
     base_cycle_bp3,
     base_path_bp3,
@@ -438,3 +441,63 @@ def test_public_builders_reject_dimension_above_limit(monkeypatch):
         chain_path(9, subgraph_indices(9), u, out_neighbor(u), fs)
     with pytest.raises(UsageError):
         loop_path(9, subgraph_indices(9), u, prefix_reversal(u, 2), fs)
+
+
+# -------------------------------------------------------------- self-check
+
+_CHECK_FAULTS = FaultSet.build(4, [[identity(4), generator(4, 3)]])
+_CHECK_ENDS = ((2, 1, 3, 4), (-4, 1, -2, 3))
+
+
+def _with(seq, **at):
+    out = list(seq)
+    for pos, w in at.items():
+        out[int(pos[1:])] = w
+    return out
+
+
+def _check_cases():
+    """(label, n, faults, sequence, closed, endpoints, expected message or None)."""
+    f = _Faults.from_fault_set(_CHECK_FAULTS)
+    removed = identity(4)
+    ring = list(hamiltonian_cycle(4, _CHECK_FAULTS).vertices)
+    path = list(hamiltonian_path(4, *_CHECK_ENDS, _CHECK_FAULTS).vertices)
+
+    def banned(a, b):
+        return _Faults(4, f.pairs, (), (edge_key(a, b),))
+
+    for label, seq, closed, ends in (("cycle", ring, True, (None, None)), ("path", path, False, _CHECK_ENDS)):
+        yield f"{label} valid", 4, f, seq, closed, ends, None
+        steps = {edge_key(a, b) for a, b in zip(seq, seq[1:] + seq[:1])}
+        unused = next(w for w in neighbors(seq[5]) if edge_key(seq[5], w) not in steps and w != removed)
+        yield f"{label} valid, unused faulty edge", 4, banned(seq[5], unused), seq, closed, ends, None
+        yield f"{label} one short", 4, f, seq[:-1], closed, ends, "built 381 vertices, expected 382"
+        yield f"{label} repeat", 4, f, _with(seq, p7=seq[2]), closed, ends, "repeated vertex"
+        yield f"{label} removed vertex", 4, f, _with(seq, p7=removed), closed, ends, "removed vertex"
+        on_it = _Faults(4, (edge_key(seq[4], seq[5]),), (), ())
+        yield f"{label} removed pair on it", 4, on_it, seq, closed, ends, "removed vertex"
+        swapped = _with(seq, p3=seq[10], p10=seq[3])
+        yield f"{label} non-adjacent", 4, f, swapped, closed, ends, "non-adjacent step"
+        yield (f"{label} non-adjacent before removed", 4, f, _with(swapped, p20=removed), closed, ends,
+               "non-adjacent step")
+        yield (f"{label} removed before non-adjacent", 4, f, _with(seq, p3=removed, p10=seq[3]), closed, ends,
+               "removed vertex")
+        yield f"{label} faulty first step", 4, banned(seq[1], seq[0]), seq, closed, ends, "faulty edge"
+        yield f"{label} faulty last step", 4, banned(seq[-2], seq[-1]), seq, closed, ends, "faulty edge"
+    yield "cycle faulty closing step", 4, banned(ring[-1], ring[0]), ring, True, (None, None), "faulty edge"
+    yield "path checked as a cycle", 4, f, path, True, (None, None), "non-adjacent step"
+    yield "path wrong endpoints", 4, f, path, False, _CHECK_ENDS[::-1], "wrong path endpoints"
+    yield "path reversed", 4, f, path[::-1], False, _CHECK_ENDS, "wrong path endpoints"
+    # 41 of the 48 vertices of BP_3 removed leave a length-7 cycle to ask for
+    small = _Faults(3, (), tuple(all_vertices(3)[7:]), ())
+    yield "cycle below the girth", 3, small, all_vertices(3)[:7], True, (None, None), "at least eight"
+
+
+@pytest.mark.parametrize("case", list(_check_cases()), ids=lambda case: case[0])
+def test_check_output_raises_exactly_on_bad_output(case):
+    _, n, f, seq, closed, (u, v), message = case
+    if message is None:
+        _check_output(n, f, seq, closed, u, v)
+    else:
+        with pytest.raises(InternalInvariantError, match=message):
+            _check_output(n, f, seq, closed, u, v)

@@ -17,7 +17,14 @@ Groups:
   past its memo, on every fault-free ordered endpoint pair, every cycle with
   one edge banned, every cycle with one matching pair removed, and every 8th
   ordered pair (``itertools.permutations`` order) with the identity removed,
-  whose pairs that contain the identity give None.
+  whose pairs that contain the identity give None;
+- ``oracle_reports``: the full violation lists of ``verify_cycle`` and
+  ``verify_path`` on valid and corrupted sequences at n=3 and n=4 (a vertex
+  dropped, duplicated, swapped, a removed vertex put back, a faulty edge
+  used at step 0, an interior step or the closing step, a vertex that is
+  not one of BP_n, a rotation, a reversal, an empty sequence), and on fault
+  stand-ins that remove one vertex, inside or outside BP_3, with faulty
+  edges in either order.
 
 On orientations.  ``_reconnect_double_split`` splits the path P1 at an edge
 (s, t) and the path P2 at an edge (ns, z), so it has four orientations: s
@@ -41,8 +48,10 @@ from burntpancake.bp_graph import edge_key, neighbors
 from burntpancake.constructor import _small_search, hamiltonian_cycle, hamiltonian_path
 from burntpancake.fault_model import FaultSet
 from burntpancake.fuzz import sample_endpoints, sample_fault_set, trial_rng
-from burntpancake.signed_perm import all_vertices, identity
+from burntpancake.oracle import exhaustive_path_search, verify_cycle, verify_path
+from burntpancake.signed_perm import all_vertices, generator, identity
 from test_acceptance import CASE_TABLE
+from test_constructor import _OneVertexRemoved
 
 # Splice orientations: (what the build reaches, n, pairs, edges, endpoints).
 DIRECTED = [
@@ -115,6 +124,7 @@ GOLDEN = {
     "smoke_n6": "6c8f4f8e0fb49676a30a6d4dcf4b21e535b8be3135e1269e5cb65b47e46ff44f",
     "directed": "1580b0f21c71ea95213f02abe8adcd5ad61120a2509a92329848f7e426b6ae2a",
     "bp3_solver": "be288b6ef999d84dd14413d40b34e92de57bec92b5101f4aff6d4fafd0d98d1e",
+    "oracle_reports": "c5010afd02dd3ca9643e59c6ce063ae1ec41d7db54194d41ca5aa4f5126da193",
 }
 
 
@@ -197,3 +207,89 @@ def test_golden_bp3_solver():
         h.update(repr(got).encode())
         h.update(b"\n")
     assert h.hexdigest() == GOLDEN["bp3_solver"]
+
+
+def _corruptions(n, fs, seq, closed, removed):
+    """(label, sequence, fault set) for one valid sequence and its fault set.
+
+    "symbol n renamed" keeps every step a prefix reversal and every vertex
+    distinct, but no vertex is one of BP_n;
+    "stepped back" and "pair moved onto it" keep every step a prefix
+    reversal and the length right, but repeat a vertex or use a removed one.
+    """
+    s = list(seq)
+    swapped = list(s)
+    swapped[3], swapped[10] = swapped[10], swapped[3]
+
+    def banned(a, b):
+        return FaultSet(n, fs.matching_pairs, fs.faulty_edges + (edge_key(a, b),))
+
+    yield "valid", s, fs
+    yield "dropped", s[:5] + s[6:], fs
+    yield "duplicated", s[:7] + [s[2]] + s[8:], fs
+    yield "duplicated, inserted", s[:7] + [s[2]] + s[7:], fs
+    yield "stepped back", s[:-1] + [s[-3]], fs
+    yield "swapped", swapped, fs
+    yield "removed put back", s[:7] + [removed] + s[8:], fs
+    yield "removed inserted", s[:7] + [removed] + s[7:], fs
+    yield "pair moved onto it", s, FaultSet(n, (edge_key(s[4], s[5]),), fs.faulty_edges)
+    yield "faulty edge, interior step", s, banned(s[4], s[5])
+    yield "faulty edge, step 0", s, banned(s[1], s[0])
+    yield "faulty edge, last step", s, banned(s[-2], s[-1])
+    if closed:
+        yield "faulty edge, closing step", s, banned(s[-1], s[0])
+    zero = (0,) + tuple(range(2, n + 1))
+    twice = (1, 1) + tuple(range(3, n + 1))
+    for pos in (0, 6):
+        yield "zero symbol", s[:pos] + [zero] + s[pos + 1 :], fs
+        yield "repeated symbol", s[:pos] + [twice] + s[pos + 1 :], fs
+        yield "symbol too many", s[:pos] + [s[pos] + (n + 1,)] + s[pos + 1 :], fs
+    yield "equal floats", [tuple(map(float, s[0]))] + s[1:], fs
+    yield "all floats", [tuple(map(float, v)) for v in s], fs
+    yield "symbol n renamed", [tuple(x + (x > 0) - (x < 0) if abs(x) == n else x for x in v) for v in s], fs
+    yield "twice round, faulty edge", s + s, banned(s[4], s[5])
+    yield "rotation", s[5:] + s[:5], fs
+    yield "reversal", s[::-1], fs
+    yield "empty", [], fs
+
+
+def _oracle_reports():
+    e3, e4 = identity(3), identity(4)
+    fs3 = FaultSet.build(3, [[e3, generator(3, 2)]])
+    fs4 = FaultSet.build(4, [[e4, generator(4, 3)]], [[(2, 1, 3, 4), (-2, 1, 3, 4)]])
+    fs4p = FaultSet.build(4, [[e4, generator(4, 3)]])
+    cases = [
+        (3, fs3, hamiltonian_cycle(3, fs3).vertices, None),
+        (3, FaultSet.build(3), hamiltonian_path(3, (1, 2, 3), (-1, 2, 3), FaultSet.build(3)).vertices,
+         ((1, 2, 3), (-1, 2, 3))),
+        (4, fs4, hamiltonian_cycle(4, fs4).vertices, None),
+        (4, fs4p, hamiltonian_path(4, (2, 1, 3, 4), (-4, 1, -2, 3), fs4p).vertices,
+         ((2, 1, 3, 4), (-4, 1, -2, 3))),
+    ]
+    for n, fs, seq, ends in cases:
+        removed = min(fs.removed_vertices()) if fs.matching_pairs else e3
+        for _, got, f in _corruptions(n, fs, seq, ends is None, removed):
+            yield verify_cycle(n, f, got) if ends is None else verify_path(n, f, *ends, got)
+        if ends is not None:
+            yield verify_cycle(n, fs, seq)  # a path whose ends are not adjacent
+    # one vertex removed, as inside the constructor; the second and third
+    # stand-ins remove a tuple that is not a vertex of BP_3
+    cycle = hamiltonian_cycle(3, fs3).vertices
+    ends = ((1, 2, 3), (-1, 2, 3))
+    path = exhaustive_path_search(3, _OneVertexRemoved((-1, -2, 3)), *ends).vertices
+    for stand_in in (_OneVertexRemoved(e3), _OneVertexRemoved((9, 9, 9)), _OneVertexRemoved((1, 2))):
+        yield verify_cycle(3, stand_in, cycle)
+        yield verify_path(3, stand_in, *ends, path)
+    # a stand-in's faulty edges keep the order they are given in
+    for a, b in ((0, -1), (-1, 0), (4, 5), (5, 4)):
+        yield verify_cycle(3, _OneVertexRemoved(e3, [[cycle[a], cycle[b]]]), cycle)
+    for a, b in ((3, 4), (4, 3), (0, 1), (1, 0), (-2, -1), (-1, -2), (0, -1), (-1, 0)):
+        yield verify_path(3, _OneVertexRemoved((-1, -2, 3), [[path[a], path[b]]]), *ends, path)
+
+
+def test_golden_oracle_reports():
+    h = hashlib.sha256()
+    for report in _oracle_reports():
+        h.update(repr((report.ok, report.violations)).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == GOLDEN["oracle_reports"]
