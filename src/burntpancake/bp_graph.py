@@ -80,6 +80,26 @@ def is_adjacent(u: Vertex, v: Vertex) -> bool:
     return _dimension(u, v) != 0
 
 
+def edge_steps(vertices: Sequence[Vertex], a: Vertex, b: Vertex, closed: bool) -> list[int]:
+    """The steps of ``vertices`` that run between a and b, ascending.
+
+    Step p runs from ``vertices[p]`` to the next vertex; when ``closed``,
+    the last step wraps round to the first vertex.  Only the first position
+    of ``a`` is looked at, so the sequence must not repeat a vertex.
+    """
+    try:
+        pos = vertices.index(a)
+    except ValueError:
+        return []
+    size = len(vertices)
+    steps = []
+    if (pos > 0 or closed) and vertices[pos - 1] == b:
+        steps.append((pos - 1) % size)
+    if (pos < size - 1 or closed) and vertices[(pos + 1) % size] == b:
+        steps.append(pos)
+    return sorted(steps)
+
+
 def subgraph_indices(n: int) -> list[int]:
     """Canonical enumeration order of subgraph indices: 1, -1, 2, -2, ..."""
     out = []

@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 import time
+from itertools import chain
 
 from . import bp_graph, oracle
 from .constructor import (
@@ -26,7 +27,7 @@ from .constructor import (
 )
 from .fault_model import FaultSet, validate
 from .fuzz import run_fuzz
-from .signed_perm import all_vertices, format_vertex, parse_vertex
+from .signed_perm import all_vertices, format_vertex, int_symbols, parse_vertex
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -126,8 +127,11 @@ def cmd_verify(args) -> int:
         with open(args.artifact, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         kind = doc["kind"]
-        n = int(doc["n"])
-        vertices = [tuple(map(int, v)) for v in doc["vertices"]]
+        n = doc["n"]
+        vertices = doc["vertices"]
+        ends = [doc["source"], doc["target"]] if kind == "path" else []
+        if type(n) is not int or not int_symbols(chain(vertices, ends)):
+            raise ValueError("n and the vertex symbols must be integers")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"malformed artifact file: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -137,12 +141,7 @@ def cmd_verify(args) -> int:
     if kind == "cycle":
         report = oracle.verify_cycle(n, fs, vertices)
     elif kind == "path":
-        try:
-            u = tuple(int(x) for x in doc["source"])
-            v = tuple(int(x) for x in doc["target"])
-        except (KeyError, ValueError, TypeError) as exc:
-            print(f"malformed artifact file: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        u, v = map(tuple, ends)
         report = oracle.verify_path(n, fs, u, v, vertices)
     else:
         print(f"malformed artifact file: unknown kind {kind!r}", file=sys.stderr)

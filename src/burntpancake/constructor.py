@@ -35,6 +35,7 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, islice
 
 from . import bp_graph
 from .bp3_fixtures import PAIR_CYCLES
@@ -1474,7 +1475,12 @@ def _path_c2_inside_pair(n, u, v, f, ctx, istar, C1, idx1, tr1):
 
 
 def _check_output(n: int, f: _Faults, vertices: list[Vertex], closed: bool, u=None, v=None) -> None:
-    """Cheap structural self-check; violations are internal bugs."""
+    """Cheap structural self-check; violations are internal bugs.
+
+    Whole-sequence passes decide whether any step is bad; only then does the
+    step-by-step loop run, to raise the error of the first bad step.  Faulty
+    edges are looked up where their endpoints sit, not keyed at every step.
+    """
     expected = bp_graph.vertex_count(n) - len(f.removed)
     if len(vertices) != expected:
         raise InternalInvariantError(f"built {len(vertices)} vertices, expected {expected}")
@@ -1482,18 +1488,26 @@ def _check_output(n: int, f: _Faults, vertices: list[Vertex], closed: bool, u=No
         raise InternalInvariantError("cycles must have at least eight vertices")
     if len(set(vertices)) != len(vertices):
         raise InternalInvariantError("repeated vertex in construction")
-    removed = f.removed
-    edge_set = f.edge_set
-    steps = len(vertices) if closed else len(vertices) - 1
-    for pos in range(steps):
-        a = vertices[pos]
-        b = vertices[(pos + 1) % len(vertices)]
-        if a in removed or b in removed:
-            raise InternalInvariantError("construction visits a removed vertex")
-        if edge_key(a, b) in edge_set:
-            raise InternalInvariantError("construction uses a faulty edge")
-        if not bp_graph.is_adjacent(a, b):
-            raise InternalInvariantError(f"non-adjacent step {format_vertex(a)} -> {format_vertex(b)}")
+    successors = islice(vertices, 1, None)
+    if closed:
+        successors = chain(successors, vertices[:1])
+    if (
+        not f.removed.isdisjoint(vertices)
+        or not all(map(bp_graph.is_adjacent, vertices, successors))
+        or any(bp_graph.edge_steps(vertices, a, b, closed) for a, b in f.edges)
+    ):
+        removed = f.removed
+        edge_set = f.edge_set
+        steps = len(vertices) if closed else len(vertices) - 1
+        for pos in range(steps):
+            a = vertices[pos]
+            b = vertices[(pos + 1) % len(vertices)]
+            if a in removed or b in removed:
+                raise InternalInvariantError("construction visits a removed vertex")
+            if edge_key(a, b) in edge_set:
+                raise InternalInvariantError("construction uses a faulty edge")
+            if not bp_graph.is_adjacent(a, b):
+                raise InternalInvariantError(f"non-adjacent step {format_vertex(a)} -> {format_vertex(b)}")
     if not closed and (vertices[0] != u or vertices[-1] != v):
         raise InternalInvariantError("wrong path endpoints")
 

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
 
 from . import bp_graph
-from .signed_perm import Vertex, check_vertex, format_vertex
+from .signed_perm import Vertex, check_vertex, format_vertex, int_symbols
 
 Pair = tuple[Vertex, Vertex]  # sorted vertex pair
 
@@ -69,12 +70,16 @@ class FaultSet:
 
     @staticmethod
     def from_json_dict(data: dict) -> "FaultSet":
+        """Decode :meth:`to_json_dict`; n and every vertex symbol must be ints."""
         try:
-            n = int(data["n"])
+            n = data["n"]
             pairs = data.get("matching_pairs", [])
             edges = data.get("faulty_edges", [])
+            ints = type(n) is int and int_symbols(chain.from_iterable(chain(pairs, edges)))
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed fault set object: {exc}") from exc
+        if not ints:
+            raise ValueError("malformed fault set object: n and the vertex symbols must be integers")
         return FaultSet.build(n, pairs, edges)
 
     @staticmethod

@@ -137,14 +137,10 @@ def run_fuzz(
             if op == "cycle":
                 built = hamiltonian_cycle(n, fs, mode=mode)
                 check = oracle.verify_cycle(n, fs, built)
-                expected_len = bp_graph.vertex_count(n) - 2 * len(fs.matching_pairs)
-                length_ok = len(built.vertices) == expected_len
             else:
                 u, v = sample_endpoints(rng, n, fs)
                 built = hamiltonian_path(n, u, v, fs, mode=mode)
                 check = oracle.verify_path(n, fs, u, v, built)
-                expected_len = bp_graph.vertex_count(n) - 2 * len(fs.matching_pairs)
-                length_ok = len(built.vertices) == expected_len
         except StrictModeFailure:
             report.strict_failures += 1
             report.failures.append({"trial": trial, "kind": "strict", "faults": fs.to_json_dict()})
@@ -153,7 +149,7 @@ def run_fuzz(
         for label in built.trace.labels():
             if label != "root":
                 report.case_histogram[label] = report.case_histogram.get(label, 0) + 1
-        if check.ok and length_ok:
+        if check.ok:
             report.successes += 1
         else:
             report.verification_failures += 1

@@ -12,6 +12,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, islice
 from typing import Iterable
 
 from . import bp_graph
@@ -38,7 +39,12 @@ class VerificationReport:
 
 def _vertex_sequence(obj) -> tuple[Vertex, ...]:
     vertices = getattr(obj, "vertices", obj)
-    return tuple(tuple(v) for v in vertices)
+    return tuple(map(tuple, vertices))
+
+
+def _is_vertex(v: Vertex, n: int) -> bool:
+    """True iff ``v`` is a signed permutation of 1..n made of ints."""
+    return len(v) == n and set(map(type, v)) == {int} and sorted(map(abs, v)) == list(range(1, n + 1))
 
 
 def _verify_common(
@@ -50,18 +56,51 @@ def _verify_common(
     if len(vertices) != expected:
         bad.append(("WrongLength", -1, f"{len(vertices)} vertices, expected {expected}"))
 
-    seen: set[Vertex] = set()
-    for pos, v in enumerate(vertices):
-        if v in seen:
-            bad.append(("RepeatedVertex", pos, format_vertex(v)))
-        seen.add(v)
-        if v in removed:
-            bad.append(("FaultyVertexUsed", pos, format_vertex(v)))
+    seen = set(vertices)
+    distinct = len(seen) == len(vertices)
+    avoids_removed = removed.isdisjoint(seen)
+    if not (distinct and avoids_removed):
+        seen_so_far: set[Vertex] = set()
+        for pos, v in enumerate(vertices):
+            if v in seen_so_far:
+                bad.append(("RepeatedVertex", pos, format_vertex(v)))
+            seen_so_far.add(v)
+            if v in removed:
+                bad.append(("FaultyVertexUsed", pos, format_vertex(v)))
 
-    for v in iter_vertices(n):
-        if v not in seen and v not in removed:
-            bad.append(("MissingVertex", -1, format_vertex(v)))
+    successors = islice(vertices, 1, None)
+    if closed:
+        successors = chain(successors, vertices[:1])
+    adjacent = all(map(bp_graph.is_adjacent, vertices, successors))
 
+    # The MissingVertex walk may be skipped only when the sequence provably
+    # covers every vertex outside ``removed``.  The first vertex is a vertex
+    # of BP_n, and every step is a prefix reversal, which maps a vertex to a
+    # vertex, so every entry equals a vertex of BP_n (symbol by symbol, and
+    # numbers that compare equal hash equal, so set lookups agree).  The
+    # entries are distinct, none is removed, and there are |V| - |removed|
+    # of them; with removed a subset of V(BP_n), they are all of V(BP_n)
+    # minus removed, and the walk would report nothing.  In every other
+    # case the walk runs.
+    complete = (
+        adjacent
+        and distinct
+        and avoids_removed
+        and len(vertices) == expected
+        and _is_vertex(vertices[0], n)
+        and all(_is_vertex(r, n) for r in removed)
+    )
+    if not complete:
+        for v in iter_vertices(n):
+            if v not in seen and v not in removed:
+                bad.append(("MissingVertex", -1, format_vertex(v)))
+
+    if adjacent and distinct:
+        used = {pos for a, b in fault_set.faulty_edges for pos in bp_graph.edge_steps(vertices, a, b, closed)}
+        for pos in sorted(used):
+            a, b = vertices[pos], vertices[(pos + 1) % len(vertices)]
+            bad.append(("FaultyEdgeUsed", pos, f"{format_vertex(a)} -> {format_vertex(b)}"))
+        return bad
     faulty = {bp_graph.edge_key(a, b) for a, b in fault_set.faulty_edges}
     steps = len(vertices) if closed else len(vertices) - 1
     for pos in range(steps):

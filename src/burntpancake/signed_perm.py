@@ -8,7 +8,7 @@ spaces, e.g. ``"-2,1,-3"``.
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from operator import mul
 from typing import Iterable, Iterator
 
@@ -92,6 +92,16 @@ def parse_vertex(text: str, n: int | None = None) -> Vertex:
     except ValueError as exc:
         raise ValueError(f"cannot parse vertex {text!r}") from exc
     return check_vertex(parts, n)
+
+
+def int_symbols(vertices: Iterable[Iterable]) -> bool:
+    """True iff every symbol of every vertex is an ``int``, not a bool or float.
+
+    Decoded JSON can hold ``2.7``, ``true`` or ``Infinity`` where a symbol
+    belongs, which ``int()`` would truncate or fail to convert.  Raises
+    TypeError when a vertex is not iterable.
+    """
+    return set(map(type, chain.from_iterable(vertices))) <= {int}
 
 
 def format_vertex(u: Vertex) -> str:

@@ -217,9 +217,24 @@ def test_verify_rejects_dimension_above_limit(tmp_path, monkeypatch):
 
 def test_verify_rejects_non_integer_vertex_entry(tmp_path):
     artifact = tmp_path / "a.json"
-    for entry in ("x", None, [1]):
+    for entry in ("x", None, [1], 2.5, 2.0, float("inf"), True):
         artifact.write_text(json.dumps({"kind": "cycle", "n": 3, "vertices": [[1, 2, 3], [1, entry, 3]]}))
         assert main(["verify", str(artifact)]) == 2
+    # a path's endpoints and the dimension are read the same way
+    doc = {"kind": "path", "n": 3, "vertices": [[1, 2, 3]], "source": [1, 2, 3], "target": [True, 2, 3]}
+    artifact.write_text(json.dumps(doc))
+    assert main(["verify", str(artifact)]) == 2
+    artifact.write_text(json.dumps({"kind": "cycle", "n": float("inf"), "vertices": [[1, 2, 3]]}))
+    assert main(["verify", str(artifact)]) == 2
+
+
+@pytest.mark.parametrize("entry", [-1.9, float("inf"), True])
+def test_fault_file_rejects_non_integer_number(entry, tmp_path):
+    faults = tmp_path / "f.json"
+    faults.write_text(json.dumps({"n": 3, "matching_pairs": [[[entry, 2, 3], [-1, 2, 3]]]}))
+    assert main(["cycle", "--n", "3", "--faults", str(faults)]) == 2
+    faults.write_text(json.dumps({"n": float("inf")}))
+    assert main(["cycle", "--n", "3", "--faults", str(faults)]) == 2
 
 
 def test_artifact_json_matches_reference_encoder():

@@ -33,6 +33,15 @@ def test_dropped_vertex_detected():
     assert "NonAdjacent" in kinds or "WrongLength" in kinds
 
 
+def test_non_integer_symbols_never_prove_completeness():
+    # abs(1j) == 1, and every step of the relabelled cycle is still a prefix
+    # reversal, so only the symbols' type tells it from a cycle of BP_3
+    relabelled = [tuple(x * 1j if abs(x) == 1 else x for x in v) for v in PAIR_CYCLES[2]]
+    report = verify_cycle(3, PAIR_K2, relabelled)
+    assert report.kinds() == {"MissingVertex"}
+    assert len(report.violations) == 46
+
+
 def test_traversed_edge_declared_faulty_detected():
     a, b = PAIR_CYCLES[2][0], PAIR_CYCLES[2][1]
     fs = FaultSet.build(
