@@ -95,7 +95,7 @@ def _verify_common(
             if v not in seen and v not in removed:
                 bad.append(("MissingVertex", -1, format_vertex(v)))
 
-    if adjacent and distinct:
+    if adjacent and distinct:  # edge_steps needs each vertex once
         used = {pos for a, b in fault_set.faulty_edges for pos in bp_graph.edge_steps(vertices, a, b, closed)}
         for pos in sorted(used):
             a, b = vertices[pos], vertices[(pos + 1) % len(vertices)]
