@@ -26,7 +26,7 @@ from .constructor import (
     loop_path,
     order_subgraphs,
 )
-from .fault_model import FaultSet, ValidationReport, fault_vertices, restrict, restriction, validate
+from .fault_model import FaultSet, ValidationReport, fault_vertices, validate
 from .oracle import (
     SearchResult,
     SearchStatus,
@@ -85,8 +85,6 @@ __all__ = [
     "order_subgraphs",
     "parse_vertex",
     "prefix_reversal",
-    "restrict",
-    "restriction",
     "tightness_witness_cycle",
     "tightness_witness_path",
     "validate",

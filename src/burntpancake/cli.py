@@ -93,7 +93,7 @@ def _artifact_text(vertices) -> str:
 
 def cmd_cycle(args) -> int:
     fs = _load_faults(args.faults, args.n)
-    built = hamiltonian_cycle(args.n, fs, mode=args.mode)
+    built = hamiltonian_cycle(args.n, fs)
     report = oracle.verify_cycle(args.n, fs, built)
     if not report.ok:
         print(f"self-verification failed: {report}", file=sys.stderr)
@@ -109,7 +109,7 @@ def cmd_path(args) -> int:
     fs = _load_faults(args.faults, args.n)
     u = parse_vertex(args.source, args.n)
     v = parse_vertex(args.target, args.n)
-    built = hamiltonian_path(args.n, u, v, fs, mode=args.mode)
+    built = hamiltonian_path(args.n, u, v, fs)
     report = oracle.verify_path(args.n, fs, u, v, built)
     if not report.ok:
         print(f"self-verification failed: {report}", file=sys.stderr)
@@ -163,7 +163,7 @@ def cmd_fuzz(args) -> int:
     chunks = []
     wall = 0.0
     for op in ops:
-        rep = run_fuzz(args.n, op, args.trials, args.max_faults, seed=args.seed, mode=args.mode)
+        rep = run_fuzz(args.n, op, args.trials, args.max_faults, seed=args.seed)
         chunks.append(rep.to_json_dict(include_timing=False))
         wall += rep.wall_time
         all_ok = all_ok and rep.ok
@@ -278,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--faults", type=str, default=None, help="fault file (JSON)")
-        p.add_argument("--mode", choices=("strict", "fallback"), default="strict")
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--out", type=str, default=None)
 
@@ -302,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--max-faults", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mode", choices=("strict", "fallback"), default="strict")
     p.add_argument("--op", choices=("cycle", "path", "both"), default="both")
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_fuzz)

@@ -22,12 +22,8 @@ before a.  A bridge chain inside the detour is built from the endpoint the
 finished sequence lists first, then reversed into place, so the chain's
 junction scan does not depend on the orientation.
 
-Strict mode (the default) raises StrictModeFailure when a prescribed
-candidate scan comes up empty; the exception carries a message, not the
-partial trace.  Fallback mode, when the prescribed construction of a
-4-dimensional instance or subgraph fails, tries a heuristic
-rotation-extension search (``_rotation_search``) before giving up, and
-counts each try on the trace root.
+A build raises StrictModeFailure when a prescribed candidate scan comes
+up empty; the exception carries a message, not the partial trace.
 """
 
 from __future__ import annotations
@@ -227,8 +223,6 @@ def _restrict_embed(f: _Faults, i: int) -> _Faults:
 
 @dataclass
 class _Ctx:
-    mode: str = "strict"
-    fallback_invocations: int = 0
     attempts: int = 0
     max_attempts: int = 200_000
     exhausted: bool = False
@@ -345,71 +339,6 @@ def _small_search(
     return tuple(_BP3_VERTICES[i] for i in path) if rec(start) else None
 
 
-def _rotation_search(
-    n: int,
-    removed: frozenset[Vertex],
-    banned: frozenset[Pair],
-    u: Vertex | None,
-    v: Vertex | None,
-    step_cap: int = 200_000,
-) -> tuple[Vertex, ...] | None:
-    """Heuristic rotation-extension search for a Hamiltonian path or cycle.
-
-    Grows a path greedily and, when stuck, pivots the suffix around a
-    neighbor of the head (seeded pseudo-random pivot choice, so runs are
-    reproducible).  Not complete: a miss returns None without certifying
-    absence.  Serves the fallback mode, where the prescribed construction
-    already failed and any verified object is acceptable.
-    """
-    import random as _random
-
-    vertices = [x for x in all_vertices(n) if x not in removed]
-    if len(vertices) < 3:
-        return None
-    adj: dict[Vertex, list[Vertex]] = {}
-    for x in vertices:
-        adj[x] = [
-            w
-            for w in sorted(bp_graph.neighbors(x))
-            if w not in removed and edge_key(x, w) not in banned
-        ]
-    cycle_mode = u is None
-    start = vertices[0] if cycle_mode else u
-    closer = start if cycle_mode else v
-    if start not in adj or closer not in adj:
-        return None
-    closer_adj = set(adj[closer])
-    goal = len(vertices) if cycle_mode else len(vertices) - 1
-    rng = _random.Random(0x5EED)
-    path = [start]
-    pos = {start: 0}
-    steps = 0
-    while steps < step_cap:
-        steps += 1
-        head = path[-1]
-        if len(path) == goal and head in closer_adj:
-            return tuple(path) if cycle_mode else tuple(path) + (closer,)
-        extensions = [
-            w for w in adj[head] if w not in pos and (cycle_mode or w != closer)
-        ]
-        if extensions:
-            w = extensions[0] if len(extensions) == 1 else rng.choice(extensions)
-            pos[w] = len(path)
-            path.append(w)
-            continue
-        pivots = [w for w in adj[head] if w in pos and pos[w] < len(path) - 2]
-        if not pivots:
-            return None
-        w = pivots[0] if len(pivots) == 1 else rng.choice(pivots)
-        cut = pos[w] + 1
-        tail = path[cut:]
-        tail.reverse()
-        path[cut:] = tail
-        for i, x in enumerate(tail, start=cut):
-            pos[x] = i
-    return None
-
-
 def _bp3_search_path(
     removed: frozenset[Vertex], banned: frozenset[Pair], u: Vertex, v: Vertex
 ) -> tuple[Vertex, ...] | None:
@@ -506,17 +435,6 @@ def order_subgraphs(indices, first: int, last: int) -> tuple[int, ...]:
 # chain and loop engines
 
 
-def _fallback(n: int, f: _Faults, ctx: _Ctx, u: Vertex | None = None, v: Vertex | None = None):
-    """Fallback mode's rescue of a failed build at n = 4, counted on the context."""
-    if ctx.mode != "fallback" or n != 4:
-        return None
-    ctx.fallback_invocations += 1
-    got = _rotation_search(n, f.removed, f.edge_set, u, v)
-    if got is None:
-        return None
-    return list(got), CaseTrace("FALLBACK/cycle" if u is None else "FALLBACK/path", {"n": n})
-
-
 def _subgraph(n: int, i: int, f: _Faults, ctx: _Ctx, a: Vertex | None = None, b: Vertex | None = None):
     """Hamiltonian cycle of subgraph ``i`` minus its faults, or with ``a`` and
     ``b`` given a Hamiltonian path between them, via recursion."""
@@ -529,10 +447,9 @@ def _subgraph(n: int, i: int, f: _Faults, ctx: _Ctx, a: Vertex | None = None, b:
             f"{'cycle' if cycle else 'path'} recursion into subgraph {i} with weight {fi.weight} at n={n - 1}"
         )
     if cycle:
-        res = _cycle(n - 1, fi, ctx) or _fallback(n - 1, fi, ctx)
+        res = _cycle(n - 1, fi, ctx)
     else:
-        ea, eb = subgraph_embed(a), subgraph_embed(b)
-        res = _path(n - 1, ea, eb, fi, ctx) or _fallback(n - 1, fi, ctx, ea, eb)
+        res = _path(n - 1, subgraph_embed(a), subgraph_embed(b), fi, ctx)
     if res is None:
         return None
     verts, tr = res
@@ -1515,7 +1432,7 @@ def _check_output(n: int, f: _Faults, vertices: list[Vertex], closed: bool, u=No
 SOFT_DIMENSION_LIMIT = 8
 
 
-def _public_input(n: int, fault_set: FaultSet, bound: int, mode: str, u=None, v=None):
+def _public_input(n: int, fault_set: FaultSet, bound: int, u=None, v=None):
     """The public builders' one input check.
 
     Returns the faults in internal form and the endpoints (when given) as
@@ -1523,8 +1440,6 @@ def _public_input(n: int, fault_set: FaultSet, bound: int, mode: str, u=None, v=
     """
     if not 3 <= n <= SOFT_DIMENSION_LIMIT:
         raise UsageError(f"construction needs 3 <= n <= {SOFT_DIMENSION_LIMIT}, got n={n}")
-    if mode not in ("strict", "fallback"):
-        raise UsageError(f"unknown mode {mode!r}")
     if u is not None:
         u, v = check_vertex(u, n), check_vertex(v, n)
         if u == v:
@@ -1542,47 +1457,43 @@ def _public_input(n: int, fault_set: FaultSet, bound: int, mode: str, u=None, v=
     return f, u, v
 
 
-def _finish(ctx: _Ctx, trace: CaseTrace, n: int) -> CaseTrace:
-    return CaseTrace(
-        "root",
-        {"n": n, "mode": ctx.mode, "fallback_invocations": ctx.fallback_invocations},
-        [trace],
-    )
+def _finish(trace: CaseTrace, n: int) -> CaseTrace:
+    return CaseTrace("root", {"n": n}, [trace])
 
 
-def hamiltonian_cycle(n: int, fault_set: FaultSet, mode: str = "strict") -> VertexCycle:
+def hamiltonian_cycle(n: int, fault_set: FaultSet) -> VertexCycle:
     """Hamiltonian cycle of BP_n minus the fault set, for |F| <= n-2."""
-    f, _, _ = _public_input(n, fault_set, n - 2, mode)
-    ctx = _Ctx(mode=mode)
-    got = _cycle(n, f, ctx) or _fallback(n, f, ctx)
+    f, _, _ = _public_input(n, fault_set, n - 2)
+    ctx = _Ctx()
+    got = _cycle(n, f, ctx)
     if got is None:
         raise StrictModeFailure(
             f"no construction found (attempts={ctx.attempts}, note={ctx.note or 'scan exhausted'})"
         )
     vertices, tr = got
     _check_output(n, f, vertices, closed=True)
-    return VertexCycle(tuple(vertices), _finish(ctx, tr, n))
+    return VertexCycle(tuple(vertices), _finish(tr, n))
 
 
-def hamiltonian_path(n: int, u, v, fault_set: FaultSet, mode: str = "strict") -> VertexPath:
+def hamiltonian_path(n: int, u, v, fault_set: FaultSet) -> VertexPath:
     """Hamiltonian path between u and v in BP_n minus the fault set, |F| <= n-3."""
-    f, u, v = _public_input(n, fault_set, n - 3, mode, u, v)
-    ctx = _Ctx(mode=mode)
-    got = _path(n, u, v, f, ctx) or _fallback(n, f, ctx, u, v)
+    f, u, v = _public_input(n, fault_set, n - 3, u, v)
+    ctx = _Ctx()
+    got = _path(n, u, v, f, ctx)
     if got is None:
         raise StrictModeFailure(
             f"no construction found (attempts={ctx.attempts}, note={ctx.note or 'scan exhausted'})"
         )
     vertices, tr = got
     _check_output(n, f, vertices, closed=False, u=u, v=v)
-    return VertexPath(tuple(vertices), _finish(ctx, tr, n))
+    return VertexPath(tuple(vertices), _finish(tr, n))
 
 
-def _engine_input(n: int, indices, u, v, fault_set: FaultSet, mode: str, least: int):
+def _engine_input(n: int, indices, u, v, fault_set: FaultSet, least: int):
     """Shared checks of chain_path and loop_path: ``least`` or more subgraph
     indices, the endpoints' subgraphs among them, and every member subgraph
     within the chain engine's n-4 weight budget."""
-    f, u, v = _public_input(n, fault_set, n - 2, mode, u, v)
+    f, u, v = _public_input(n, fault_set, n - 2, u, v)
     pool = sorted(set(indices), key=index_sort_key)
     if len(pool) < least:
         raise UsageError(f"need at least {least} subgraph indices")
@@ -1595,37 +1506,37 @@ def _engine_input(n: int, indices, u, v, fault_set: FaultSet, mode: str, least: 
     return f, pool, u, v
 
 
-def chain_path(n: int, indices, u, v, fault_set: FaultSet, mode: str = "strict") -> VertexPath:
+def chain_path(n: int, indices, u, v, fault_set: FaultSet) -> VertexPath:
     """Hamiltonian path across >= 5 subgraphs with endpoints in two of them."""
-    f, pool, u, v = _engine_input(n, indices, u, v, fault_set, mode, 5)
+    f, pool, u, v = _engine_input(n, indices, u, v, fault_set, 5)
     if last_symbol(u) == last_symbol(v):
         raise UsageError("chain_path endpoints must lie in different subgraphs")
-    ctx = _Ctx(mode=mode)
+    ctx = _Ctx()
     got = _chain(n, pool, u, v, f, ctx)
     if got is None:
         raise StrictModeFailure("chain construction exhausted its candidates")
     vertices, tr = got
-    return VertexPath(tuple(vertices), _finish(ctx, tr, n))
+    return VertexPath(tuple(vertices), _finish(tr, n))
 
 
-def loop_path(n: int, indices, u, v, fault_set: FaultSet, mode: str = "strict") -> VertexPath:
+def loop_path(n: int, indices, u, v, fault_set: FaultSet) -> VertexPath:
     """Hamiltonian path across >= 6 subgraphs with both endpoints in one."""
-    f, pool, u, v = _engine_input(n, indices, u, v, fault_set, mode, 6)
+    f, pool, u, v = _engine_input(n, indices, u, v, fault_set, 6)
     if last_symbol(u) != last_symbol(v):
         raise UsageError("loop_path endpoints must share a subgraph")
-    ctx = _Ctx(mode=mode)
+    ctx = _Ctx()
     got = _loop(n, pool, u, v, f, ctx)
     if got is None:
         if ctx.note == "loop-no-usable-edge":
             raise NoUsableEdgeError("no spliceable edge with fault-free out-neighbors")
         raise StrictModeFailure("loop construction exhausted its candidates")
     vertices, tr = got
-    return VertexPath(tuple(vertices), _finish(ctx, tr, n))
+    return VertexPath(tuple(vertices), _finish(tr, n))
 
 
-def base_cycle_bp3(fault_set: FaultSet, mode: str = "strict") -> VertexCycle:
+def base_cycle_bp3(fault_set: FaultSet) -> VertexCycle:
     """Hamiltonian cycle of BP_3 minus at most one fault element."""
-    return hamiltonian_cycle(3, fault_set, mode=mode)
+    return hamiltonian_cycle(3, fault_set)
 
 
 def base_path_bp3(u, v) -> VertexPath:

@@ -9,7 +9,7 @@ any removed vertex.  ``|F|`` counts elements, not vertices.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
 
@@ -147,51 +147,3 @@ def validate(fault_set: FaultSet, bound: int | None = None) -> ValidationReport:
 def fault_vertices(fault_set: FaultSet) -> tuple[frozenset[Vertex], frozenset[Vertex]]:
     """(V(F^mv), V(F)): removed vertices, and all fault-touched vertices."""
     return fault_set.removed_vertices(), fault_set.fault_vertices()
-
-
-@dataclass(frozen=True)
-class FaultRestriction:
-    """Per-subgraph split of a fault set.
-
-    ``intra`` maps each subgraph index to the elements whose carrier edge
-    lies inside that subgraph.  Elements with an n-dimensional carrier
-    straddle two subgraphs: they belong to no single restriction and are
-    listed separately, with their endpoints still to be avoided per side.
-    """
-
-    intra_pairs: dict[int, tuple[Pair, ...]] = field(default_factory=dict)
-    intra_edges: dict[int, tuple[Pair, ...]] = field(default_factory=dict)
-    straddling_pairs: tuple[Pair, ...] = ()
-    straddling_edges: tuple[Pair, ...] = ()
-
-    def size(self, i: int) -> int:
-        return len(self.intra_pairs.get(i, ())) + len(self.intra_edges.get(i, ()))
-
-
-def restriction(fault_set: FaultSet) -> FaultRestriction:
-    pairs: dict[int, list[Pair]] = {}
-    edges: dict[int, list[Pair]] = {}
-    spairs: list[Pair] = []
-    sedges: list[Pair] = []
-    for a, b in fault_set.matching_pairs:
-        if a[-1] == b[-1]:
-            pairs.setdefault(a[-1], []).append((a, b))
-        else:
-            spairs.append((a, b))
-    for a, b in fault_set.faulty_edges:
-        if a[-1] == b[-1]:
-            edges.setdefault(a[-1], []).append((a, b))
-        else:
-            sedges.append((a, b))
-    return FaultRestriction(
-        intra_pairs={i: tuple(v) for i, v in pairs.items()},
-        intra_edges={i: tuple(v) for i, v in edges.items()},
-        straddling_pairs=tuple(spairs),
-        straddling_edges=tuple(sedges),
-    )
-
-
-def restrict(fault_set: FaultSet, i: int) -> tuple[tuple[Pair, ...], tuple[Pair, ...]]:
-    """(pairs, edges) of F whose carrier lies inside subgraph ``i``."""
-    r = restriction(fault_set)
-    return r.intra_pairs.get(i, ()), r.intra_edges.get(i, ())

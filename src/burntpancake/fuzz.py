@@ -85,7 +85,6 @@ class FuzzReport:
     successes: int = 0
     verification_failures: int = 0
     strict_failures: int = 0
-    fallback_invocations: int = 0
     case_histogram: dict[str, int] = field(default_factory=dict)
     failures: list[dict] = field(default_factory=list)
     wall_time: float = 0.0
@@ -104,7 +103,6 @@ class FuzzReport:
             "successes": self.successes,
             "verification_failures": self.verification_failures,
             "strict_failures": self.strict_failures,
-            "fallback_invocations": self.fallback_invocations,
             "case_histogram": {k: self.case_histogram[k] for k in sorted(self.case_histogram)},
             "failures": self.failures,
         }
@@ -122,7 +120,6 @@ def run_fuzz(
     trials: int,
     max_faults: int,
     seed: int = 0,
-    mode: str = "strict",
 ) -> FuzzReport:
     """Run seeded construction/verification trials and aggregate outcomes."""
     import time
@@ -135,17 +132,16 @@ def run_fuzz(
         report.trials += 1
         try:
             if op == "cycle":
-                built = hamiltonian_cycle(n, fs, mode=mode)
+                built = hamiltonian_cycle(n, fs)
                 check = oracle.verify_cycle(n, fs, built)
             else:
                 u, v = sample_endpoints(rng, n, fs)
-                built = hamiltonian_path(n, u, v, fs, mode=mode)
+                built = hamiltonian_path(n, u, v, fs)
                 check = oracle.verify_path(n, fs, u, v, built)
         except StrictModeFailure:
             report.strict_failures += 1
             report.failures.append({"trial": trial, "kind": "strict", "faults": fs.to_json_dict()})
             continue
-        report.fallback_invocations += built.trace.detail.get("fallback_invocations", 0)
         for label in built.trace.labels():
             if label != "root":
                 report.case_histogram[label] = report.case_histogram.get(label, 0) + 1

@@ -129,6 +129,39 @@ def test_fuzz_exit_codes_and_determinism(tmp_path, capsys):
     assert doc["successes"] + doc["verification_failures"] + doc["strict_failures"] == doc["trials"]
 
 
+def test_fuzz_report_keys(capsys):
+    assert main(["fuzz", "--n", "4", "--trials", "3", "--max-faults", "1", "--op", "cycle"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == [
+        "n",
+        "op",
+        "seed",
+        "max_faults",
+        "trials",
+        "successes",
+        "verification_failures",
+        "strict_failures",
+        "case_histogram",
+        "failures",
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cycle", "--n", "4"],
+        ["path", "--n", "4", "--source", "1,2,3,4", "--target=-1,2,3,4"],
+        ["fuzz", "--n", "4", "--trials", "1", "--max-faults", "1"],
+    ],
+    ids=["cycle", "path", "fuzz"],
+)
+def test_mode_flag_rejected(argv):
+    # construction has one mode; argparse rejects the removed flag as invalid input
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--mode", "strict"])
+    assert exc.value.code == 2
+
+
 def test_stats_n3(capsys):
     assert main(["stats", "--n", "3"]) == 0
     out = capsys.readouterr().out

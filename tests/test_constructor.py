@@ -288,7 +288,7 @@ def test_trace_exposes_case_labels():
     got = hamiltonian_cycle(4, fs)
     labels = set(got.trace.labels())
     assert "L18/2.1" in labels
-    assert got.trace.detail["fallback_invocations"] == 0
+    assert got.trace.detail == {"n": 4}
 
 
 def test_all_single_fault_instances_on_bp3():
@@ -314,25 +314,23 @@ def test_all_single_fault_instances_on_bp3():
     assert seen_pairs == seen_edges == 72
 
 
-def test_fallback_mode_rescues_and_counts(monkeypatch):
+def test_empty_dispatch_raises_strict_failure(monkeypatch):
     import burntpancake.constructor as cons
+    from burntpancake.fuzz import run_fuzz
 
-    # force the recursive dispatch to fail so only the fallback can answer
+    # force the recursive dispatch to find nothing
+    monkeypatch.setattr(cons, "_cycle", lambda *a, **k: None)
     monkeypatch.setattr(cons, "_path", lambda *a, **k: None)
     fs = FaultSet.build(4)
-    u, v = identity(4), (-1, 2, 3, 4)
     with pytest.raises(cons.StrictModeFailure):
-        cons.hamiltonian_path(4, u, v, fs, mode="strict")
-    got = cons.hamiltonian_path(4, u, v, fs, mode="fallback")
-    assert got.trace.detail["fallback_invocations"] >= 1
-    assert verify_path(4, fs, u, v, got).ok
-
-
-def test_fallback_mode_idle_on_healthy_instances():
-    fs = FaultSet.build(4, matching_pairs=[[(2, 1, 3, 4), (-1, -2, 3, 4)]])
-    got = hamiltonian_cycle(4, fs, mode="fallback")
-    assert got.trace.detail["fallback_invocations"] == 0
-    assert verify_cycle(4, fs, got).ok
+        cons.hamiltonian_cycle(4, fs)
+    with pytest.raises(cons.StrictModeFailure):
+        cons.hamiltonian_path(4, identity(4), (-1, 2, 3, 4), fs)
+    for op in ("cycle", "path"):
+        rep = run_fuzz(4, op, 5, 1, seed=0)
+        assert rep.trials == rep.strict_failures == 5 and rep.successes == 0
+        assert [x["kind"] for x in rep.failures] == ["strict"] * 5
+        assert [x["trial"] for x in rep.failures] == list(range(5))
 
 
 def test_strict_construction_certified_on_small_n4_families():
@@ -375,13 +373,6 @@ def test_strict_path_n4_pair_on_n_edge(u, v):
     assert verify_path(4, fs, u, v, got).ok
 
 
-@pytest.mark.parametrize("u, v", _TIED_HEAVY_PATHS)
-def test_fallback_mode_builds_strict_failures(u, v):
-    fs = FaultSet.build(4, matching_pairs=[[identity(4), generator(4, 4)]])
-    got = hamiltonian_path(4, u, v, fs, mode="fallback")
-    assert verify_path(4, fs, u, v, got).ok and len(got.vertices) == 382
-
-
 def test_cross_edge_candidates_stay_abundant_under_faults():
     # junction selection always keeps a usable cross edge: each removed
     # vertex kills at most one cross edge per subgraph pair (it has a single
@@ -411,19 +402,6 @@ def test_chain_path_rejects_overweight_member_subgraph():
     u, v = identity(5), out_neighbor(identity(5))
     with pytest.raises(UsageError):
         chain_path(5, subgraph_indices(5), u, v, fs)
-
-
-def test_public_builders_reject_unknown_mode():
-    fs = FaultSet.build(4)
-    u = identity(4)
-    with pytest.raises(UsageError):
-        hamiltonian_cycle(4, fs, mode="bogus")
-    with pytest.raises(UsageError):
-        hamiltonian_path(4, u, (-1, 2, 3, 4), fs, mode="bogus")
-    with pytest.raises(UsageError):
-        chain_path(4, subgraph_indices(4), u, out_neighbor(u), fs, mode="bogus")
-    with pytest.raises(UsageError):
-        loop_path(4, subgraph_indices(4), u, (-2, -1, 3, 4), fs, mode="bogus")
 
 
 def test_public_builders_reject_dimension_above_limit(monkeypatch):

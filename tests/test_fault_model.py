@@ -2,13 +2,9 @@ import json
 
 import pytest
 
-from burntpancake.fault_model import (
-    FaultSet,
-    fault_vertices,
-    restrict,
-    restriction,
-    validate,
-)
+from burntpancake.bp_graph import subgraph_indices
+from burntpancake.constructor import _Faults, _restrict_embed, _weights
+from burntpancake.fault_model import FaultSet, fault_vertices, validate
 
 # worked example on BP_3: two matching pairs plus three faulty edges
 EXAMPLE = FaultSet.build(
@@ -40,26 +36,23 @@ def test_example_fault_vertices():
 
 
 def test_example_restriction():
-    r = restriction(EXAMPLE)
-    # only the 1-dimensional pair sits inside a single subgraph; the other
-    # pair's carrier is 3-dimensional and straddles subgraphs 3 and -1
-    assert r.intra_pairs == {3: (((-1, 2, 3), (1, 2, 3)),)}
-    assert r.straddling_pairs == (((-3, 2, -1), (1, -2, 3)),)
-    assert r.intra_edges[3] == (((-2, 1, 3), (2, 1, 3)),)
-    assert r.intra_edges[-3] == (((-2, 1, -3), (-1, 2, -3)),)
-    assert r.straddling_edges == (((-3, 2, 1), (-1, -2, 3)),)
-    # element accounting: intra + straddling = |F|
-    intra = sum(len(v) for v in r.intra_pairs.values()) + sum(
-        len(v) for v in r.intra_edges.values()
-    )
-    assert intra + len(r.straddling_pairs) + len(r.straddling_edges) == EXAMPLE.size
-
-
-def test_restrict_single_subgraph_view():
-    pairs, edges = restrict(EXAMPLE, 3)
-    assert len(pairs) == 1 and len(edges) == 1
-    pairs, edges = restrict(EXAMPLE, 2)
-    assert pairs == () and edges == ()
+    # the constructor's view of each subgraph, in BP_2 coordinates
+    f = _Faults.from_fault_set(EXAMPLE)
+    views = {i: _restrict_embed(f, i) for i in subgraph_indices(3)}
+    # only the 1-dimensional pair sits inside a single subgraph
+    assert views[3].pairs == (((-1, 2), (1, 2)),)
+    assert all(not x.pairs for i, x in views.items() if i != 3)
+    # the other pair's carrier is 3-dimensional and straddles subgraphs 3
+    # and -1: it leaves one single on each side
+    assert {i: x.singles for i, x in views.items() if x.singles} == {-1: ((-2, 1),), 3: ((1, -2),)}
+    # the edge straddling subgraphs 3 and 1 appears in no subgraph
+    assert {i: x.edges for i, x in views.items() if x.edges} == {
+        3: (((-2, 1), (2, 1)),),
+        -3: (((-2, 1), (-1, 2)),),
+    }
+    weights = _weights(f)
+    for i, x in views.items():
+        assert x.weight == weights[i]
 
 
 def test_empty_fault_set():
