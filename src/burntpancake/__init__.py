@@ -26,7 +26,7 @@ from .constructor import (
     loop_path,
     order_subgraphs,
 )
-from .fault_model import FaultSet, ValidationReport, fault_vertices, validate
+from .fault_model import FaultSet, ValidationReport, validate
 from .oracle import (
     SearchResult,
     SearchStatus,
@@ -74,7 +74,6 @@ __all__ = [
     "compose",
     "exhaustive_cycle_search",
     "exhaustive_path_search",
-    "fault_vertices",
     "format_vertex",
     "hamiltonian_cycle",
     "hamiltonian_path",

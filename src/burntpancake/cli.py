@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from itertools import chain
 
 from . import bp_graph, oracle
@@ -246,12 +245,12 @@ def cmd_tightness(args) -> int:
     print(f"{'PASS' if good else 'FAIL'} path witness pins the pivot to its two spared neighbors")
     ok = ok and good
 
-    if n == 3:
-        res = oracle.exhaustive_cycle_search(3, cycle_witness, time_budget=args.time_budget)
+    if n <= oracle.SEARCH_LIMIT:
+        res = oracle.exhaustive_cycle_search(n, cycle_witness, time_budget=args.time_budget)
         good = res.status is oracle.SearchStatus.PROVEN_ABSENT
         print(f"{'PASS' if good else 'FAIL'} exhaustive search: no cycle ({res.status.value})")
         ok = ok and good
-        res = oracle.exhaustive_path_search(3, path_witness, x, y, time_budget=args.time_budget)
+        res = oracle.exhaustive_path_search(n, path_witness, x, y, time_budget=args.time_budget)
         good = res.status is oracle.SearchStatus.PROVEN_ABSENT
         print(f"{'PASS' if good else 'FAIL'} exhaustive search: no path ({res.status.value})")
         ok = ok and good

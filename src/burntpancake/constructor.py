@@ -23,7 +23,8 @@ finished sequence lists first, then reversed into place, so the chain's
 junction scan does not depend on the orientation.
 
 A build raises StrictModeFailure when a prescribed candidate scan comes
-up empty; the exception carries a message, not the partial trace.
+up empty or its attempt budget is spent; the message says which, and
+carries no partial trace.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from functools import cached_property
 from itertools import chain, islice
 
 from . import bp_graph
-from .bp3_fixtures import PAIR_CYCLES
+from .bp3_fixtures import FREE_PATHS, PAIR_CYCLES
 from .bp_graph import (
     Edge,
     edge_dimension,
@@ -54,6 +55,7 @@ from .signed_perm import (
     check_vertex,
     format_vertex,
     left_translate,
+    prefix_reversal,
 )
 
 Pair = Edge
@@ -240,7 +242,8 @@ class _Ctx:
 
 
 # ---------------------------------------------------------------------------
-# BP_3 base level: complete backtracking search, memoized
+# BP_3 base level: complete backtracking search, memoized.  Fault-free paths
+# are read from the FREE_PATHS table instead of searched.
 
 _BP3_VERTICES = all_vertices(3)
 _BP3_INDEX = {x: i for i, x in enumerate(_BP3_VERTICES)}
@@ -249,6 +252,11 @@ _BP3_INDEX = {x: i for i, x in enumerate(_BP3_VERTICES)}
 _BP3_NEIGHBORS = tuple(
     tuple(sorted(_BP3_INDEX[w] for w in bp_graph.neighbors(x))) for x in _BP3_VERTICES
 )
+# _BP3_STEP[i][k - 1] is the index of the k-neighbour of vertex i.
+_BP3_STEP = tuple(tuple(_BP3_INDEX[prefix_reversal(x, k)] for k in (1, 2, 3)) for x in _BP3_VERTICES)
+# _BP3_NEXT[d]: the two dimensions that may follow dimension d in a
+# Hamiltonian path, smaller first (dimensions counted from 0 here).
+_BP3_NEXT = ((1, 2), (0, 2), (0, 1))
 _bp3_path_cache: dict[tuple, tuple[Vertex, ...] | None] = {}
 _bp3_cycle_cache: dict[tuple, tuple[Vertex, ...] | None] = {}
 
@@ -270,6 +278,10 @@ def _small_search(
     Only a vertex with at most one unvisited neighbour can fall short, so
     the pruning test scans just those (``low``).  Returns None when the
     search space is exhausted.
+
+    This search defines every BP_3 path the constructor uses.  The
+    fault-free ones are shipped precomputed as ``FREE_PATHS``, which
+    tier-1 compares with this function on every ordered pair.
     """
     skip = {_BP3_INDEX[x] for x in removed}
     cut = {(_BP3_INDEX[a], _BP3_INDEX[b]) for a, b in banned}
@@ -339,12 +351,38 @@ def _small_search(
     return tuple(_BP3_VERTICES[i] for i in path) if rec(start) else None
 
 
+def _free_path(u: Vertex, v: Vertex) -> tuple[Vertex, ...]:
+    """The u -> v path of fault-free BP_3, decoded from ``FREE_PATHS``
+    (layout and encoding in ``bp3_fixtures``).  A decoded path that does not
+    end at v raises InternalInvariantError."""
+    i, j = _BP3_INDEX[u], _BP3_INDEX[v]
+    at = 6 * (48 * i + j)
+    bits = int.from_bytes(FREE_PATHS[at : at + 6], "big")
+    d = bits >> 46
+    path = [i]
+    if d < 3:
+        cur = _BP3_STEP[i][d]
+        path.append(cur)
+        for shift in range(45, -1, -1):
+            d = _BP3_NEXT[d][bits >> shift & 1]
+            cur = _BP3_STEP[cur][d]
+            path.append(cur)
+    if path[-1] != j:
+        raise InternalInvariantError(f"stored BP_3 path {format_vertex(u)} -> {format_vertex(v)} ends elsewhere")
+    return tuple(_BP3_VERTICES[x] for x in path)
+
+
 def _bp3_search_path(
     removed: frozenset[Vertex], banned: frozenset[Pair], u: Vertex, v: Vertex
 ) -> tuple[Vertex, ...] | None:
+    """The BP_3 path that ``_small_search`` defines; a fault-free one is
+    decoded from the table rather than searched."""
     key = (removed, banned, u, v)
     if key not in _bp3_path_cache:
-        _bp3_path_cache[key] = _small_search(3, removed, banned, u, v)
+        if removed or banned or u == v:
+            _bp3_path_cache[key] = _small_search(3, removed, banned, u, v)
+        else:
+            _bp3_path_cache[key] = _free_path(u, v)
     return _bp3_path_cache[key]
 
 
@@ -1461,15 +1499,22 @@ def _finish(trace: CaseTrace, n: int) -> CaseTrace:
     return CaseTrace("root", {"n": n}, [trace])
 
 
+def _no_construction(ctx: _Ctx) -> StrictModeFailure:
+    """The failure of a build that found nothing, naming why it stopped."""
+    if ctx.exhausted:
+        why = f"attempt budget of {ctx.max_attempts} spent"
+    else:
+        why = ctx.note or "scan exhausted"
+    return StrictModeFailure(f"no construction found (attempts={ctx.attempts}, note={why})")
+
+
 def hamiltonian_cycle(n: int, fault_set: FaultSet) -> VertexCycle:
     """Hamiltonian cycle of BP_n minus the fault set, for |F| <= n-2."""
     f, _, _ = _public_input(n, fault_set, n - 2)
     ctx = _Ctx()
     got = _cycle(n, f, ctx)
     if got is None:
-        raise StrictModeFailure(
-            f"no construction found (attempts={ctx.attempts}, note={ctx.note or 'scan exhausted'})"
-        )
+        raise _no_construction(ctx)
     vertices, tr = got
     _check_output(n, f, vertices, closed=True)
     return VertexCycle(tuple(vertices), _finish(tr, n))
@@ -1481,9 +1526,7 @@ def hamiltonian_path(n: int, u, v, fault_set: FaultSet) -> VertexPath:
     ctx = _Ctx()
     got = _path(n, u, v, f, ctx)
     if got is None:
-        raise StrictModeFailure(
-            f"no construction found (attempts={ctx.attempts}, note={ctx.note or 'scan exhausted'})"
-        )
+        raise _no_construction(ctx)
     vertices, tr = got
     _check_output(n, f, vertices, closed=False, u=u, v=v)
     return VertexPath(tuple(vertices), _finish(tr, n))

@@ -50,14 +50,6 @@ class FaultSet:
         """V(F^mv): vertices deleted from the graph."""
         return frozenset(v for pair in self.matching_pairs for v in pair)
 
-    def fault_vertices(self) -> frozenset[Vertex]:
-        """V(F): removed vertices plus faulty-edge endpoints."""
-        out = set(self.removed_vertices())
-        for a, b in self.faulty_edges:
-            out.add(a)
-            out.add(b)
-        return frozenset(out)
-
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
@@ -142,8 +134,3 @@ def validate(fault_set: FaultSet, bound: int | None = None) -> ValidationReport:
         bad.append(Violation("budget-exceeded", f"|F|={fault_set.size}", f"exceeds bound {bound}"))
 
     return ValidationReport(ok=not bad, violations=tuple(bad))
-
-
-def fault_vertices(fault_set: FaultSet) -> tuple[frozenset[Vertex], frozenset[Vertex]]:
-    """(V(F^mv), V(F)): removed vertices, and all fault-touched vertices."""
-    return fault_set.removed_vertices(), fault_set.fault_vertices()

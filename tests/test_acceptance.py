@@ -9,12 +9,8 @@ which passes.
 """
 
 import itertools
-import json
 import time
 
-import pytest
-
-from burntpancake import bp_graph
 from burntpancake.bp3_fixtures import PAIR_CYCLES
 from burntpancake.bp_graph import (
     bfs_ball,
@@ -29,12 +25,7 @@ from burntpancake.bp_graph import (
     vertex_count,
 )
 from burntpancake.cli import main as cli_main
-from burntpancake.constructor import (
-    NoOrderingError,
-    hamiltonian_cycle,
-    hamiltonian_path,
-    order_subgraphs,
-)
+from burntpancake.constructor import hamiltonian_cycle, hamiltonian_path, order_subgraphs
 from burntpancake.fault_model import FaultSet, validate
 from burntpancake.fuzz import run_fuzz
 from burntpancake.oracle import (

@@ -199,6 +199,8 @@ def test_tightness_n4(capsys):
     assert main(["tightness", "--n", "4"]) == 0
     text = capsys.readouterr().out
     assert "degree-1" in text and "FAIL" not in text
+    assert text.count("PASS") == 6
+    assert "no cycle (proven-absent)" in text and "no path (proven-absent)" in text
 
 
 def test_strict_failure_exit_code(tmp_path, monkeypatch):

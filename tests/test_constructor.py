@@ -1,9 +1,10 @@
+import base64
 import itertools
 
 import pytest
 
-from burntpancake.bp3_fixtures import PAIR_CYCLES
-from burntpancake.bp_graph import edge_key, neighbors, out_neighbor, subgraph_indices, vertex_count
+from burntpancake.bp3_fixtures import FREE_PATHS, PAIR_CYCLES
+from burntpancake.bp_graph import edge_dimension, edge_key, neighbors, out_neighbor, subgraph_indices, vertex_count
 from burntpancake.constructor import (
     BudgetExceededError,
     InternalInvariantError,
@@ -11,6 +12,7 @@ from burntpancake.constructor import (
     UsageError,
     _check_output,
     _Faults,
+    _free_path,
     _small_search,
     base_cycle_bp3,
     base_path_bp3,
@@ -108,6 +110,54 @@ def test_base_path_examples():
 def test_base_path_rejects_equal_endpoints():
     with pytest.raises(UsageError):
         base_path_bp3((1, 2, 3), (1, 2, 3))
+
+
+def _free_path_slot(path) -> bytes:
+    """One FREE_PATHS slot for ``path`` (encoding in bp3_fixtures)."""
+    dims = [edge_dimension(a, b) for a, b in zip(path, path[1:])]
+    bits = dims[0] - 1
+    for prev, d in zip(dims, dims[1:]):
+        bits = bits << 1 | sorted({1, 2, 3} - {prev}).index(d)
+    return bits.to_bytes(6, "big")
+
+
+def test_free_path_table_matches_search():
+    # the table is a stored copy of the search's fault-free paths; on a
+    # mismatch the failure prints the table the search gives, as base64
+    # lines ready to paste into bp3_fixtures
+    none = frozenset()
+    vertices = all_vertices(3)
+    paths = {}
+    wrong = []
+    for u, v in itertools.permutations(vertices, 2):
+        paths[u, v] = _small_search(3, none, none, u, v)
+        try:
+            if _free_path(u, v) != paths[u, v]:
+                wrong.append((u, v))
+        except InternalInvariantError:
+            wrong.append((u, v))
+    if wrong:
+        table = bytearray(len(FREE_PATHS))
+        for (u, v), path in paths.items():
+            at = 6 * (48 * vertices.index(u) + vertices.index(v))
+            table[at : at + 6] = _free_path_slot(path)
+        text = base64.b64encode(table).decode()
+        lines = "\n".join(f'    "{text[k : k + 76]}"' for k in range(0, len(text), 76))
+        pytest.fail(f"{len(wrong)} stored paths differ from the search, first {wrong[:3]}; regenerated:\n{lines}")
+
+
+def test_corrupt_free_path_raises(monkeypatch):
+    import burntpancake.constructor as cons
+
+    # flipping the last bit of a slot swaps the path's final step, so the
+    # decoded path ends beside the target, not on it
+    u, v = (1, 2, 3), (-1, 2, 3)
+    table = bytearray(FREE_PATHS)
+    table[6 * (48 * cons._BP3_INDEX[u] + cons._BP3_INDEX[v]) + 5] ^= 1
+    monkeypatch.setattr(cons, "FREE_PATHS", bytes(table))
+    monkeypatch.setattr(cons, "_bp3_path_cache", {})
+    with pytest.raises(InternalInvariantError, match="stored BP_3 path"):
+        hamiltonian_path(3, u, v, FaultSet.build(3))
 
 
 class _OneVertexRemoved:
@@ -331,6 +381,17 @@ def test_empty_dispatch_raises_strict_failure(monkeypatch):
         assert rep.trials == rep.strict_failures == 5 and rep.successes == 0
         assert [x["kind"] for x in rep.failures] == ["strict"] * 5
         assert [x["trial"] for x in rep.failures] == list(range(5))
+
+
+def test_spent_attempt_budget_named_in_failure(monkeypatch):
+    import burntpancake.constructor as cons
+
+    # a fault-free n=5 cycle spends 80 attempts when it builds
+    ctx_type = cons._Ctx
+    monkeypatch.setattr(cons, "_Ctx", lambda: ctx_type(max_attempts=5))
+    with pytest.raises(cons.StrictModeFailure, match="attempt budget of 5 spent") as caught:
+        cons.hamiltonian_cycle(5, FaultSet.build(5))
+    assert "scan exhausted" not in str(caught.value)
 
 
 def test_strict_construction_certified_on_small_n4_families():

@@ -4,7 +4,7 @@ import pytest
 
 from burntpancake.bp_graph import subgraph_indices
 from burntpancake.constructor import _Faults, _restrict_embed, _weights
-from burntpancake.fault_model import FaultSet, fault_vertices, validate
+from burntpancake.fault_model import FaultSet, validate
 
 # worked example on BP_3: two matching pairs plus three faulty edges
 EXAMPLE = FaultSet.build(
@@ -24,15 +24,8 @@ def test_example_is_valid_with_size_five():
     assert EXAMPLE.size == 5
 
 
-def test_example_fault_vertices():
-    vmv, vall = fault_vertices(EXAMPLE)
-    assert vmv == {(1, 2, 3), (-1, 2, 3), (1, -2, 3), (-3, 2, -1)}
-    assert len(vall) == 10
-    assert vall == {
-        (1, 2, 3), (-1, 2, 3), (1, -2, 3), (-3, 2, -1),
-        (-2, 1, 3), (2, 1, 3), (-1, -2, 3), (-3, 2, 1),
-        (-1, 2, -3), (-2, 1, -3),
-    }
+def test_example_removed_vertices():
+    assert EXAMPLE.removed_vertices() == {(1, 2, 3), (-1, 2, 3), (1, -2, 3), (-3, 2, -1)}
 
 
 def test_example_restriction():
@@ -59,8 +52,7 @@ def test_empty_fault_set():
     fs = FaultSet.build(3)
     assert validate(fs, bound=0).ok
     assert fs.size == 0
-    vmv, vall = fault_vertices(fs)
-    assert vmv == frozenset() and vall == frozenset()
+    assert fs.removed_vertices() == frozenset()
 
 
 def test_pairs_sharing_a_vertex_rejected():
@@ -151,8 +143,5 @@ def test_residual_degree_coarse_bound():
 
 def test_edge_only_set_removes_no_vertices():
     fs = FaultSet.build(3, faulty_edges=[[(2, 1, 3), (-1, -2, 3)]])
-    vmv, vall = fault_vertices(fs)
-    assert vmv == frozenset()
-    assert vall == {(2, 1, 3), (-1, -2, 3)}
-    vmv_pairs, _ = fault_vertices(EXAMPLE)
-    assert len(vmv_pairs) == 2 * len(EXAMPLE.matching_pairs)
+    assert fs.removed_vertices() == frozenset()
+    assert len(EXAMPLE.removed_vertices()) == 2 * len(EXAMPLE.matching_pairs)
