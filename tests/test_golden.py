@@ -13,6 +13,8 @@ Groups:
   budgets (fuzz reports hold no vertices);
 - two of the acceptance suite's n=6 smoke instances;
 - directed instances that reach each splice orientation a sweep reached;
+- directed instances that reach ``_reconnect_pairings`` in pairings (x1,y2)
+  and (x1,x2) and ``_cycle_case3_single`` on both kinds of single;
 - ``bp3_solver``: the BP_3 base solver ``_small_search`` called directly,
   past its memo, on every fault-free ordered endpoint pair, every cycle with
   one edge banned, every cycle with one matching pair removed, and every 8th
@@ -117,12 +119,57 @@ DIRECTED = [
     ),
 ]
 
+# Cycle reconnections after excising a fault from the heavy subgraph, in the
+# same shape.  x1, y1 end arc B and x2, y2 arc A (``_reconnect_two_arcs``).
+# The pairings found below are the first of their kind in a sweep of cycles
+# with every fault in one subgraph; pairings (y1,y2) and (y1,x2) never won.
+# "directed" already reaches both free-arc orientations of the same-side splice.
+DIRECTED_RECONNECT = [
+    (
+        "pairing (x1,y2), first connector in one subgraph",
+        4,
+        [[(-1, 3, 2, -4), (1, 3, 2, -4)]],
+        [[(-3, 1, 2, -4), (3, 1, 2, -4)]],
+        None,
+    ),
+    (
+        "pairing (x1,y2), first connector over two subgraphs",
+        4,
+        [[(2, -1, -4, 3), (4, 1, -2, 3)]],
+        [[(-4, 1, -2, 3), (2, -1, 4, 3)]],
+        None,
+    ),
+    (
+        "pairing (x1,x2), first connector over two subgraphs",
+        4,
+        [[(-3, 4, -2, -1), (2, -4, 3, -1)], [(-2, -3, -4, -1), (2, -3, -4, -1)]],
+        [],
+        None,
+    ),
+    (
+        "single excised, its pair's partner in another subgraph",
+        5,
+        [[(-4, -2, -5, -3, 1), (5, 2, 4, -3, 1)], [(2, -4, 5, -3, 1), (3, -5, 4, -2, 1)]],
+        [[(-3, -4, -5, -2, 1), (3, -4, -5, -2, 1)]],
+        None,
+    ),
+    (
+        # the straddling pair leaves a plain single beside the edge one level down
+        "plain single excised",
+        5,
+        [[(1, 2, 3, 4, 5), (-5, -4, -3, -2, -1)]],
+        [[(2, 1, 3, 4, 5), (-2, 1, 3, 4, 5)]],
+        None,
+    ),
+]
+
 GOLDEN = {
     "case_table": "4b293247ab965adf9d11860a20bf2143b0fd2664f0c0e9bed8bcb9d3b28bf642",
     "fuzz_n4": "bf2984a24bff8da79d74e677de2ed47e0da4acbaabc38405343bc87d2e13e412",
     "fuzz_n5": "99e64b417cccac913bb4e6801033e9cd2d957d4f985326f751da97323e296cfb",
     "smoke_n6": "6c8f4f8e0fb49676a30a6d4dcf4b21e535b8be3135e1269e5cb65b47e46ff44f",
     "directed": "1580b0f21c71ea95213f02abe8adcd5ad61120a2509a92329848f7e426b6ae2a",
+    "directed_reconnect": "91989ec876066e35908b64d359d1f019b54c77aa37128cd5d827498542a0f927",
     "bp3_solver": "be288b6ef999d84dd14413d40b34e92de57bec92b5101f4aff6d4fafd0d98d1e",
     "oracle_reports": "c5010afd02dd3ca9643e59c6ce063ae1ec41d7db54194d41ca5aa4f5126da193",
 }
@@ -166,8 +213,8 @@ def _smoke_n6():
     yield hamiltonian_path(6, u, v, fs)
 
 
-def _directed():
-    for _, n, pairs, edges, ends in DIRECTED:
+def _directed(instances):
+    for _, n, pairs, edges, ends in instances:
         fs = FaultSet.build(n, pairs, edges)
         yield hamiltonian_cycle(n, fs) if ends is None else hamiltonian_path(n, *ends, fs)
 
@@ -177,7 +224,8 @@ GROUPS = {
     "fuzz_n4": lambda: _fuzz(4, 200, 2, 1),
     "fuzz_n5": lambda: _fuzz(5, 50, 3, 2),
     "smoke_n6": _smoke_n6,
-    "directed": _directed,
+    "directed": lambda: _directed(DIRECTED),
+    "directed_reconnect": lambda: _directed(DIRECTED_RECONNECT),
 }
 
 
