@@ -14,13 +14,13 @@ a pair to one side leaves one forbidden vertex there.  Cases driven purely
 by pairs and edges follow the fixed case tree; scans needed only when
 singles are present carry ``EXT/`` labels.
 
-A splice replaces an edge (a, b) of a path or ring with a detour.  Each
-splice is assembled once, as if (a, b) ran forward along the path: ``_cut``
-gives the piece that ends at a and the piece that starts at b, the detour
-goes between them, and the finished sequence is reversed when b comes
-before a.  A bridge chain inside the detour is built from the endpoint the
-finished sequence lists first, then reversed into place, so the chain's
-junction scan does not depend on the orientation.
+A splice replaces an edge (s, t) of a path or ring with a detour that
+leaves s and returns to t.  Where (s, t) can lie either way round on a
+path, ``_splice`` does the work: it builds the detour's bridge chain from
+the end that the finished path lists first, so the chain's junction scan
+does not depend on the orientation, and assembles the path in the
+orientation it has.  Arcs joined by connectors are oriented before they
+are assembled, so each splice shape has one assembly expression.
 
 A build raises StrictModeFailure when a prescribed candidate scan comes
 up empty or its attempt budget is spent; the message says which, and
@@ -234,10 +234,10 @@ class _Ctx:
         """Account one candidate attempt; False once the budget is gone."""
         if self.exhausted:
             return False
-        self.attempts += 1
-        if self.attempts > self.max_attempts:
+        if self.attempts == self.max_attempts:
             self.exhausted = True
             return False
+        self.attempts += 1
         return True
 
 
@@ -315,15 +315,6 @@ def _small_search(
                 if avail == 0 or x not in finals or lows:
                     return False
                 lows = 1
-        if depth % 16 == 0:
-            stack, seen = [cur], {cur}
-            while stack:
-                for x in adj[stack.pop()]:
-                    if free[x] and x not in seen:
-                        seen.add(x)
-                        stack.append(x)
-            if len(seen) + depth <= total:
-                return False
         # The target endpoint may only be stepped on as the final move.
         last_step = depth == total - 1
         for _, w in sorted((adeg[w], w) for w in adj[cur] if free[w] and (w != end or last_step)):
@@ -647,14 +638,23 @@ def _ring_span(C: list[Vertex], start: int, end: int) -> list[Vertex]:
     return out
 
 
-def _cut(P: list[Vertex], pos: dict[Vertex, int], a: Vertex, b: Vertex) -> tuple[list[Vertex], list[Vertex]]:
-    """Split P at its edge (a, b): the piece that ends at a, the piece that starts at b.
+def _splice(n: int, I, P: list[Vertex], pos: dict[Vertex, int], s: Vertex, t: Vertex, middle, a, b, f, ctx):
+    """Route a detour through the edge (s, t) of path P: the piece
+    ``middle()``, which leaves s, then a chain over ``I`` from a to b, which
+    returns to t.  Returns (vertices, chain trace), or None if no chain.
 
-    When b precedes a on P, both pieces run against P's direction.
+    The chain is built from the end that P lists first, so its junction
+    scan does not depend on the orientation of (s, t), and ``middle()`` is
+    built only once the chain exists.
     """
-    if pos[a] < pos[b]:
-        return P[: pos[a] + 1], P[pos[b] :]
-    return P[pos[a] :][::-1], P[: pos[b] + 1][::-1]
+    forward = pos[s] < pos[t]
+    bridge = _chain(n, I, *((a, b) if forward else (b, a)), f, ctx)
+    if bridge is None:
+        return None
+    bv, trb = bridge
+    if forward:
+        return P[: pos[s] + 1] + middle() + bv + P[pos[t] :], trb
+    return P[: pos[t] + 1] + bv + middle()[::-1] + P[pos[s] :], trb
 
 
 def _usable_stub(x: Vertex, f: _Faults) -> Vertex | None:
@@ -866,18 +866,13 @@ def _cycle_case3_pair(n: int, f: _Faults, ctx: _Ctx, istar: int, pair: Pair):
 
 def _cycle_case3_single(n: int, f: _Faults, ctx: _Ctx, istar: int, sv: Vertex):
     """Excise one avoided vertex from the heavy subgraph's cycle."""
-    if sv in {x for p in f.pairs for x in p}:
-        partner_pairs = [p for p in f.pairs if sv in p]
-        reduced = f
-        for p in partner_pairs:
-            reduced = reduced.without_pair(p)
-            other = p[0] if p[1] == sv else p[1]
-            if other != sv:
-                reduced = _Faults(
-                    reduced.n, reduced.pairs, tuple(sorted(set(reduced.singles) | {other})), reduced.edges
-                )
-    else:
+    pair = next((p for p in f.pairs if sv in p), None)
+    if pair is None:
         reduced = f.without_single(sv)
+    else:
+        # sv's pair straddles two subgraphs: its partner outside stays avoided
+        other = pair[0] if pair[1] == sv else pair[1]
+        reduced = _Faults(f.n, f.without_pair(pair).pairs, tuple(sorted({*f.singles, other})), f.edges)
     c1 = _subgraph(n, istar, reduced, ctx)
     if c1 is None:
         return None
@@ -965,6 +960,9 @@ def _reconnect_two_arcs(
       lie in subgraphs a1[k1-1] and a1[k2-1] (0-based), whose absolute values
       differ.  The subgraphs are neither equal nor complementary, and in the
       double split h2 is never -h1.
+
+    All four stubs are usable past this point, so the routines below take
+    their out-neighbors without checking them again.
     """
     x2, y2 = arc_a[0], arc_a[-1]
     y1, x1 = arc_b[0], arc_b[-1]
@@ -999,67 +997,48 @@ def _reconnect_pairings(
 
     Each pairing routes one connector between a B-stub and an A-stub and a
     second connector between the remaining two stubs, partitioning all
-    remaining subgraphs between them.
+    remaining subgraphs between them.  Each pass orients arc B to end at
+    its first-connector stub and arc A to start at its own, so the pairings
+    run (x1, y2), (x1, x2), (y1, y2), (y1, x2) and every one is assembled
+    as B + conn1 + A + conn2.
     """
-    x2, y2 = arc_a[0], arc_a[-1]
-    y1, x1 = arc_b[0], arc_b[-1]
-    for p_stub, q_stub in ((x1, y2), (x1, x2), (y1, y2), (y1, x2)):
-        np_, nq = _usable_stub(p_stub, f), _usable_stub(q_stub, f)
-        if np_ is None or nq is None:
-            continue
-        sp, sq = last_symbol(np_), last_symbol(nq)
-        other_b = y1 if p_stub == x1 else x1
-        other_a = x2 if q_stub == y2 else y2
-        nob, noa = _usable_stub(other_b, f), _usable_stub(other_a, f)
-        if nob is None or noa is None:
-            continue
-        sob, soa = last_symbol(nob), last_symbol(noa)
+    for B in (arc_b, arc_b[::-1]):
+        for A in (arc_a[::-1], arc_a):
+            p_stub, other_b = B[-1], B[0]
+            q_stub, other_a = A[0], A[-1]
+            np_, nq = out_neighbor(p_stub), out_neighbor(q_stub)
+            sp, sq = last_symbol(np_), last_symbol(nq)
+            nob, noa = out_neighbor(other_b), out_neighbor(other_a)
+            sob, soa = last_symbol(nob), last_symbol(noa)
 
-        if sp == -sq:
-            continue  # complementary pair: no cross edges between them
-        conn1_subgraphs = (sp,) if sp == sq else (sp, sq)
-        if soa in conn1_subgraphs or sob in conn1_subgraphs:
-            continue
-        rest = [j for j in subgraph_indices(n) if j != istar and j not in conn1_subgraphs]
+            if sp == -sq:
+                continue  # complementary pair: no cross edges between them
+            conn1_subgraphs = (sp,) if sp == sq else (sp, sq)
+            if soa in conn1_subgraphs or sob in conn1_subgraphs:
+                continue
+            rest = [j for j in subgraph_indices(n) if j != istar and j not in conn1_subgraphs]
 
-        conn1 = None
-        conn1_traces: list[CaseTrace] = []
-        if sp == sq:
-            got = _subgraph(n, sp, f, ctx, np_, nq)
-            if got is not None:
-                conn1, tr = got
-                conn1_traces = [tr]
-        else:
-            for uu, nuu in _cross_candidates(n, sp, sq, f):
-                if uu == np_ or nuu == nq:
-                    continue
-                if not ctx.spend():
+            if sp == sq:
+                conn1 = _subgraph(n, sp, f, ctx, np_, nq)
+            else:
+                conn1 = _chain(n, conn1_subgraphs, np_, nq, f, ctx)
+            if conn1 is None:
+                if ctx.exhausted:
                     return None
-                first = _subgraph(n, sp, f, ctx, np_, uu)
-                if first is None:
-                    continue
-                second = _subgraph(n, sq, f, ctx, nuu, nq)
-                if second is None:
-                    continue
-                conn1 = first[0] + second[0]
-                conn1_traces = [first[1], second[1]]
-                break
-        if conn1 is None:
-            continue
+                continue
+            c1v, tr1 = conn1
 
-        conn2 = _connector(n, rest, noa, nob, f, ctx)
-        if conn2 is None:
-            continue
-        cv, trc = conn2
-
-        arc_b_dir = arc_b if p_stub == x1 else list(reversed(arc_b))
-        arc_a_dir = arc_a if q_stub == x2 else list(reversed(arc_a))
-        full = arc_b_dir + conn1 + arc_a_dir + cv
-        return full, CaseTrace(
-            label,
-            {"pairing": [format_vertex(p_stub), format_vertex(q_stub)]},
-            conn1_traces + [trc],
-        )
+            conn2 = _connector(n, rest, noa, nob, f, ctx)
+            if conn2 is None:
+                continue
+            cv, trc = conn2
+            # a two-subgraph connector records its subgraph paths, not an L17 node
+            conn1_traces = [tr1] if sp == sq else tr1.children
+            return B + c1v + A + cv, CaseTrace(
+                label,
+                {"pairing": [format_vertex(p_stub), format_vertex(q_stub)]},
+                conn1_traces + [trc],
+            )
     return None
 
 
@@ -1073,23 +1052,15 @@ def _reconnect_same_side(
     out-neighbor reaches a free stub's subgraph, and re-enter the second
     piece from the outside chain.
     """
-    e_hi = _usable_stub(eq_arc[-1], f)
-    e_lo = _usable_stub(eq_arc[0], f)
-    if e_hi is None or e_lo is None:
-        return None
+    e_hi, e_lo = out_neighbor(eq_arc[-1]), out_neighbor(eq_arc[0])
     h = last_symbol(e_hi)
-    g_start, g_end = free_arc[0], free_arc[-1]
-    n_start, n_end = _usable_stub(g_start, f), _usable_stub(g_end, f)
-    if n_start is None or n_end is None:
-        return None
+    ends = out_neighbor(free_arc[0]), out_neighbor(free_arc[-1])
     base = _subgraph(n, h, f, ctx, e_hi, e_lo)
     if base is None:
         return None
     ph, tr_ph = base
-    options = (
-        (last_symbol(n_start), n_start, free_arc, n_end),
-        (last_symbol(n_end), n_end, list(reversed(free_arc)), n_start),
-    )
+    # the free arc runs from the stub the middle piece reaches to the one the chain leaves
+    options = ((free_arc, *ends), (free_arc[::-1], *ends[::-1]))
     for pos in range(len(ph) - 1):
         s, t = ph[pos], ph[pos + 1]
         ns, nt = _usable_stub(s, f), _usable_stub(t, f)
@@ -1098,7 +1069,8 @@ def _reconnect_same_side(
         snt = last_symbol(nt)
         if snt == istar:
             continue
-        for mid_sub, mid_target, free_dir, chain_start in options:
+        for free_dir, mid_target, chain_start in options:
+            mid_sub = last_symbol(mid_target)
             if last_symbol(ns) != mid_sub or ns == mid_target:
                 continue
             if snt == mid_sub:
@@ -1133,12 +1105,8 @@ def _reconnect_double_split(
     whose s leads into h2; R2 is opened at the P2 edge (ns, z), and a chain
     over the remaining subgraphs runs from z's out-neighbor back to t's.
     """
-    x2, y2 = arc_a[0], arc_a[-1]
-    y1, x1 = arc_b[0], arc_b[-1]
-    nx1, ny1 = _usable_stub(x1, f), _usable_stub(y1, f)
-    nx2, ny2 = _usable_stub(x2, f), _usable_stub(y2, f)
-    if None in (nx1, ny1, nx2, ny2):
-        return None
+    nx1, ny1 = out_neighbor(arc_b[-1]), out_neighbor(arc_b[0])
+    nx2, ny2 = out_neighbor(arc_a[0]), out_neighbor(arc_a[-1])
     h1, h2 = last_symbol(nx1), last_symbol(nx2)
     p1 = _subgraph(n, h1, f, ctx, nx1, ny1)
     if p1 is None:
@@ -1172,16 +1140,11 @@ def _reconnect_double_split(
                     raise InternalInvariantError("double-split chain endpoints coincide")
                 if not ctx.spend():
                     return None
-                forward = pos1[s] < pos1[t]
-                bridge = _chain(n, rest, *((nz, nt) if forward else (nt, nz)), f, ctx)
-                if bridge is None:
+                got = _splice(n, rest, R1, pos1, s, t, lambda: _open_ring(R2, pos2, ns, z), nz, nt, f, ctx)
+                if got is None:
                     continue
-                bv, trb = bridge
-                head, tail = _cut(R1, pos1, s, t)
-                full = head + _open_ring(R2, pos2, ns, z) + (bv if forward else bv[::-1]) + tail
-                return (full if forward else full[::-1]), CaseTrace(
-                    label, {"h1": h1, "h2": h2}, [tr1, tr2, trb]
-                )
+                full, trb = got
+                return full, CaseTrace(label, {"h1": h1, "h2": h2}, [tr1, tr2, trb])
     return None
 
 
@@ -1304,7 +1267,7 @@ def _path_c2_outside_pair(n, u, v, f, ctx, istar, C1, idx1, tr1):
     if base is None:
         return None
     P, trp = base
-    pos = {x: i for i, x in enumerate(P)}
+    pos = _ring_index(P)
     rest = [q for q in subgraph_indices(n) if q not in (istar, j)]
     for i in range(len(P) - 1):
         for s, t in ((P[i], P[i + 1]), (P[i + 1], P[i])):
@@ -1324,16 +1287,11 @@ def _path_c2_outside_pair(n, u, v, f, ctx, istar, C1, idx1, tr1):
                     raise InternalInvariantError("outside-pair chain endpoints coincide")
                 if not ctx.spend():
                     return None
-                forward = pos[s] < pos[t]
-                bridge = _chain(n, rest, *((nz, nt) if forward else (nt, nz)), f, ctx)
-                if bridge is None:
+                got = _splice(n, rest, P, pos, s, t, lambda: _open_ring(C1, idx1, ns, z), nz, nt, f, ctx)
+                if got is None:
                     continue
-                bv, trb = bridge
-                head, tail = _cut(P, pos, s, t)
-                full = head + _open_ring(C1, idx1, ns, z) + (bv if forward else bv[::-1]) + tail
-                return (full if forward else full[::-1]), CaseTrace(
-                    "L19/2.2", {"shape": "outside-pair", "j": j}, [tr1, trp, trb]
-                )
+                full, trb = got
+                return full, CaseTrace("L19/2.2", {"shape": "outside-pair", "j": j}, [tr1, trp, trb])
     return None
 
 
@@ -1344,7 +1302,7 @@ def _path_c2_complement_pair(n, u, v, f, ctx, istar, C1, idx1, tr1):
     if base is None:
         return None
     P, trp = base
-    pos = {x: i for i, x in enumerate(P)}
+    pos = _ring_index(P)
     ring_edges = [(C1[i], C1[(i + 1) % len(C1)]) for i in range(len(C1))]
     for i in range(len(P) - 1):
         for s, t in ((P[i], P[i + 1]), (P[i + 1], P[i])):
@@ -1372,14 +1330,11 @@ def _path_c2_complement_pair(n, u, v, f, ctx, istar, C1, idx1, tr1):
                         continue
                     mv, trm = mid
                     rest = [q for q in subgraph_indices(n) if q not in (istar, -istar, g)]
-                    forward = pos[s] < pos[t]
-                    bridge = _chain(n, rest, *((nw, nt) if forward else (nt, nw)), f, ctx)
-                    if bridge is None:
+                    got = _splice(n, rest, P, pos, s, t, lambda: mv + _open_ring(C1, idx1, z, w), nw, nt, f, ctx)
+                    if got is None:
                         continue
-                    bv, trb = bridge
-                    head, tail = _cut(P, pos, s, t)
-                    full = head + mv + _open_ring(C1, idx1, z, w) + (bv if forward else bv[::-1]) + tail
-                    return (full if forward else full[::-1]), CaseTrace(
+                    full, trb = got
+                    return full, CaseTrace(
                         "L19/2.2", {"shape": "complement-pair", "g": g}, [tr1, trp, trm, trb]
                     )
     return None

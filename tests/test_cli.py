@@ -95,6 +95,13 @@ def test_invalid_fault_file_exit_code(tmp_path):
     faults = tmp_path / "f.json"
     faults.write_text(json.dumps({"n": 3, "matching_pairs": [[[1, 2, 3], [3, 2, 1]]]}))
     assert main(["cycle", "--n", "3", "--faults", str(faults)]) == 2
+    ends = ["--source", "1,2,3", "--target=-1,2,3"]
+    assert main(["path", "--n", "3", "--faults", str(faults)] + ends) == 2
+    # an artifact that visits the pair's vertices: verify must reject the
+    # fault file rather than report a verification failure
+    artifact = tmp_path / "path.json"
+    assert main(["path", "--n", "3", "--out", str(artifact)] + ends) == 0
+    assert main(["verify", str(artifact), "--faults", str(faults)]) == 2
 
 
 def test_endpoint_inside_removed_set(tmp_path):
@@ -167,6 +174,7 @@ def test_stats_n3(capsys):
     out = capsys.readouterr().out
     assert "PASS |V|: 48" in out
     assert "PASS |E|: 72" in out
+    assert "PASS |E(i,j)| formula: True (expected True)" in out
 
 
 def test_stats_n1(capsys):
@@ -235,6 +243,7 @@ def test_stats_n4(capsys):
     out = capsys.readouterr().out
     assert "PASS |V|: 384" in out
     assert "PASS |E|: 768" in out
+    assert "PASS |E(i,j)| formula: True (expected True)" in out
     assert out.count("    8") > 0  # off-diagonal non-complementary entries
 
 

@@ -392,6 +392,8 @@ def test_spent_attempt_budget_named_in_failure(monkeypatch):
     with pytest.raises(cons.StrictModeFailure, match="attempt budget of 5 spent") as caught:
         cons.hamiltonian_cycle(5, FaultSet.build(5))
     assert "scan exhausted" not in str(caught.value)
+    # the attempt that finds the budget gone is not counted
+    assert "attempts=5," in str(caught.value)
 
 
 def test_strict_construction_certified_on_small_n4_families():
