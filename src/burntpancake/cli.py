@@ -36,9 +36,9 @@ EXIT_BUDGET = 4
 
 
 def _load_faults(path: str | None, n: int) -> FaultSet:
-    """The fault set in ``path`` (none if no path), decoded and checked
-    against n.  Its invariants are left to ``validate``: the builders run it,
-    and ``cmd_verify`` runs it itself."""
+    """The fault set in the file at ``path`` (empty when there is none),
+    checked against n.  Its invariants are left to ``validate``: the
+    builders run it, and ``cmd_verify`` runs it itself."""
     if path is None:
         return FaultSet.build(n)
     try:
