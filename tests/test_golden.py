@@ -12,6 +12,8 @@ Groups:
   of n=5, rebuilt from ``trial_rng`` with the acceptance suite's fault
   budgets (fuzz reports hold no vertices);
 - two of the acceptance suite's n=6 smoke instances;
+- ``full_n7``: one full-budget n=7 cycle (|F| = 5), four levels of recursion
+  above BP_3;
 - directed instances that reach each splice orientation a sweep reached;
 - directed instances that reach ``_reconnect_pairings`` in pairings (x1,y2)
   and (x1,x2) and ``_cycle_case3_single`` on both kinds of single;
@@ -172,6 +174,7 @@ GOLDEN = {
     "directed_reconnect": "91989ec876066e35908b64d359d1f019b54c77aa37128cd5d827498542a0f927",
     "bp3_solver": "be288b6ef999d84dd14413d40b34e92de57bec92b5101f4aff6d4fafd0d98d1e",
     "oracle_reports": "c5010afd02dd3ca9643e59c6ce063ae1ec41d7db54194d41ca5aa4f5126da193",
+    "full_n7": "a7f218232cae4a1125721f55f9546ef834ce1ec626f71cd4d38d1bfa200a57b6",
 }
 
 
@@ -213,6 +216,22 @@ def _smoke_n6():
     yield hamiltonian_path(6, u, v, fs)
 
 
+# A full-budget n=7 cycle: one matching pair straddling two subgraphs, two
+# more pairs and two faulty edges (``scale-n7`` seed 1 of the benchmark).
+FULL_N7 = FaultSet.build(
+    7,
+    [
+        [(4, -6, 3, 7, 2, -1, 5), (-5, 1, -2, -7, -3, 6, -4)],
+        [(1, 7, 4, -3, 5, 2, 6), (-2, -5, 3, -4, -7, -1, 6)],
+        [(2, 7, -6, -5, 4, -1, -3), (6, -7, -2, -5, 4, -1, -3)],
+    ],
+    [
+        [(6, 4, -7, -2, -1, -5, -3), (-6, 4, -7, -2, -1, -5, -3)],
+        [(5, 2, -7, -4, -3, -1, -6), (-5, 2, -7, -4, -3, -1, -6)],
+    ],
+)
+
+
 def _directed(instances):
     for _, n, pairs, edges, ends in instances:
         fs = FaultSet.build(n, pairs, edges)
@@ -226,6 +245,7 @@ GROUPS = {
     "smoke_n6": _smoke_n6,
     "directed": lambda: _directed(DIRECTED),
     "directed_reconnect": lambda: _directed(DIRECTED_RECONNECT),
+    "full_n7": lambda: [hamiltonian_cycle(7, FULL_N7)],
 }
 
 
