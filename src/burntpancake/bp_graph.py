@@ -2,11 +2,14 @@
 
 The graph is never materialized: neighbors are computed on demand from the
 signed-permutation algebra.  Vertices with the same last symbol ``i`` form
-the subgraph ``BP_n^i``, which is isomorphic to ``BP_{n-1}``; the recursion
-in the constructor relies on :func:`subgraph_embed` / :func:`lift_all`
-realizing that isomorphism.  :func:`lift_all` maps a whole ``BP_{n-1}``
-result into subgraph ``i`` through one signed relabel table, built once per
-call; :func:`subgraph_lift` is its single-vertex form.
+the subgraph ``BP_n^i``, which is isomorphic to ``BP_{n-1}``; the vertices
+with one suffix of length n-k form a copy of ``BP_k``.  :func:`frame_tables`
+gives that isomorphism as signed relabel tables, and its relabel is strictly
+increasing on signed symbols, so it keeps lexicographic order and commutes
+with the prefix reversals of length up to k.  The constructor relies on
+this to build in BP_n coordinates at every level (:func:`iter_cross_edges`
+takes the suffix); :func:`lift_all` applies one table to a whole list, and
+:func:`subgraph_lift` / :func:`subgraph_embed` are the one-level forms.
 
 Adjacency is tested directly: if ``v`` is the k-th prefix reversal of ``u``,
 the last position where the two differ is k (the symbol arriving there is
@@ -138,23 +141,27 @@ def _signed_perms(symbols: list[int]) -> Iterator[Vertex]:
             yield (head,) + tail
 
 
-def iter_cross_edges(n: int, i: int, j: int) -> Iterator[Edge]:
+def iter_cross_edges(n: int, i: int, j: int, suffix: Vertex = ()) -> Iterator[Edge]:
     """All edges between subgraphs i and j, as (i-side, j-side) pairs.
 
     The i-side endpoint is ``(-j, middle..., i)``, so lexicographic order
     of the endpoints is that of the middles, which are generated in order.
+    With a ``suffix``, BP_n is the subgraph of BP_{n+len(suffix)} whose
+    vertices end in it: every endpoint ends in the suffix too, and the
+    middles run over the symbols the suffix leaves.
     Empty when j == -i; a ValueError, raised at the call, when i == j.
     """
+    fixed = {abs(x) for x in suffix}
     for x in (i, j):
-        if x == 0 or abs(x) > n:
+        if x == 0 or abs(x) > n + len(suffix) or abs(x) in fixed:
             raise ValueError(f"subgraph index {x} out of range for n={n}")
     if i == j:
         raise ValueError(f"cross edges need distinct subgraphs, got {i} twice")
     if i == -j:
         return iter(())
-    rest = [x for x in range(1, n + 1) if x not in (abs(i), abs(j))]
-    sides = ((-j,) + middle + (i,) for middle in _signed_perms(rest))
-    return ((u, out_neighbor(u)) for u in sides)
+    rest = [x for x in range(1, n + len(suffix) + 1) if x not in (abs(i), abs(j)) and x not in fixed]
+    sides = ((-j,) + middle + (i,) + suffix for middle in _signed_perms(rest))
+    return ((u, prefix_reversal(u, n)) for u in sides)
 
 
 def cross_edges(n: int, i: int, j: int) -> list[Edge]:
@@ -201,6 +208,21 @@ def bfs_ball(u: Vertex, radius: int) -> dict[Vertex, int]:
     return seen
 
 
+def frame_tables(n: int, suffix: Vertex) -> tuple[list[int], list[int]]:
+    """(lift, rank): the relabel tables between BP_k, k = n - len(suffix),
+    and the subgraph of BP_n whose vertices end in ``suffix``.  ``lift[x]``
+    is the BP_n symbol for BP_k symbol x, ``rank[y]`` the BP_k symbol for
+    BP_n symbol y (0 for the suffix's own); negative indices count from the end."""
+    fixed = {abs(x) for x in suffix}
+    rest = [a for a in range(1, n + 1) if a not in fixed]
+    if len(rest) != n - len(suffix):  # a repeated or out-of-range symbol
+        raise ValueError(f"suffix {suffix!r} does not fit n={n}")
+    rank = [0] * (2 * n + 1)
+    for r, a in enumerate(rest, start=1):
+        rank[a], rank[-a] = r, -r
+    return [0, *rest, *(-a for a in reversed(rest))], rank
+
+
 def subgraph_embed(u: Vertex) -> Vertex:
     """Map ``u`` in ``BP_n^i`` to the corresponding vertex of ``BP_{n-1}``.
 
@@ -208,31 +230,19 @@ def subgraph_embed(u: Vertex) -> Vertex:
     rank within {1..n} minus |i|, preserving signs.  Prefix reversals with
     k < n commute with this relabeling, so it is a subgraph isomorphism.
     """
-    i = u[-1]
-    rest = sorted(set(range(1, len(u) + 1)) - {abs(i)})
-    rank = {a: r for r, a in enumerate(rest, start=1)}
-    return tuple(rank[abs(x)] * (1 if x > 0 else -1) for x in u[:-1])
+    return tuple(map(frame_tables(len(u), u[-1:])[1].__getitem__, u[:-1]))
 
 
-def lift_all(i: int, vertices: Sequence[Vertex]) -> list[Vertex]:
-    """:func:`subgraph_lift` of each of ``vertices``, all vertices of one ``BP_{n-1}``.
-
-    One relabel table serves the whole list: it maps each signed symbol x of
-    ``BP_{n-1}`` to its image in subgraph ``i`` and is indexed by x itself,
-    so the negative symbols sit at the table's end.
-    """
+def lift_all(suffix: Vertex, vertices: Sequence[Vertex]) -> list[Vertex]:
+    """Each of ``vertices``, all of one ``BP_k``, as the vertex of
+    ``BP_{k+len(suffix)}`` that ends in ``suffix`` and stands for it, through
+    one lift table: the composition of the levels' relabels."""
     if not vertices:
         return []
-    n = len(vertices[0]) + 1
-    if i == 0 or abs(i) > n:
-        raise ValueError(f"subgraph index {i} out of range for n={n}")
-    rest = [a for a in range(1, n + 1) if a != abs(i)]
-    table = [0] + rest + [-a for a in reversed(rest)]
-    look = table.__getitem__
-    tail = (i,)
-    return [tuple(map(look, v)) + tail for v in vertices]
+    look = frame_tables(len(vertices[0]) + len(suffix), suffix)[0].__getitem__
+    return [tuple(map(look, v)) + suffix for v in vertices]
 
 
 def subgraph_lift(i: int, v: Vertex) -> Vertex:
     """Inverse of :func:`subgraph_embed` into subgraph ``i`` of ``BP_{len(v)+1}``."""
-    return lift_all(i, [v])[0]
+    return lift_all((i,), [v])[0]

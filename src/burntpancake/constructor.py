@@ -14,6 +14,19 @@ a pair to one side leaves one forbidden vertex there.  Cases driven purely
 by pairs and edges follow the fixed case tree; scans needed only when
 singles are present carry ``EXT/`` labels.
 
+Every level works in BP_n coordinates.  The level-m subgraph being built
+is the set of BP_n vertices with one suffix (positions m..n-1, kept in
+``_Faults.suffix``): there the out-neighbour of x is ``prefix_reversal(x,
+m)``, its subgraph index is ``x[m-1]``, the indices are the signed symbols
+the suffix leaves, in the canonical 1, -1, 2, -2, ... order, and cross
+edges carry the suffix.  Only the BP_3 leaf translates: it maps its faults
+and endpoints into BP_3 coordinates, so the memo keys and stored tables
+are those of BP_3, and lifts its result once.  The output is what a build
+that relabels at every level gives: each relabel is strictly increasing on
+signed symbols and commutes with negation and with prefix reversals of
+length up to m, so every lexicographic scan, sort and tie-break sees the
+same sequence, and the top level's relabel is the identity.
+
 A splice replaces an edge (s, t) of a path or ring with a detour that
 leaves s and returns to t.  Where (s, t) can lie either way round on a
 path, ``_splice`` does the work: it builds the detour's bridge chain from
@@ -30,7 +43,7 @@ carries no partial trace.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain, islice
 
@@ -43,9 +56,7 @@ from .bp_graph import (
     index_sort_key,
     iter_cross_edges,
     last_symbol,
-    lift_all,
-    out_neighbor,
-    subgraph_embed,
+    frame_tables,
     subgraph_indices,
 )
 from .fault_model import FaultSet, validate
@@ -134,6 +145,7 @@ class _Faults:
     pairs: tuple[Pair, ...] = ()
     singles: tuple[Vertex, ...] = ()
     edges: tuple[Pair, ...] = ()
+    suffix: Vertex = ()  # the symbols every vertex of this level ends in
 
     @staticmethod
     def from_fault_set(fs: FaultSet) -> "_Faults":
@@ -162,61 +174,62 @@ class _Faults:
         return len(self.pairs) + len(self.singles) + len(self.edges)
 
     @cached_property
+    def indices(self) -> list[int]:
+        # the symbols the suffix leaves, in canonical order
+        fixed = {abs(x) for x in self.suffix}
+        return [i for i in subgraph_indices(self.n + len(self.suffix)) if abs(i) not in fixed]
+
+    @cached_property
     def has_singles_anywhere(self) -> bool:
-        return bool(self.singles) or any(a[-1] != b[-1] for a, b in self.pairs)
+        p = self.n - 1
+        return bool(self.singles) or any(a[p] != b[p] for a, b in self.pairs)
 
     def without_pair(self, pair: Pair) -> "_Faults":
-        return _Faults(self.n, tuple(p for p in self.pairs if p != pair), self.singles, self.edges)
+        return replace(self, pairs=tuple(p for p in self.pairs if p != pair))
 
     def without_single(self, v: Vertex) -> "_Faults":
-        return _Faults(self.n, self.pairs, tuple(s for s in self.singles if s != v), self.edges)
+        return replace(self, singles=tuple(s for s in self.singles if s != v))
 
     def without_edge(self, e: Pair) -> "_Faults":
-        return _Faults(self.n, self.pairs, self.singles, tuple(x for x in self.edges if x != e))
+        return replace(self, edges=tuple(x for x in self.edges if x != e))
 
 
 def _weights(f: _Faults) -> dict[int, int]:
     """Per-subgraph fault weight: intra elements plus straddling touches."""
-    w = {i: 0 for i in subgraph_indices(f.n)}
+    p = f.n - 1
+    w = dict.fromkeys(f.indices, 0)
     for a, b in f.pairs:
-        w[a[-1]] += 1
-        if b[-1] != a[-1]:
-            w[b[-1]] += 1
+        w[a[p]] += 1
+        if b[p] != a[p]:
+            w[b[p]] += 1
     for s in f.singles:
-        w[s[-1]] += 1
+        w[s[p]] += 1
     for a, b in f.edges:
-        if a[-1] == b[-1]:
-            w[a[-1]] += 1
+        if a[p] == b[p]:
+            w[a[p]] += 1
     return w
 
 
 def _restrict_embed(f: _Faults, i: int) -> _Faults:
-    """Faults of subgraph ``i`` mapped into BP_{n-1} coordinates.
+    """Faults of subgraph ``i``, one level down.  Vertices keep their BP_n
+    coordinates: the subgraph is the vertices whose suffix is ``f.suffix``
+    with i put in front, so this only filters, and only the BP_3 leaf
+    translates.
 
     A pair with only one endpoint in the subgraph degrades to a single.
     Cross edges (faulty edges with endpoints in two subgraphs) vanish here;
     they only constrain junction selection.
     """
+    p = f.n - 1
     pairs: list[Pair] = []
-    singles: list[Vertex] = []
-    edges: list[Pair] = []
+    singles = [s for s in f.singles if s[p] == i]
     for a, b in f.pairs:
-        ina, inb = a[-1] == i, b[-1] == i
-        if ina and inb:
-            ea, eb = subgraph_embed(a), subgraph_embed(b)
-            pairs.append((ea, eb) if ea <= eb else (eb, ea))
-        elif ina:
-            singles.append(subgraph_embed(a))
-        elif inb:
-            singles.append(subgraph_embed(b))
-    for s in f.singles:
-        if s[-1] == i:
-            singles.append(subgraph_embed(s))
-    for a, b in f.edges:
-        if a[-1] == i and b[-1] == i:
-            ea, eb = subgraph_embed(a), subgraph_embed(b)
-            edges.append((ea, eb) if ea <= eb else (eb, ea))
-    return _Faults(f.n - 1, tuple(sorted(pairs)), tuple(sorted(singles)), tuple(sorted(edges)))
+        if a[p] == i and b[p] == i:
+            pairs.append(edge_key(a, b))
+        elif a[p] == i or b[p] == i:
+            singles.append(a if a[p] == i else b)
+    edges = [edge_key(a, b) for a, b in f.edges if a[p] == i and b[p] == i]
+    return _Faults(f.n - 1, tuple(sorted(pairs)), tuple(sorted(singles)), tuple(sorted(edges)), (i, *f.suffix))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +244,8 @@ class _Ctx:
     note: str = ""
 
     def spend(self) -> bool:
-        """Account one candidate attempt; False once the budget is gone."""
+        """Charge one rejected candidate; False once the budget is gone.
+        Successes are not charged: the recursion tree bounds them."""
         if self.exhausted:
             return False
         if self.attempts == self.max_attempts:
@@ -386,7 +400,24 @@ def _bp3_search_cycle(
     return _bp3_cycle_cache[key]
 
 
+def _leaf_view(f: _Faults):
+    """The BP_3 leaf's ``embed`` of a vertex into BP_3 coordinates (one rank
+    table), ``lift`` of a list of BP_3 vertices back (the composed relabel
+    table and the suffix), and its removed vertices and faulty edges embedded."""
+    up, down = frame_tables(3 + len(f.suffix), f.suffix)
+    suffix = f.suffix
+
+    def embed(x: Vertex) -> Vertex:
+        return down[x[0]], down[x[1]], down[x[2]]
+
+    def lift(path) -> list[Vertex]:
+        return [(up[a], up[b], up[c], *suffix) for a, b, c in path]
+
+    return embed, lift, frozenset(map(embed, f.removed)), frozenset((embed(a), embed(b)) for a, b in f.edge_set)
+
+
 def _cycle_bp3(f: _Faults, ctx: _Ctx):
+    embed, lift, removed, banned = _leaf_view(f)
     if len(f.pairs) == 1 and not f.singles and not f.edges:
         # Single stored pair: translate the matching canonical fixture, since
         # left translation is a vertex-transitive automorphism family.  The
@@ -394,9 +425,9 @@ def _cycle_bp3(f: _Faults, ctx: _Ctx):
         # larger endpoint keeps identity-anchored pairs on the raw fixture.
         a, b = f.pairs[0]
         k = edge_dimension(a, b)
-        verts = [left_translate(b, x) for x in PAIR_CYCLES[k]]
-        return verts, CaseTrace(f"L13/{k}", {"pair": [format_vertex(a), format_vertex(b)]})
-    got = _bp3_search_cycle(f.removed, f.edge_set)
+        verts = [left_translate(embed(b), x) for x in PAIR_CYCLES[k]]
+        return lift(verts), CaseTrace(f"L13/{k}", {"pair": [format_vertex(a), format_vertex(b)]})
+    got = _bp3_search_cycle(removed, banned)
     if got is None:
         return None
     if f.weight == 0:
@@ -405,15 +436,16 @@ def _cycle_bp3(f: _Faults, ctx: _Ctx):
         label = "L13/edge"
     else:
         label = "EXT/bp3-cycle"
-    return list(got), CaseTrace(label, {})
+    return lift(got), CaseTrace(label, {})
 
 
 def _path_bp3(u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
-    got = _bp3_search_path(f.removed, f.edge_set, u, v)
+    embed, lift, removed, banned = _leaf_view(f)
+    got = _bp3_search_path(removed, banned, embed(u), embed(v))
     if got is None:
         return None
     label = "BP3/path" if f.weight == 0 else "EXT/bp3-path"
-    return list(got), CaseTrace(label, {})
+    return lift(got), CaseTrace(label, {})
 
 
 # ---------------------------------------------------------------------------
@@ -466,23 +498,17 @@ def order_subgraphs(indices, first: int, last: int) -> tuple[int, ...]:
 
 def _subgraph(n: int, i: int, f: _Faults, ctx: _Ctx, a: Vertex | None = None, b: Vertex | None = None):
     """Hamiltonian cycle of subgraph ``i`` minus its faults, or with ``a`` and
-    ``b`` given a Hamiltonian path between them, via recursion."""
+    ``b`` given a Hamiltonian path between them, via recursion.  The result
+    is in BP_n coordinates already; a spent budget refuses at once."""
     cycle = a is None
-    if not cycle and a == b:
+    if ctx.exhausted or (not cycle and a == b):
         return None
     fi = _restrict_embed(f, i)
     if fi.weight > (n - 1) - (2 if cycle else 3) and not f.has_singles_anywhere:
         raise InternalInvariantError(
             f"{'cycle' if cycle else 'path'} recursion into subgraph {i} with weight {fi.weight} at n={n - 1}"
         )
-    if cycle:
-        res = _cycle(n - 1, fi, ctx)
-    else:
-        res = _path(n - 1, subgraph_embed(a), subgraph_embed(b), fi, ctx)
-    if res is None:
-        return None
-    verts, tr = res
-    return lift_all(i, verts), tr
+    return _cycle(n - 1, fi, ctx) if cycle else _path(n - 1, a, b, fi, ctx)
 
 
 @dataclass(frozen=True)
@@ -498,7 +524,7 @@ class _cross_candidates:
 
     def __iter__(self) -> Iterator[Edge]:
         removed, edge_set = self.f.removed, self.f.edge_set
-        for x, y in iter_cross_edges(self.n, self.i, self.j):
+        for x, y in iter_cross_edges(self.n, self.i, self.j, self.f.suffix):
             if x in removed or y in removed or edge_key(x, y) in edge_set:
                 continue
             yield x, y
@@ -515,7 +541,7 @@ def _chain(n: int, I, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
     if a subgraph refuses a junction pair, the next candidate cross edge is
     tried before failing.
     """
-    j1, j2 = last_symbol(u), last_symbol(v)
+    j1, j2 = u[n - 1], v[n - 1]
     if j1 == j2:
         raise InternalInvariantError("chain endpoints in one subgraph")
     try:
@@ -535,15 +561,13 @@ def _chain(n: int, I, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
         for x, y in _cross_candidates(n, ordering[t], ordering[t + 1], f):
             if x == entry or (t + 1 == m - 1 and y == v):
                 continue
-            if not ctx.spend():
-                return None
             seg = _subgraph(n, ordering[t], f, ctx, entry, x)
-            if seg is None:
-                continue
-            rest = solve(t + 1, y)
+            rest = None if seg is None else solve(t + 1, y)
             if rest is not None:
                 rest.append(seg)
                 return rest
+            if not ctx.spend():
+                return None
         return None
 
     got = solve(0, u)
@@ -561,8 +585,8 @@ def _loop(n: int, I, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
     out-neighbors are fault-free and land in distinct member subgraphs, and
     splices a chain over the remaining subgraphs into that edge.
     """
-    k1 = last_symbol(u)
-    if last_symbol(v) != k1:
+    k1 = u[n - 1]
+    if v[n - 1] != k1:
         raise InternalInvariantError("loop endpoints must share a subgraph")
     base = _subgraph(n, k1, f, ctx, u, v)
     if base is None:
@@ -573,17 +597,17 @@ def _loop(n: int, I, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
     avoid = f.fault_vertices
     for pos in range(len(path) - 1):
         x, y = path[pos], path[pos + 1]
-        nx, ny = out_neighbor(x), out_neighbor(y)
+        nx, ny = prefix_reversal(x, n), prefix_reversal(y, n)
         if nx in avoid or ny in avoid:
             continue
-        if last_symbol(nx) not in rest_set or last_symbol(ny) not in rest_set:
+        if nx[n - 1] not in rest_set or ny[n - 1] not in rest_set:
             continue
-        if last_symbol(nx) == last_symbol(ny):
+        if nx[n - 1] == ny[n - 1]:
             raise InternalInvariantError("out-neighbors of adjacent vertices share a subgraph")
-        if not ctx.spend():
-            return None
         bridge = _chain(n, rest, nx, ny, f, ctx)
         if bridge is None:
+            if not ctx.spend():
+                return None
             continue
         bridge_vertices, bridge_trace = bridge
         full = path[: pos + 1] + bridge_vertices + path[pos + 1 :]
@@ -594,7 +618,7 @@ def _loop(n: int, I, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
 
 def _connector(n: int, I, a: Vertex, b: Vertex, f: _Faults, ctx: _Ctx):
     """Chain or loop over ``I`` from a to b, picked by endpoint subgraphs."""
-    if last_symbol(a) == last_symbol(b):
+    if a[n - 1] == b[n - 1]:
         if a == b:
             return None
         return _loop(n, I, a, b, f, ctx)
@@ -659,7 +683,7 @@ def _splice(n: int, I, P: list[Vertex], pos: dict[Vertex, int], s: Vertex, t: Ve
 
 def _usable_stub(x: Vertex, f: _Faults) -> Vertex | None:
     """Out-neighbor of a splice stub if the hop is fault-free, else None."""
-    nx = out_neighbor(x)
+    nx = prefix_reversal(x, f.n)
     if nx in f.removed or edge_key(x, nx) in f.edge_set:
         return None
     return nx
@@ -673,8 +697,7 @@ def _cycle(n: int, f: _Faults, ctx: _Ctx):
     if n == 3:
         return _cycle_bp3(f, ctx)
     ws = _weights(f)
-    order = subgraph_indices(n)
-    istar = max(order, key=lambda i: ws[i])  # canonical order breaks ties
+    istar = max(f.indices, key=lambda i: ws[i])  # canonical order breaks ties
     wmax = ws[istar]
     edge_only = not f.pairs and not f.singles
     if wmax > n - 2:
@@ -690,15 +713,15 @@ def _cycle(n: int, f: _Faults, ctx: _Ctx):
 
 def _cycle_via_chain(n: int, f: _Faults, ctx: _Ctx, istar: int, label: str):
     """Close a chain over all 2n subgraphs through one chosen cross edge."""
-    order = subgraph_indices(n)
+    order = f.indices
     for j in order:
         if j in (istar, -istar):
             continue
         for x, y in _cross_candidates(n, istar, j, f):
-            if not ctx.spend():
-                return None
             got = _chain(n, order, x, y, f, ctx)
             if got is None:
+                if not ctx.spend():
+                    return None
                 continue
             vertices, tr = got
             return vertices, CaseTrace(label, {"close": [format_vertex(x), format_vertex(y)]}, [tr])
@@ -706,7 +729,7 @@ def _cycle_via_chain(n: int, f: _Faults, ctx: _Ctx, istar: int, label: str):
 
 
 def _cycle_case2(n: int, f: _Faults, ctx: _Ctx, istar: int, ws: dict[int, int]):
-    others = [j for j in subgraph_indices(n) if j != istar]
+    others = [j for j in f.indices if j != istar]
     maxw = max(ws[j] for j in others)
     if maxw == 0:
         candidates = [j for j in others if j not in (istar, -istar)][:1]
@@ -733,7 +756,7 @@ def _cycle_case21(n: int, f: _Faults, ctx: _Ctx, istar: int, i2: int):
         return None
     C2, tr2 = c2
     idx1, idx2 = _ring_index(C1), _ring_index(C2)
-    rest = [j for j in subgraph_indices(n) if j not in (istar, i2)]
+    rest = [j for j in f.indices if j not in (istar, i2)]
     for s in sorted(C1):
         if -s[0] != i2:
             continue
@@ -742,18 +765,16 @@ def _cycle_case21(n: int, f: _Faults, ctx: _Ctx, istar: int, i2: int):
             continue
         for t in _ring_neighbors(C1, idx1, s):
             nt = _usable_stub(t, f)
-            if nt is None or last_symbol(nt) == i2:
+            if nt is None or nt[n - 1] == i2:
                 continue
             for s1 in _ring_neighbors(C2, idx2, ns):
                 ns1 = _usable_stub(s1, f)
-                if ns1 is None or last_symbol(ns1) == istar:
+                if ns1 is None or ns1[n - 1] in (istar, nt[n - 1]):
                     continue
-                if last_symbol(ns1) == last_symbol(nt):
-                    continue
-                if not ctx.spend():
-                    return None
                 bridge = _chain(n, rest, ns1, nt, f, ctx)
                 if bridge is None:
+                    if not ctx.spend():
+                        return None
                     continue
                 bv, trb = bridge
                 full = _open_ring(C1, idx1, t, s) + _open_ring(C2, idx2, ns, s1) + bv
@@ -779,7 +800,7 @@ def _cycle_case22(n: int, f: _Faults, ctx: _Ctx, istar: int):
         ns = _usable_stub(s, f)
         if ns is None:
             continue
-        h = last_symbol(ns)
+        h = ns[n - 1]
         for z in sorted(CB):
             if -z[0] != h:
                 continue
@@ -788,21 +809,23 @@ def _cycle_case22(n: int, f: _Faults, ctx: _Ctx, istar: int):
                 continue
             for t in _ring_neighbors(C1, idx1, s):
                 nt = _usable_stub(t, f)
-                if nt is None or last_symbol(nt) == h:
+                if nt is None or nt[n - 1] == h:
                     continue
                 for w in _ring_neighbors(CB, idxb, z):
                     nw = _usable_stub(w, f)
-                    if nw is None or last_symbol(nw) in (h, last_symbol(nt)):
+                    if nw is None or nw[n - 1] in (h, nt[n - 1]):
                         continue
-                    if not ctx.spend():
-                        return None
                     mid = _subgraph(n, h, f, ctx, ns, nz)
                     if mid is None:
+                        if not ctx.spend():
+                            return None
                         break  # the h-path does not depend on t, w
                     mv, trm = mid
-                    rest = [j for j in subgraph_indices(n) if j not in (istar, -istar, h)]
+                    rest = [j for j in f.indices if j not in (istar, -istar, h)]
                     bridge = _chain(n, rest, nw, nt, f, ctx)
                     if bridge is None:
+                        if not ctx.spend():
+                            return None
                         continue
                     bv, trc = bridge
                     full = (
@@ -820,14 +843,15 @@ def _cycle_case22(n: int, f: _Faults, ctx: _Ctx, istar: int):
 def _cycle_case3(n: int, f: _Faults, ctx: _Ctx, istar: int):
     """All fault weight in one subgraph: re-admit one removed element, build
     the subgraph cycle through it, excise it, and reconnect outside."""
-    intra_pairs = sorted(p for p in f.pairs if p[0][-1] == istar and p[1][-1] == istar)
+    p = n - 1
+    intra_pairs = sorted(x for x in f.pairs if x[0][p] == istar and x[1][p] == istar)
     for pair in intra_pairs:
         res = _cycle_case3_pair(n, f, ctx, istar, pair)
         if res is not None:
             return res
     single_candidates = sorted(
-        {s for s in f.singles if s[-1] == istar}
-        | {e for p in f.pairs if p[0][-1] != p[1][-1] for e in p if e[-1] == istar}
+        {s for s in f.singles if s[p] == istar}
+        | {e for x in f.pairs if x[0][p] != x[1][p] for e in x if e[p] == istar}
     )
     for sv in single_candidates:
         res = _cycle_case3_single(n, f, ctx, istar, sv)
@@ -872,7 +896,7 @@ def _cycle_case3_single(n: int, f: _Faults, ctx: _Ctx, istar: int, sv: Vertex):
     else:
         # sv's pair straddles two subgraphs: its partner outside stays avoided
         other = pair[0] if pair[1] == sv else pair[1]
-        reduced = _Faults(f.n, f.without_pair(pair).pairs, tuple(sorted({*f.singles, other})), f.edges)
+        reduced = replace(f.without_pair(pair), singles=tuple(sorted({*f.singles, other})))
     c1 = _subgraph(n, istar, reduced, ctx)
     if c1 is None:
         return None
@@ -894,7 +918,7 @@ def _cycle_case3_single(n: int, f: _Faults, ctx: _Ctx, istar: int, sv: Vertex):
 def _cycle_edge_excise(n: int, f: _Faults, ctx: _Ctx, istar: int):
     """Edge-fault-only heavy subgraph: re-admit one faulty edge for the
     recursive cycle, then erase it (or any cycle edge) by routing outside."""
-    intra = sorted(e for e in f.edges if e[0][-1] == istar and e[1][-1] == istar)
+    intra = sorted(e for e in f.edges if e[0][n - 1] == istar and e[1][n - 1] == istar)
     for e in intra:
         reduced = f.without_edge(e)
         c1 = _subgraph(n, istar, reduced, ctx)
@@ -933,7 +957,7 @@ def _reconnect_one_arc(n: int, f: _Faults, ctx: _Ctx, istar: int, arc: list[Vert
     np_, nq = _usable_stub(p, f), _usable_stub(q, f)
     if np_ is None or nq is None:
         return None
-    rest = [j for j in subgraph_indices(n) if j != istar]
+    rest = [j for j in f.indices if j != istar]
     bridge = _connector(n, rest, nq, np_, f, ctx)
     if bridge is None:
         return None
@@ -970,8 +994,8 @@ def _reconnect_two_arcs(
     ny1, ny2 = _usable_stub(y1, f), _usable_stub(y2, f)
     if None in (nx1, nx2, ny1, ny2):
         return None
-    sx1, sx2 = last_symbol(nx1), last_symbol(nx2)
-    sy1, sy2 = last_symbol(ny1), last_symbol(ny2)
+    sx1, sx2 = nx1[n - 1], nx2[n - 1]
+    sy1, sy2 = ny1[n - 1], ny2[n - 1]
     if abs(sx1) == abs(sx2) or abs(sy1) == abs(sy2):
         raise InternalInvariantError("stub out-subgraphs of one excised vertex coincide or are complementary")
     distinct = len({sx1, sx2, sy1, sy2})
@@ -1006,25 +1030,23 @@ def _reconnect_pairings(
         for A in (arc_a[::-1], arc_a):
             p_stub, other_b = B[-1], B[0]
             q_stub, other_a = A[0], A[-1]
-            np_, nq = out_neighbor(p_stub), out_neighbor(q_stub)
-            sp, sq = last_symbol(np_), last_symbol(nq)
-            nob, noa = out_neighbor(other_b), out_neighbor(other_a)
-            sob, soa = last_symbol(nob), last_symbol(noa)
+            np_, nq = prefix_reversal(p_stub, n), prefix_reversal(q_stub, n)
+            sp, sq = np_[n - 1], nq[n - 1]
+            nob, noa = prefix_reversal(other_b, n), prefix_reversal(other_a, n)
+            sob, soa = nob[n - 1], noa[n - 1]
 
             if sp == -sq:
                 continue  # complementary pair: no cross edges between them
             conn1_subgraphs = (sp,) if sp == sq else (sp, sq)
             if soa in conn1_subgraphs or sob in conn1_subgraphs:
                 continue
-            rest = [j for j in subgraph_indices(n) if j != istar and j not in conn1_subgraphs]
+            rest = [j for j in f.indices if j != istar and j not in conn1_subgraphs]
 
             if sp == sq:
                 conn1 = _subgraph(n, sp, f, ctx, np_, nq)
             else:
                 conn1 = _chain(n, conn1_subgraphs, np_, nq, f, ctx)
             if conn1 is None:
-                if ctx.exhausted:
-                    return None
                 continue
             c1v, tr1 = conn1
 
@@ -1052,9 +1074,9 @@ def _reconnect_same_side(
     out-neighbor reaches a free stub's subgraph, and re-enter the second
     piece from the outside chain.
     """
-    e_hi, e_lo = out_neighbor(eq_arc[-1]), out_neighbor(eq_arc[0])
-    h = last_symbol(e_hi)
-    ends = out_neighbor(free_arc[0]), out_neighbor(free_arc[-1])
+    e_hi, e_lo = prefix_reversal(eq_arc[-1], n), prefix_reversal(eq_arc[0], n)
+    h = e_hi[n - 1]
+    ends = prefix_reversal(free_arc[0], n), prefix_reversal(free_arc[-1], n)
     base = _subgraph(n, h, f, ctx, e_hi, e_lo)
     if base is None:
         return None
@@ -1066,27 +1088,23 @@ def _reconnect_same_side(
         ns, nt = _usable_stub(s, f), _usable_stub(t, f)
         if ns is None or nt is None:
             continue
-        snt = last_symbol(nt)
+        snt = nt[n - 1]
         if snt == istar:
             continue
         for free_dir, mid_target, chain_start in options:
-            mid_sub = last_symbol(mid_target)
-            if last_symbol(ns) != mid_sub or ns == mid_target:
+            mid_sub = mid_target[n - 1]
+            if ns[n - 1] != mid_sub or ns == mid_target or snt == mid_sub:
                 continue
-            if snt == mid_sub:
-                continue
-            if not ctx.spend():
-                return None
             mid = _subgraph(n, mid_sub, f, ctx, ns, mid_target)
-            if mid is None:
-                continue
-            mv, tr_mid = mid
             # the free stubs lead into two subgraphs other than h, so
             # chain_start lies outside h and mid_sub, among the 2n-3 in rest
-            rest = [j for j in subgraph_indices(n) if j not in (istar, h, mid_sub)]
-            bridge = _connector(n, rest, chain_start, nt, f, ctx)
+            rest = [j for j in f.indices if j not in (istar, h, mid_sub)]
+            bridge = mid and _connector(n, rest, chain_start, nt, f, ctx)
             if bridge is None:
+                if not ctx.spend():
+                    return None
                 continue
+            mv, tr_mid = mid
             bv, trb = bridge
             full = eq_arc + ph[: pos + 1] + mv + free_dir + bv + ph[pos + 1 :]
             return full, CaseTrace(
@@ -1105,9 +1123,9 @@ def _reconnect_double_split(
     whose s leads into h2; R2 is opened at the P2 edge (ns, z), and a chain
     over the remaining subgraphs runs from z's out-neighbor back to t's.
     """
-    nx1, ny1 = out_neighbor(arc_b[-1]), out_neighbor(arc_b[0])
-    nx2, ny2 = out_neighbor(arc_a[0]), out_neighbor(arc_a[-1])
-    h1, h2 = last_symbol(nx1), last_symbol(nx2)
+    nx1, ny1 = prefix_reversal(arc_b[-1], n), prefix_reversal(arc_b[0], n)
+    nx2, ny2 = prefix_reversal(arc_a[0], n), prefix_reversal(arc_a[-1], n)
+    h1, h2 = nx1[n - 1], nx2[n - 1]
     p1 = _subgraph(n, h1, f, ctx, nx1, ny1)
     if p1 is None:
         return None
@@ -1119,29 +1137,27 @@ def _reconnect_double_split(
     R1 = arc_b + P1  # y1 .. x1, nx1 .. ny1
     R2 = P2 + arc_a[::-1]  # nx2 .. ny2, y2 .. x2
     pos1, pos2 = _ring_index(R1), _ring_index(R2)
-    rest = [j for j in subgraph_indices(n) if j not in (istar, h1, h2)]
+    rest = [j for j in f.indices if j not in (istar, h1, h2)]
     for i1 in range(len(P1) - 1):
         for s, t in ((P1[i1], P1[i1 + 1]), (P1[i1 + 1], P1[i1])):
             ns, nt = _usable_stub(s, f), _usable_stub(t, f)
             if ns is None or nt is None:
                 continue
-            if last_symbol(ns) != h2:
-                continue
-            if last_symbol(nt) in (istar, h2):
+            if ns[n - 1] != h2 or nt[n - 1] in (istar, h2):
                 continue
             i2 = pos2[ns]
             for z in (P2[i2 - 1] if i2 > 0 else None, P2[i2 + 1] if i2 + 1 < len(P2) else None):
                 if z is None:
                     continue
                 nz = _usable_stub(z, f)
-                if nz is None or last_symbol(nz) in (istar, h1):
+                if nz is None or nz[n - 1] in (istar, h1):
                     continue
-                if last_symbol(nz) == last_symbol(nt):
+                if nz[n - 1] == nt[n - 1]:
                     raise InternalInvariantError("double-split chain endpoints coincide")
-                if not ctx.spend():
-                    return None
                 got = _splice(n, rest, R1, pos1, s, t, lambda: _open_ring(R2, pos2, ns, z), nz, nt, f, ctx)
                 if got is None:
+                    if not ctx.spend():
+                        return None
                     continue
                 full, trb = got
                 return full, CaseTrace(label, {"h1": h1, "h2": h2}, [tr1, tr2, trb])
@@ -1158,7 +1174,7 @@ def _path(n: int, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
     if n == 3:
         return _path_bp3(u, v, f, ctx)
     ws = _weights(f)
-    order = subgraph_indices(n)
+    order = f.indices
     wmax = max(ws.values())
     if wmax <= n - 4 or wmax > n - 3:
         label = "L19/1" if wmax <= n - 4 else "EXT/path-heavy"
@@ -1186,7 +1202,7 @@ def _path_case2(n: int, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx, istar: int)
         return None
     C1, tr1 = c1
     idx1 = _ring_index(C1)
-    j1, j2 = last_symbol(u), last_symbol(v)
+    j1, j2 = u[n - 1], v[n - 1]
     scope = len({istar, j1, j2})
 
     if scope == 3:
@@ -1203,13 +1219,13 @@ def _path_case2(n: int, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx, istar: int)
 def _path_c2_outside_two(n, u, v, f, ctx, istar, C1, idx1, tr1):
     """Endpoints in two distinct subgraphs, both outside the heavy one."""
     options = []
-    if last_symbol(u) != -istar:
+    if u[n - 1] != -istar:
         options.append((u, v, False))
-    if last_symbol(v) != -istar:
+    if v[n - 1] != -istar:
         options.append((v, u, True))
     for e_x, e_y, swapped in options:
-        jx = last_symbol(e_x)
-        rest = [j for j in subgraph_indices(n) if j not in (istar, jx)]
+        jx = e_x[n - 1]
+        rest = [j for j in f.indices if j not in (istar, jx)]
         for s in sorted(C1):
             if -s[0] != jx:
                 continue
@@ -1218,16 +1234,18 @@ def _path_c2_outside_two(n, u, v, f, ctx, istar, C1, idx1, tr1):
                 continue
             for s1 in _ring_neighbors(C1, idx1, s):
                 ns1 = _usable_stub(s1, f)
-                if ns1 is None or last_symbol(ns1) == jx or ns1 == e_y:
+                if ns1 is None or ns1[n - 1] == jx or ns1 == e_y:
                     continue
-                if not ctx.spend():
-                    return None
                 first = _subgraph(n, jx, f, ctx, e_x, ns)
                 if first is None:
+                    if not ctx.spend():
+                        return None
                     break  # independent of s1
                 fv, trf = first
                 bridge = _connector(n, rest, ns1, e_y, f, ctx)
                 if bridge is None:
+                    if not ctx.spend():
+                        return None
                     continue
                 bv, trb = bridge
                 full = fv + _open_ring(C1, idx1, s, s1) + bv
@@ -1239,16 +1257,16 @@ def _path_c2_outside_two(n, u, v, f, ctx, istar, C1, idx1, tr1):
 
 def _path_c2_endpoint_inside(n, u, v, f, ctx, istar, C1, idx1, tr1):
     """One endpoint inside the heavy subgraph, the other outside."""
-    e_in, e_out, swapped = (u, v, False) if last_symbol(u) == istar else (v, u, True)
-    rest = [j for j in subgraph_indices(n) if j != istar]
+    e_in, e_out, swapped = (u, v, False) if u[n - 1] == istar else (v, u, True)
+    rest = [j for j in f.indices if j != istar]
     for u1 in _ring_neighbors(C1, idx1, e_in):
         nu1 = _usable_stub(u1, f)
         if nu1 is None or nu1 == e_out:
             continue
-        if not ctx.spend():
-            return None
         bridge = _connector(n, rest, nu1, e_out, f, ctx)
         if bridge is None:
+            if not ctx.spend():
+                return None
             continue
         bv, trb = bridge
         full = _open_ring(C1, idx1, e_in, u1) + bv
@@ -1262,13 +1280,13 @@ def _path_c2_outside_pair(n, u, v, f, ctx, istar, C1, idx1, tr1):
     """Both endpoints in one subgraph j (not the complement of the heavy one):
     cover j endpoint-to-endpoint, then splice the heavy cycle and the rest
     into an edge of that path whose one side crosses into the heavy subgraph."""
-    j = last_symbol(u)
+    j = u[n - 1]
     base = _subgraph(n, j, f, ctx, u, v)
     if base is None:
         return None
     P, trp = base
     pos = _ring_index(P)
-    rest = [q for q in subgraph_indices(n) if q not in (istar, j)]
+    rest = [q for q in f.indices if q not in (istar, j)]
     for i in range(len(P) - 1):
         for s, t in ((P[i], P[i + 1]), (P[i + 1], P[i])):
             if -s[0] != istar:
@@ -1277,18 +1295,18 @@ def _path_c2_outside_pair(n, u, v, f, ctx, istar, C1, idx1, tr1):
             if ns is None or ns not in idx1:
                 continue
             nt = _usable_stub(t, f)
-            if nt is None or last_symbol(nt) == istar:
+            if nt is None or nt[n - 1] == istar:
                 continue
             for z in _ring_neighbors(C1, idx1, ns):
                 nz = _usable_stub(z, f)
-                if nz is None or last_symbol(nz) == j:
+                if nz is None or nz[n - 1] == j:
                     continue
-                if last_symbol(nz) == last_symbol(nt):
+                if nz[n - 1] == nt[n - 1]:
                     raise InternalInvariantError("outside-pair chain endpoints coincide")
-                if not ctx.spend():
-                    return None
                 got = _splice(n, rest, P, pos, s, t, lambda: _open_ring(C1, idx1, ns, z), nz, nt, f, ctx)
                 if got is None:
+                    if not ctx.spend():
+                        return None
                     continue
                 full, trb = got
                 return full, CaseTrace("L19/2.2", {"shape": "outside-pair", "j": j}, [tr1, trp, trb])
@@ -1309,40 +1327,37 @@ def _path_c2_complement_pair(n, u, v, f, ctx, istar, C1, idx1, tr1):
             ns = _usable_stub(s, f)
             if ns is None:
                 continue
-            g = last_symbol(ns)
+            g = ns[n - 1]
             if g == istar:
                 continue
             nt = _usable_stub(t, f)
-            if nt is None or last_symbol(nt) in (istar, g):
+            if nt is None or nt[n - 1] in (istar, g):
                 continue
             for z0, w0 in ring_edges:
                 for z, w in ((z0, w0), (w0, z0)):
                     nz = _usable_stub(z, f)
-                    if nz is None or last_symbol(nz) != g or nz == ns:
+                    if nz is None or nz[n - 1] != g or nz == ns:
                         continue
                     nw = _usable_stub(w, f)
-                    if nw is None or last_symbol(nw) == g or last_symbol(nw) == last_symbol(nt):
+                    if nw is None or nw[n - 1] in (g, nt[n - 1]):
                         continue
-                    if not ctx.spend():
-                        return None
                     mid = _subgraph(n, g, f, ctx, ns, nz)
-                    if mid is None:
-                        continue
-                    mv, trm = mid
-                    rest = [q for q in subgraph_indices(n) if q not in (istar, -istar, g)]
-                    got = _splice(n, rest, P, pos, s, t, lambda: mv + _open_ring(C1, idx1, z, w), nw, nt, f, ctx)
+                    rest = [q for q in f.indices if q not in (istar, -istar, g)]
+                    got = mid and _splice(n, rest, P, pos, s, t, lambda: mid[0] + _open_ring(C1, idx1, z, w), nw, nt, f, ctx)
                     if got is None:
+                        if not ctx.spend():
+                            return None
                         continue
                     full, trb = got
                     return full, CaseTrace(
-                        "L19/2.2", {"shape": "complement-pair", "g": g}, [tr1, trp, trm, trb]
+                        "L19/2.2", {"shape": "complement-pair", "g": g}, [tr1, trp, mid[1], trb]
                     )
     return None
 
 
 def _path_c2_inside_pair(n, u, v, f, ctx, istar, C1, idx1, tr1):
     """Both endpoints inside the heavy subgraph."""
-    rest = [q for q in subgraph_indices(n) if q != istar]
+    rest = [q for q in f.indices if q != istar]
     if v in _ring_neighbors(C1, idx1, u):
         Q = _open_ring(C1, idx1, u, v)
         for i in range(len(Q) - 1):
@@ -1350,12 +1365,12 @@ def _path_c2_inside_pair(n, u, v, f, ctx, istar, C1, idx1, tr1):
             ns, nt = _usable_stub(s, f), _usable_stub(t, f)
             if ns is None or nt is None:
                 continue
-            if last_symbol(ns) == last_symbol(nt):
+            if ns[n - 1] == nt[n - 1]:
                 raise InternalInvariantError("adjacent out-neighbors share a subgraph")
-            if not ctx.spend():
-                return None
             bridge = _chain(n, rest, ns, nt, f, ctx)
             if bridge is None:
+                if not ctx.spend():
+                    return None
                 continue
             bv, trb = bridge
             full = Q[: i + 1] + bv + Q[i + 1 :]
@@ -1370,10 +1385,10 @@ def _path_c2_inside_pair(n, u, v, f, ctx, istar, C1, idx1, tr1):
         nv1, nu1 = _usable_stub(first[-1], f), _usable_stub(second[0], f)
         if nu1 is None or nv1 is None:
             continue
-        if not ctx.spend():
-            return None
         bridge = _connector(n, rest, nv1, nu1, f, ctx)
         if bridge is None:
+            if not ctx.spend():
+                return None
             continue
         bv, trb = bridge
         return [u] + first + bv + second + [v], CaseTrace("L19/2.3.2", {}, [tr1, trb])

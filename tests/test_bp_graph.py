@@ -11,7 +11,9 @@ from burntpancake.bp_graph import (
     distance,
     edge_count,
     edge_dimension,
+    frame_tables,
     is_adjacent,
+    iter_cross_edges,
     last_symbol,
     lift_all,
     neighbors,
@@ -217,11 +219,27 @@ def test_lift_all_matches_per_vertex_lift():
     for n in (3, 4):
         below = all_vertices(n - 1)
         for i in subgraph_indices(n):
-            lifted = lift_all(i, below)
+            lifted = lift_all((i,), below)
             assert lifted == [subgraph_lift(i, v) for v in below]
             assert sorted(lifted) == [u for u in all_vertices(n) if last_symbol(u) == i]
             assert [subgraph_embed(u) for u in lifted] == below
-    assert lift_all(2, []) == []
+    assert lift_all((2,), []) == []
+
+
+def test_iter_cross_edges_with_suffix_lift_local_edges():
+    # a subgraph of BP_5 one or two levels down (its vertices share one
+    # suffix) has BP_4's or BP_3's cross edges, relabelled, in the same order
+    for length in (1, 2):
+        m = 5 - length
+        for suffix in sorted({u[m:] for u in all_vertices(5)}):
+            lift = frame_tables(5, suffix)[0]
+            for i in subgraph_indices(m):
+                for j in subgraph_indices(m):
+                    if i != j:
+                        want = [tuple(lift_all(suffix, e)) for e in iter_cross_edges(m, i, j)]
+                        assert list(iter_cross_edges(m, lift[i], lift[j], suffix)) == want
+    with pytest.raises(ValueError):
+        iter_cross_edges(3, 2, 1, (2, 5))
 
 
 def test_subgraph_embed_examples():

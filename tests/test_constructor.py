@@ -4,7 +4,16 @@ import itertools
 import pytest
 
 from burntpancake.bp3_fixtures import FREE_PATHS, PAIR_CYCLES
-from burntpancake.bp_graph import edge_dimension, edge_key, neighbors, out_neighbor, subgraph_indices, vertex_count
+from burntpancake.bp_graph import (
+    edge_dimension,
+    edge_key,
+    is_adjacent,
+    lift_all,
+    neighbors,
+    out_neighbor,
+    subgraph_indices,
+    vertex_count,
+)
 from burntpancake.constructor import (
     BudgetExceededError,
     InternalInvariantError,
@@ -13,6 +22,7 @@ from burntpancake.constructor import (
     _check_output,
     _Faults,
     _free_path,
+    _leaf_view,
     _small_search,
     base_cycle_bp3,
     base_path_bp3,
@@ -23,12 +33,14 @@ from burntpancake.constructor import (
     order_subgraphs,
 )
 from burntpancake.fault_model import FaultSet
+from burntpancake.fuzz import sample_endpoints, sample_fault_set, trial_rng
 from burntpancake.oracle import SearchStatus, exhaustive_path_search, verify_cycle, verify_path
 from burntpancake.signed_perm import (
     all_vertices,
     generator,
     identity,
     left_translate,
+    parse_vertex,
     prefix_reversal,
 )
 
@@ -383,17 +395,35 @@ def test_empty_dispatch_raises_strict_failure(monkeypatch):
         assert [x["trial"] for x in rep.failures] == list(range(5))
 
 
+# Two matching pairs on n-edges: this n=4 cycle rejects nine candidate
+# junctions before it builds.
+_REJECTING_N4 = FaultSet.build(4, [[(1, -4, 2, -3), (3, -2, 4, -1)], [(1, 2, -4, -3), (3, 4, -2, -1)]])
+
+
 def test_spent_attempt_budget_named_in_failure(monkeypatch):
     import burntpancake.constructor as cons
 
-    # a fault-free n=5 cycle spends 80 attempts when it builds
     ctx_type = cons._Ctx
     monkeypatch.setattr(cons, "_Ctx", lambda: ctx_type(max_attempts=5))
     with pytest.raises(cons.StrictModeFailure, match="attempt budget of 5 spent") as caught:
-        cons.hamiltonian_cycle(5, FaultSet.build(5))
+        cons.hamiltonian_cycle(4, _REJECTING_N4)
     assert "scan exhausted" not in str(caught.value)
-    # the attempt that finds the budget gone is not counted
+    # the rejection that finds the budget gone is not counted
     assert "attempts=5," in str(caught.value)
+
+
+def test_successes_do_not_spend_the_attempt_budget(monkeypatch):
+    import burntpancake.constructor as cons
+
+    # a fault-free n=5 cycle takes 80 junctions and rejects none; the n=4
+    # instance above rejects exactly as many candidates as its budget
+    want = cons.hamiltonian_cycle(4, _REJECTING_N4).vertices
+    ctx_type = cons._Ctx
+    monkeypatch.setattr(cons, "_Ctx", lambda: ctx_type(max_attempts=9))
+    assert cons.hamiltonian_cycle(4, _REJECTING_N4).vertices == want
+    monkeypatch.setattr(cons, "_Ctx", lambda: ctx_type(max_attempts=5))
+    got = cons.hamiltonian_cycle(5, FaultSet.build(5))
+    assert verify_cycle(5, FaultSet.build(5), got).ok
 
 
 def test_strict_construction_certified_on_small_n4_families():
@@ -442,7 +472,6 @@ def test_cross_edge_candidates_stay_abundant_under_faults():
     # out-edge), each faulty edge at most one
     from burntpancake.constructor import _Faults, _cross_candidates
     from burntpancake.bp_graph import cross_edge_count
-    from burntpancake.fuzz import sample_fault_set, trial_rng
 
     for n in (4, 5):
         for trial in range(30):
@@ -542,3 +571,57 @@ def test_check_output_raises_exactly_on_bad_output(case):
     else:
         with pytest.raises(InternalInvariantError, match=message):
             _check_output(n, f, seq, closed, u, v)
+
+
+# ---------------------------------------------------------------- frames
+
+
+def test_leaf_frame_is_order_preserving_and_commutes_with_reversals():
+    # builds run in BP_n coordinates and only the BP_3 leaf relabels, so
+    # its scans see the same order as a build in BP_3 coordinates would
+    bp3 = all_vertices(3)
+    bp5 = all_vertices(5)
+    for suffix in sorted({u[3:] for u in bp5}):
+        embed, lift, _, _ = _leaf_view(_Faults(3, suffix=suffix))
+        lifted = lift(bp3)
+        assert all(a < b for a, b in zip(lifted, lifted[1:]))
+        assert lifted == [u for u in bp5 if u[3:] == suffix]
+        assert lifted == lift_all(suffix, bp3)
+        assert [embed(u) for u in lifted] == bp3
+        for x, u in zip(bp3, lifted):
+            for k in (1, 2, 3):
+                assert lift([prefix_reversal(x, k)]) == [prefix_reversal(u, k)]
+
+
+def test_leaf_maps_its_faults_into_bp3():
+    f = _Faults(3, (((1, -4, 2, 3, 5), (-1, -4, 2, 3, 5)),), ((2, 1, -4, 3, 5),), (), (3, 5))
+    embed, _, removed, banned = _leaf_view(f)
+    assert removed == {(1, -3, 2), (-1, -3, 2), (2, 1, -3)}
+    assert banned == frozenset()
+    assert embed((-4, 2, 1, 3, 5)) == (-3, 2, 1)
+
+
+def _trace_nodes(trace):
+    yield trace
+    for child in trace.children:
+        yield from _trace_nodes(child)
+
+
+def test_trace_details_name_bp5_vertices():
+    builds = []
+    for trial in range(12):
+        rng = trial_rng(0, trial)
+        builds.append(hamiltonian_cycle(5, sample_fault_set(5, 3, rng)))
+        fs = sample_fault_set(5, 2, rng)
+        builds.append(hamiltonian_path(5, *sample_endpoints(rng, 5, fs), fs))
+    splits = 0
+    for built in builds:
+        for node in _trace_nodes(built.trace):
+            for key, value in node.detail.items():
+                texts = value if isinstance(value, list) else [value]
+                vertices = [parse_vertex(x, 5) for x in texts if isinstance(x, str) and "," in x]
+                assert key not in ("split", "close", "pair", "edge", "pairing") or len(vertices) == 2
+                if key == "split":
+                    assert is_adjacent(*vertices)
+                    splits += 1
+    assert splits

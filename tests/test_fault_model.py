@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from burntpancake.bp_graph import subgraph_indices
+from burntpancake.bp_graph import subgraph_embed, subgraph_indices
 from burntpancake.constructor import _Faults, _restrict_embed, _weights
 from burntpancake.fault_model import FaultSet, validate
 
@@ -29,17 +29,26 @@ def test_example_removed_vertices():
 
 
 def test_example_restriction():
-    # the constructor's view of each subgraph, in BP_2 coordinates
+    # the constructor's view of each subgraph keeps BP_3 coordinates: its
+    # vertices end in the subgraph index, and subgraph_embed gives BP_2 ones
     f = _Faults.from_fault_set(EXAMPLE)
     views = {i: _restrict_embed(f, i) for i in subgraph_indices(3)}
+    for i, x in views.items():
+        assert x.n == 2 and x.suffix == (i,)
+        assert all(len(v) == 3 and v[-1] == i for v in x.fault_vertices)
+
+    def below(pairs):
+        return tuple((subgraph_embed(a), subgraph_embed(b)) for a, b in pairs)
+
     # only the 1-dimensional pair sits inside a single subgraph
-    assert views[3].pairs == (((-1, 2), (1, 2)),)
+    assert below(views[3].pairs) == (((-1, 2), (1, 2)),)
     assert all(not x.pairs for i, x in views.items() if i != 3)
     # the other pair's carrier is 3-dimensional and straddles subgraphs 3
     # and -1: it leaves one single on each side
-    assert {i: x.singles for i, x in views.items() if x.singles} == {-1: ((-2, 1),), 3: ((1, -2),)}
+    singles = {i: tuple(map(subgraph_embed, x.singles)) for i, x in views.items() if x.singles}
+    assert singles == {-1: ((-2, 1),), 3: ((1, -2),)}
     # the edge straddling subgraphs 3 and 1 appears in no subgraph
-    assert {i: x.edges for i, x in views.items() if x.edges} == {
+    assert {i: below(x.edges) for i, x in views.items() if x.edges} == {
         3: (((-2, 1), (2, 1)),),
         -3: (((-2, 1), (-1, 2)),),
     }
