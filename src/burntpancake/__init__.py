@@ -13,17 +13,12 @@ from .constructor import (
     CaseTrace,
     ConstructionError,
     NoOrderingError,
-    NoUsableEdgeError,
     StrictModeFailure,
     UsageError,
     VertexCycle,
     VertexPath,
-    base_cycle_bp3,
-    base_path_bp3,
-    chain_path,
     hamiltonian_cycle,
     hamiltonian_path,
-    loop_path,
     order_subgraphs,
 )
 from .fault_model import FaultSet, ValidationReport, validate
@@ -57,7 +52,6 @@ __all__ = [
     "ConstructionError",
     "FaultSet",
     "NoOrderingError",
-    "NoUsableEdgeError",
     "SearchResult",
     "SearchStatus",
     "StrictModeFailure",
@@ -68,9 +62,6 @@ __all__ = [
     "VertexCycle",
     "VertexPath",
     "all_vertices",
-    "base_cycle_bp3",
-    "base_path_bp3",
-    "chain_path",
     "compose",
     "exhaustive_cycle_search",
     "exhaustive_path_search",
@@ -80,7 +71,6 @@ __all__ = [
     "identity",
     "inverse",
     "left_translate",
-    "loop_path",
     "order_subgraphs",
     "parse_vertex",
     "prefix_reversal",

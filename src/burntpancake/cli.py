@@ -163,7 +163,7 @@ def cmd_fuzz(args) -> int:
     wall = 0.0
     for op in ops:
         rep = run_fuzz(args.n, op, args.trials, args.max_faults, seed=args.seed)
-        chunks.append(rep.to_json_dict(include_timing=False))
+        chunks.append(rep.to_json_dict())
         wall += rep.wall_time
         all_ok = all_ok and rep.ok
     payload = json.dumps(chunks[0] if len(chunks) == 1 else chunks, indent=2) + "\n"
@@ -212,6 +212,9 @@ def cmd_stats(args) -> int:
 
 def cmd_tightness(args) -> int:
     n = args.n
+    # the witnesses take O(n^2) memory, so n is bounded as the builders' is
+    if not 3 <= n <= SOFT_DIMENSION_LIMIT:
+        raise UsageError(f"tightness needs 3 <= n <= {SOFT_DIMENSION_LIMIT}, got n={n}")
     ok = True
     cycle_witness = oracle.tightness_witness_cycle(n)
     path_witness, x, y = oracle.tightness_witness_path(n)

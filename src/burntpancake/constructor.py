@@ -35,9 +35,13 @@ does not depend on the orientation, and assembles the path in the
 orientation it has.  Arcs joined by connectors are oriented before they
 are assembled, so each splice shape has one assembly expression.
 
-A build raises StrictModeFailure when a prescribed candidate scan comes
-up empty or its attempt budget is spent; the message says which, and
-carries no partial trace.
+Each rejected candidate costs one attempt (``_Ctx.spend``).  The call
+that finds the budget spent raises StrictModeFailure on the spot, which
+ends the whole build.  A scan that comes up empty returns None instead,
+and the builder raises the same failure once None reaches it.  Both
+messages come from ``_Ctx.failure``: they give the attempts spent and
+either the spent budget or the empty scan (``_Ctx.note``, else "scan
+exhausted").  Neither carries a partial trace.
 """
 
 from __future__ import annotations
@@ -55,7 +59,6 @@ from .bp_graph import (
     edge_key,
     index_sort_key,
     iter_cross_edges,
-    last_symbol,
     frame_tables,
     subgraph_indices,
 )
@@ -87,15 +90,12 @@ class ConstructionError(RuntimeError):
 
 
 class StrictModeFailure(ConstructionError):
-    """A prescribed candidate scan found no usable candidate."""
+    """No construction found: a prescribed candidate scan came up empty, or
+    the attempt budget ran out."""
 
 
 class NoOrderingError(ConstructionError):
     """No complement-free arrangement of the requested subgraph indices."""
-
-
-class NoUsableEdgeError(StrictModeFailure):
-    """The detour edge scan over a subgraph path found no usable edge."""
 
 
 class InternalInvariantError(ConstructionError):
@@ -240,17 +240,19 @@ def _restrict_embed(f: _Faults, i: int) -> _Faults:
 class _Ctx:
     attempts: int = 0
     max_attempts: int = 200_000
-    exhausted: bool = False
     note: str = ""
 
+    def failure(self, why: str) -> StrictModeFailure:
+        """The failure of a build that found nothing, naming why it stopped."""
+        return StrictModeFailure(f"no construction found (attempts={self.attempts}, note={why})")
+
     def spend(self) -> bool:
-        """Charge one rejected candidate; False once the budget is gone.
-        Successes are not charged: the recursion tree bounds them."""
-        if self.exhausted:
-            return False
+        """Charge one rejected candidate; once the budget is gone, fail the
+        whole build instead.  Successes are not charged: the recursion tree
+        bounds them.  Returns True, which perfbench's traced run adds to its
+        attempt count."""
         if self.attempts == self.max_attempts:
-            self.exhausted = True
-            return False
+            raise self.failure(f"attempt budget of {self.max_attempts} spent")
         self.attempts += 1
         return True
 
@@ -499,9 +501,9 @@ def order_subgraphs(indices, first: int, last: int) -> tuple[int, ...]:
 def _subgraph(n: int, i: int, f: _Faults, ctx: _Ctx, a: Vertex | None = None, b: Vertex | None = None):
     """Hamiltonian cycle of subgraph ``i`` minus its faults, or with ``a`` and
     ``b`` given a Hamiltonian path between them, via recursion.  The result
-    is in BP_n coordinates already; a spent budget refuses at once."""
+    is in BP_n coordinates already."""
     cycle = a is None
-    if ctx.exhausted or (not cycle and a == b):
+    if not cycle and a == b:
         return None
     fi = _restrict_embed(f, i)
     if fi.weight > (n - 1) - (2 if cycle else 3) and not f.has_singles_anywhere:
@@ -566,8 +568,7 @@ def _chain(n: int, I, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
             if rest is not None:
                 rest.append(seg)
                 return rest
-            if not ctx.spend():
-                return None
+            ctx.spend()
         return None
 
     got = solve(0, u)
@@ -606,8 +607,7 @@ def _loop(n: int, I, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
             raise InternalInvariantError("out-neighbors of adjacent vertices share a subgraph")
         bridge = _chain(n, rest, nx, ny, f, ctx)
         if bridge is None:
-            if not ctx.spend():
-                return None
+            ctx.spend()
             continue
         bridge_vertices, bridge_trace = bridge
         full = path[: pos + 1] + bridge_vertices + path[pos + 1 :]
@@ -720,8 +720,7 @@ def _cycle_via_chain(n: int, f: _Faults, ctx: _Ctx, istar: int, label: str):
         for x, y in _cross_candidates(n, istar, j, f):
             got = _chain(n, order, x, y, f, ctx)
             if got is None:
-                if not ctx.spend():
-                    return None
+                ctx.spend()
                 continue
             vertices, tr = got
             return vertices, CaseTrace(label, {"close": [format_vertex(x), format_vertex(y)]}, [tr])
@@ -773,8 +772,7 @@ def _cycle_case21(n: int, f: _Faults, ctx: _Ctx, istar: int, i2: int):
                     continue
                 bridge = _chain(n, rest, ns1, nt, f, ctx)
                 if bridge is None:
-                    if not ctx.spend():
-                        return None
+                    ctx.spend()
                     continue
                 bv, trb = bridge
                 full = _open_ring(C1, idx1, t, s) + _open_ring(C2, idx2, ns, s1) + bv
@@ -817,15 +815,13 @@ def _cycle_case22(n: int, f: _Faults, ctx: _Ctx, istar: int):
                         continue
                     mid = _subgraph(n, h, f, ctx, ns, nz)
                     if mid is None:
-                        if not ctx.spend():
-                            return None
+                        ctx.spend()
                         break  # the h-path does not depend on t, w
                     mv, trm = mid
                     rest = [j for j in f.indices if j not in (istar, -istar, h)]
                     bridge = _chain(n, rest, nw, nt, f, ctx)
                     if bridge is None:
-                        if not ctx.spend():
-                            return None
+                        ctx.spend()
                         continue
                     bv, trc = bridge
                     full = (
@@ -1101,8 +1097,7 @@ def _reconnect_same_side(
             rest = [j for j in f.indices if j not in (istar, h, mid_sub)]
             bridge = mid and _connector(n, rest, chain_start, nt, f, ctx)
             if bridge is None:
-                if not ctx.spend():
-                    return None
+                ctx.spend()
                 continue
             mv, tr_mid = mid
             bv, trb = bridge
@@ -1156,8 +1151,7 @@ def _reconnect_double_split(
                     raise InternalInvariantError("double-split chain endpoints coincide")
                 got = _splice(n, rest, R1, pos1, s, t, lambda: _open_ring(R2, pos2, ns, z), nz, nt, f, ctx)
                 if got is None:
-                    if not ctx.spend():
-                        return None
+                    ctx.spend()
                     continue
                 full, trb = got
                 return full, CaseTrace(label, {"h1": h1, "h2": h2}, [tr1, tr2, trb])
@@ -1238,14 +1232,12 @@ def _path_c2_outside_two(n, u, v, f, ctx, istar, C1, idx1, tr1):
                     continue
                 first = _subgraph(n, jx, f, ctx, e_x, ns)
                 if first is None:
-                    if not ctx.spend():
-                        return None
+                    ctx.spend()
                     break  # independent of s1
                 fv, trf = first
                 bridge = _connector(n, rest, ns1, e_y, f, ctx)
                 if bridge is None:
-                    if not ctx.spend():
-                        return None
+                    ctx.spend()
                     continue
                 bv, trb = bridge
                 full = fv + _open_ring(C1, idx1, s, s1) + bv
@@ -1265,8 +1257,7 @@ def _path_c2_endpoint_inside(n, u, v, f, ctx, istar, C1, idx1, tr1):
             continue
         bridge = _connector(n, rest, nu1, e_out, f, ctx)
         if bridge is None:
-            if not ctx.spend():
-                return None
+            ctx.spend()
             continue
         bv, trb = bridge
         full = _open_ring(C1, idx1, e_in, u1) + bv
@@ -1305,8 +1296,7 @@ def _path_c2_outside_pair(n, u, v, f, ctx, istar, C1, idx1, tr1):
                     raise InternalInvariantError("outside-pair chain endpoints coincide")
                 got = _splice(n, rest, P, pos, s, t, lambda: _open_ring(C1, idx1, ns, z), nz, nt, f, ctx)
                 if got is None:
-                    if not ctx.spend():
-                        return None
+                    ctx.spend()
                     continue
                 full, trb = got
                 return full, CaseTrace("L19/2.2", {"shape": "outside-pair", "j": j}, [tr1, trp, trb])
@@ -1345,8 +1335,7 @@ def _path_c2_complement_pair(n, u, v, f, ctx, istar, C1, idx1, tr1):
                     rest = [q for q in f.indices if q not in (istar, -istar, g)]
                     got = mid and _splice(n, rest, P, pos, s, t, lambda: mid[0] + _open_ring(C1, idx1, z, w), nw, nt, f, ctx)
                     if got is None:
-                        if not ctx.spend():
-                            return None
+                        ctx.spend()
                         continue
                     full, trb = got
                     return full, CaseTrace(
@@ -1369,8 +1358,7 @@ def _path_c2_inside_pair(n, u, v, f, ctx, istar, C1, idx1, tr1):
                 raise InternalInvariantError("adjacent out-neighbors share a subgraph")
             bridge = _chain(n, rest, ns, nt, f, ctx)
             if bridge is None:
-                if not ctx.spend():
-                    return None
+                ctx.spend()
                 continue
             bv, trb = bridge
             full = Q[: i + 1] + bv + Q[i + 1 :]
@@ -1387,8 +1375,7 @@ def _path_c2_inside_pair(n, u, v, f, ctx, istar, C1, idx1, tr1):
             continue
         bridge = _connector(n, rest, nv1, nu1, f, ctx)
         if bridge is None:
-            if not ctx.spend():
-                return None
+            ctx.spend()
             continue
         bv, trb = bridge
         return [u] + first + bv + second + [v], CaseTrace("L19/2.3.2", {}, [tr1, trb])
@@ -1469,22 +1456,13 @@ def _finish(trace: CaseTrace, n: int) -> CaseTrace:
     return CaseTrace("root", {"n": n}, [trace])
 
 
-def _no_construction(ctx: _Ctx) -> StrictModeFailure:
-    """The failure of a build that found nothing, naming why it stopped."""
-    if ctx.exhausted:
-        why = f"attempt budget of {ctx.max_attempts} spent"
-    else:
-        why = ctx.note or "scan exhausted"
-    return StrictModeFailure(f"no construction found (attempts={ctx.attempts}, note={why})")
-
-
 def hamiltonian_cycle(n: int, fault_set: FaultSet) -> VertexCycle:
     """Hamiltonian cycle of BP_n minus the fault set, for |F| <= n-2."""
     f, _, _ = _public_input(n, fault_set, n - 2)
     ctx = _Ctx()
     got = _cycle(n, f, ctx)
     if got is None:
-        raise _no_construction(ctx)
+        raise ctx.failure(ctx.note or "scan exhausted")
     vertices, tr = got
     _check_output(n, f, vertices, closed=True)
     return VertexCycle(tuple(vertices), _finish(tr, n))
@@ -1496,62 +1474,7 @@ def hamiltonian_path(n: int, u, v, fault_set: FaultSet) -> VertexPath:
     ctx = _Ctx()
     got = _path(n, u, v, f, ctx)
     if got is None:
-        raise _no_construction(ctx)
+        raise ctx.failure(ctx.note or "scan exhausted")
     vertices, tr = got
     _check_output(n, f, vertices, closed=False, u=u, v=v)
     return VertexPath(tuple(vertices), _finish(tr, n))
-
-
-def _engine_input(n: int, indices, u, v, fault_set: FaultSet, least: int):
-    """Shared checks of chain_path and loop_path: ``least`` or more subgraph
-    indices, the endpoints' subgraphs among them, and every member subgraph
-    within the chain engine's n-4 weight budget."""
-    f, u, v = _public_input(n, fault_set, n - 2, u, v)
-    pool = sorted(set(indices), key=index_sort_key)
-    if len(pool) < least:
-        raise UsageError(f"need at least {least} subgraph indices")
-    if last_symbol(u) not in pool or last_symbol(v) not in pool:
-        raise UsageError("endpoint subgraphs must belong to the index set")
-    ws = _weights(f)
-    for i in pool:
-        if ws[i] > n - 4:
-            raise UsageError(f"subgraph {i} carries weight {ws[i]} > n-4")
-    return f, pool, u, v
-
-
-def chain_path(n: int, indices, u, v, fault_set: FaultSet) -> VertexPath:
-    """Hamiltonian path across >= 5 subgraphs with endpoints in two of them."""
-    f, pool, u, v = _engine_input(n, indices, u, v, fault_set, 5)
-    if last_symbol(u) == last_symbol(v):
-        raise UsageError("chain_path endpoints must lie in different subgraphs")
-    ctx = _Ctx()
-    got = _chain(n, pool, u, v, f, ctx)
-    if got is None:
-        raise StrictModeFailure("chain construction exhausted its candidates")
-    vertices, tr = got
-    return VertexPath(tuple(vertices), _finish(tr, n))
-
-
-def loop_path(n: int, indices, u, v, fault_set: FaultSet) -> VertexPath:
-    """Hamiltonian path across >= 6 subgraphs with both endpoints in one."""
-    f, pool, u, v = _engine_input(n, indices, u, v, fault_set, 6)
-    if last_symbol(u) != last_symbol(v):
-        raise UsageError("loop_path endpoints must share a subgraph")
-    ctx = _Ctx()
-    got = _loop(n, pool, u, v, f, ctx)
-    if got is None:
-        if ctx.note == "loop-no-usable-edge":
-            raise NoUsableEdgeError("no spliceable edge with fault-free out-neighbors")
-        raise StrictModeFailure("loop construction exhausted its candidates")
-    vertices, tr = got
-    return VertexPath(tuple(vertices), _finish(tr, n))
-
-
-def base_cycle_bp3(fault_set: FaultSet) -> VertexCycle:
-    """Hamiltonian cycle of BP_3 minus at most one fault element."""
-    return hamiltonian_cycle(3, fault_set)
-
-
-def base_path_bp3(u, v) -> VertexPath:
-    """Hamiltonian path of fault-free BP_3 between two distinct vertices."""
-    return hamiltonian_path(3, u, v, FaultSet.build(3))

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 from dataclasses import dataclass, field
 
 from . import bp_graph, oracle
@@ -93,8 +94,8 @@ class FuzzReport:
     def ok(self) -> bool:
         return self.trials > 0 and self.successes == self.trials
 
-    def to_json_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_json_dict(self) -> dict:
+        return {
             "n": self.n,
             "op": self.op,
             "seed": self.seed,
@@ -106,12 +107,9 @@ class FuzzReport:
             "case_histogram": {k: self.case_histogram[k] for k in sorted(self.case_histogram)},
             "failures": self.failures,
         }
-        if include_timing:
-            out["wall_time_s"] = round(self.wall_time, 3)
-        return out
 
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_json_dict(include_timing=include_timing), indent=2) + "\n"
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
 def run_fuzz(
@@ -122,8 +120,6 @@ def run_fuzz(
     seed: int = 0,
 ) -> FuzzReport:
     """Run seeded construction/verification trials and aggregate outcomes."""
-    import time
-
     report = FuzzReport(n=n, op=op, seed=seed, max_faults=max_faults)
     t0 = time.monotonic()
     for trial in range(trials):

@@ -2,9 +2,10 @@
 
 The verifiers check construction outputs structurally against the graph and
 the fault set; they share no code with the constructor.  The exhaustive
-searches decide Hamiltonicity on small instances (n <= 4) with materialized
-adjacency, and only claim ``ProvenAbsent`` on full exhaustion of the search
-space; a timeout is a distinct outcome.
+searches run on small instances (n <= 4) with materialized adjacency.  They
+are complete, and only claim ``ProvenAbsent`` on full exhaustion of the
+search space, but not always fast: some n=4 path searches time out, and a
+timeout is a distinct outcome.
 """
 
 from __future__ import annotations

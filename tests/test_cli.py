@@ -211,6 +211,18 @@ def test_tightness_n4(capsys):
     assert "no cycle (proven-absent)" in text and "no path (proven-absent)" in text
 
 
+@pytest.mark.parametrize("n", ["2", "9", "1000000000"])
+def test_tightness_rejects_n_outside_limit(n, monkeypatch, capsys):
+    import burntpancake.oracle as oracle
+
+    def boom(n):
+        raise AssertionError("no witness may be built for an out-of-range n")
+
+    monkeypatch.setattr(oracle, "tightness_witness_cycle", boom)
+    assert main(["tightness", "--n", n]) == 2
+    assert capsys.readouterr().err.startswith("invalid input: ")
+
+
 def test_strict_failure_exit_code(tmp_path, monkeypatch):
     import burntpancake.cli as cli
     from burntpancake.constructor import StrictModeFailure

@@ -1,5 +1,6 @@
 import base64
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -19,17 +20,16 @@ from burntpancake.constructor import (
     InternalInvariantError,
     NoOrderingError,
     UsageError,
+    _chain,
     _check_output,
+    _Ctx,
     _Faults,
     _free_path,
     _leaf_view,
+    _loop,
     _small_search,
-    base_cycle_bp3,
-    base_path_bp3,
-    chain_path,
     hamiltonian_cycle,
     hamiltonian_path,
-    loop_path,
     order_subgraphs,
 )
 from burntpancake.fault_model import FaultSet
@@ -78,17 +78,17 @@ def test_order_subgraphs_preconditions():
 def test_base_cycle_fixture_cases():
     for k in (1, 2, 3):
         fs = FaultSet.build(3, matching_pairs=[[identity(3), generator(3, k)]])
-        got = base_cycle_bp3(fs)
+        got = hamiltonian_cycle(3, fs)
         assert tuple(got.vertices) == PAIR_CYCLES[k]
         assert verify_cycle(3, fs, got).ok
 
 
 def test_base_cycle_case2_opening():
     fs = FaultSet.build(3, matching_pairs=[[(1, 2, 3), (-1, 2, 3)]])
-    got = base_cycle_bp3(fs)
+    got = hamiltonian_cycle(3, fs)
     assert got.vertices[:3] == ((-2, -1, 3), (2, -1, 3), (-3, 1, -2))
     fs = FaultSet.build(3, matching_pairs=[[(1, 2, 3), (-3, -2, -1)]])
-    got = base_cycle_bp3(fs)
+    got = hamiltonian_cycle(3, fs)
     assert got.vertices[:3] == ((-2, -1, 3), (2, -1, 3), (1, -2, 3))
 
 
@@ -96,7 +96,7 @@ def test_base_cycle_translated_instance_is_fixture_image():
     a = (2, -3, 1)
     b = prefix_reversal(a, 2)
     fs = FaultSet.build(3, matching_pairs=[[a, b]])
-    got = base_cycle_bp3(fs)
+    got = hamiltonian_cycle(3, fs)
     want = tuple(left_translate(max(a, b), x) for x in PAIR_CYCLES[2])
     assert tuple(got.vertices) == want
     assert verify_cycle(3, fs, got).ok
@@ -107,11 +107,11 @@ def test_base_cycle_budget():
         3, matching_pairs=[[(1, 2, 3), (-1, 2, 3)]], faulty_edges=[[(2, 1, 3), (-2, 1, 3)]]
     )
     with pytest.raises(UsageError):
-        base_cycle_bp3(fs)
+        hamiltonian_cycle(3, fs)
 
 
 def test_base_path_examples():
-    got = base_path_bp3((1, 2, 3), (-1, 2, 3))
+    got = hamiltonian_path(3, (1, 2, 3), (-1, 2, 3), FaultSet.build(3))
     assert len(got.vertices) == 48
     assert verify_path(3, FaultSet.build(3), (1, 2, 3), (-1, 2, 3), got).ok
     # reversal answers the swapped endpoints
@@ -121,7 +121,7 @@ def test_base_path_examples():
 
 def test_base_path_rejects_equal_endpoints():
     with pytest.raises(UsageError):
-        base_path_bp3((1, 2, 3), (1, 2, 3))
+        hamiltonian_path(3, (1, 2, 3), (1, 2, 3), FaultSet.build(3))
 
 
 def _free_path_slot(path) -> bytes:
@@ -214,53 +214,38 @@ def test_bp3_solver_agrees_with_exhaustive_search(faulty_edges):
 
 
 # ----------------------------------------------------------- chain / loop
+# The engines are called directly: the builders reach them only through
+# the case dispatch.
 
 
 def test_chain_path_closure_is_cycle_on_bp4():
     u = identity(4)
     v = out_neighbor(u)
     fs = FaultSet.build(4)
-    got = chain_path(4, subgraph_indices(4), u, v, fs)
-    assert got.vertices[0] == u and got.vertices[-1] == v
-    assert verify_cycle(4, fs, got.vertices).ok  # closing edge (v, u) exists
+    vertices, _ = _chain(4, subgraph_indices(4), u, v, _Faults.from_fault_set(fs), _Ctx())
+    assert vertices[0] == u and vertices[-1] == v
+    assert verify_cycle(4, fs, vertices).ok  # closing edge (v, u) exists
 
 
 def test_chain_path_vertex_count_with_pair_removed():
     fs = FaultSet.build(5, matching_pairs=[[(2, 1, 3, 4, 5), (-1, -2, 3, 4, 5)]])
     u = identity(5)
     v = out_neighbor(u)
-    got = chain_path(5, subgraph_indices(5), u, v, fs)
-    assert len(got.vertices) == vertex_count(5) - 2
-    assert verify_path(5, fs, u, v, got).ok
-
-
-def test_chain_path_preconditions():
-    fs = FaultSet.build(4)
-    with pytest.raises(UsageError):
-        chain_path(4, [1, -1, 2], identity(4), out_neighbor(identity(4)), fs)
-    with pytest.raises(UsageError):
-        chain_path(4, subgraph_indices(4), identity(4), (2, 1, 3, 4), fs)
+    vertices, _ = _chain(5, subgraph_indices(5), u, v, _Faults.from_fault_set(fs), _Ctx())
+    assert len(vertices) == vertex_count(5) - 2
+    assert verify_path(5, fs, u, v, vertices).ok
 
 
 def test_loop_path_bp4_same_subgraph():
     u = identity(4)
     v = (-2, -1, 3, 4)
     fs = FaultSet.build(4)
-    got = loop_path(4, subgraph_indices(4), u, v, fs)
-    assert len(got.vertices) == vertex_count(4)
-    assert verify_path(4, fs, u, v, got).ok
+    vertices, trace = _loop(4, subgraph_indices(4), u, v, _Faults.from_fault_set(fs), _Ctx())
+    assert len(vertices) == vertex_count(4)
+    assert verify_path(4, fs, u, v, vertices).ok
     # the spliced edge's out-neighbors land in distinct subgraphs; the
     # splice position is recorded on the trace
-    labels = got.trace.labels()
-    assert "L20" in labels
-
-
-def test_loop_path_preconditions():
-    fs = FaultSet.build(4)
-    with pytest.raises(UsageError):
-        loop_path(4, [1, -1, 2, -2, 3], identity(4), (-2, -1, 3, 4), fs)
-    with pytest.raises(UsageError):
-        loop_path(4, subgraph_indices(4), identity(4), out_neighbor(identity(4)), fs)
+    assert "L20" in trace.labels()
 
 
 # ------------------------------------------------------------ full builds
@@ -426,6 +411,24 @@ def test_successes_do_not_spend_the_attempt_budget(monkeypatch):
     assert verify_cycle(5, FaultSet.build(5), got).ok
 
 
+def test_benchmark_layers_are_all_found(monkeypatch):
+    # the benchmark's traced run wraps package functions by name and adds
+    # the return value of each _Ctx.spend call to constructor.attempts
+    import burntpancake.constructor as cons
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import layers
+    from tracer import Tracer
+
+    tr = Tracer()
+    try:
+        assert layers.instrument(tr) == []
+        cons.hamiltonian_cycle(4, _REJECTING_N4)
+    finally:
+        tr.uninstall()
+    assert tr.counts["constructor.attempts"] == 9
+
+
 def test_strict_construction_certified_on_small_n4_families():
     # every fault-free n=4 path from the identity (by left translation this
     # covers every fault-free ordered pair) and every one-element n=4 cycle
@@ -484,33 +487,21 @@ def test_cross_edge_candidates_stay_abundant_under_faults():
                 assert got >= floor
 
 
-def test_chain_path_rejects_overweight_member_subgraph():
-    # two faults inside one member subgraph exceed the n-4 budget at n=5
-    fs = FaultSet.build(
-        5,
-        matching_pairs=[[(2, 1, 3, 4, 5), (-1, -2, 3, 4, 5)]],
-        faulty_edges=[[(3, 1, 2, 4, 5), (-1, -3, 2, 4, 5)]],
-    )
-    u, v = identity(5), out_neighbor(identity(5))
-    with pytest.raises(UsageError):
-        chain_path(5, subgraph_indices(5), u, v, fs)
-
-
 def test_public_builders_reject_dimension_above_limit(monkeypatch):
     import burntpancake.constructor as cons
 
     def boom(*args, **kwargs):
-        raise AssertionError("the engines must not run on an out-of-range n")
+        raise AssertionError("the dispatch must not run on an out-of-range n")
 
     # n = 9 would list 645 120 cross edges per subgraph pair before recursing
-    monkeypatch.setattr(cons, "_chain", boom)
-    monkeypatch.setattr(cons, "_loop", boom)
+    monkeypatch.setattr(cons, "_cycle", boom)
+    monkeypatch.setattr(cons, "_path", boom)
     fs = FaultSet.build(9)
     u = identity(9)
-    with pytest.raises(UsageError):
-        chain_path(9, subgraph_indices(9), u, out_neighbor(u), fs)
-    with pytest.raises(UsageError):
-        loop_path(9, subgraph_indices(9), u, prefix_reversal(u, 2), fs)
+    with pytest.raises(UsageError, match="got n=9"):
+        cons.hamiltonian_cycle(9, fs)
+    with pytest.raises(UsageError, match="got n=9"):
+        cons.hamiltonian_path(9, u, prefix_reversal(u, 2), fs)
 
 
 # -------------------------------------------------------------- self-check
