@@ -3,7 +3,10 @@
 The constructor decomposes BP_n into its 2n last-symbol subgraphs, each
 isomorphic to BP_{n-1}, and dispatches on how the fault weight spreads over
 them.  Every "choose an element such that ..." step is a lexicographic scan
-over candidates, so identical inputs produce identical outputs.  Each
+over candidates, so identical inputs produce identical outputs.  A junction
+-- a vertex of one subgraph whose out-neighbour lies in another -- is
+always picked from ``_cross_candidates``, which lists the fault-free cross
+edges between the two in lexicographic order of their ends.  Each
 construction records a tree of case labels (e.g. ``L18/3.2.2.1``); the label
 set doubles as the coverage histogram for the test suite.
 
@@ -40,8 +43,8 @@ that finds the budget spent raises StrictModeFailure on the spot, which
 ends the whole build.  A scan that comes up empty returns None instead,
 and the builder raises the same failure once None reaches it.  Both
 messages come from ``_Ctx.failure``: they give the attempts spent and
-either the spent budget or the empty scan (``_Ctx.note``, else "scan
-exhausted").  Neither carries a partial trace.
+either the spent budget or "scan exhausted".  Neither carries a partial
+trace.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain, islice
+from operator import neg
 
 from . import bp_graph
 from .bp3_fixtures import FREE_PATHS, PAIR_CYCLES
@@ -240,7 +244,6 @@ def _restrict_embed(f: _Faults, i: int) -> _Faults:
 class _Ctx:
     attempts: int = 0
     max_attempts: int = 200_000
-    note: str = ""
 
     def failure(self, why: str) -> StrictModeFailure:
         """The failure of a build that found nothing, naming why it stopped."""
@@ -513,26 +516,16 @@ def _subgraph(n: int, i: int, f: _Faults, ctx: _Ctx, a: Vertex | None = None, b:
     return _cycle(n - 1, fi, ctx) if cycle else _path(n - 1, a, b, fi, ctx)
 
 
-@dataclass(frozen=True)
-class _cross_candidates:
-    """The fault-free cross edges from subgraph i to j, in ``iter_cross_edges``
-    order.  Like ``range``, a lazy view: each pass enumerates afresh and only
-    as far as the caller reads, since the first usable edge usually wins."""
-
-    n: int
-    i: int
-    j: int
-    f: _Faults
-
-    def __iter__(self) -> Iterator[Edge]:
-        removed, edge_set = self.f.removed, self.f.edge_set
-        for x, y in iter_cross_edges(self.n, self.i, self.j, self.f.suffix):
-            if x in removed or y in removed or edge_key(x, y) in edge_set:
-                continue
-            yield x, y
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
+def _cross_candidates(n: int, i: int, j: int, f: _Faults) -> Iterator[Edge]:
+    """The fault-free cross edges (s, stub) from subgraph i to j, read only as
+    far as the caller needs, since the first usable edge usually wins.  The
+    ends s ascend: they are the unremoved vertices of subgraph i with
+    ``-s[0] == j`` and a ``_usable_stub``, in ``iter_cross_edges`` order."""
+    removed, edge_set = f.removed, f.edge_set
+    for x, y in iter_cross_edges(n, i, j, f.suffix):
+        if x in removed or y in removed or edge_key(x, y) in edge_set:
+            continue
+        yield x, y
 
 
 def _chain(n: int, I, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
@@ -612,7 +605,6 @@ def _loop(n: int, I, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
         bridge_vertices, bridge_trace = bridge
         full = path[: pos + 1] + bridge_vertices + path[pos + 1 :]
         return full, CaseTrace("L20", {"split": [format_vertex(x), format_vertex(y)]}, [base_trace, bridge_trace])
-    ctx.note = "loop-no-usable-edge"
     return None
 
 
@@ -638,28 +630,19 @@ def _ring_neighbors(C: list[Vertex], idx: dict[Vertex, int], x: Vertex) -> tuple
     return C[p - 1], C[(p + 1) % len(C)]
 
 
+def _ring_from(C: list[Vertex], p: int) -> list[Vertex]:
+    """The ring read forward from position p."""
+    return C[p:] + C[:p]
+
+
 def _open_ring(C: list[Vertex], idx: dict[Vertex, int], a: Vertex, b: Vertex) -> list[Vertex]:
     """The path from a to b around the ring, skipping the ring edge (a, b)."""
-    L = len(C)
     pa = idx[a]
-    if C[(pa + 1) % L] == b:
-        return [C[(pa - t) % L] for t in range(L)]
-    if C[(pa - 1) % L] == b:
-        return [C[(pa + t) % L] for t in range(L)]
+    if C[(pa + 1) % len(C)] == b:
+        return _ring_from(C, pa + 1)[::-1]
+    if C[pa - 1] == b:
+        return _ring_from(C, pa)
     raise InternalInvariantError("ring edge expected between split vertices")
-
-
-def _ring_span(C: list[Vertex], start: int, end: int) -> list[Vertex]:
-    """Vertices from position start to end inclusive, walking forward."""
-    L = len(C)
-    out = []
-    t = start % L
-    while True:
-        out.append(C[t])
-        if t == end % L:
-            break
-        t = (t + 1) % L
-    return out
 
 
 def _splice(n: int, I, P: list[Vertex], pos: dict[Vertex, int], s: Vertex, t: Vertex, middle, a, b, f, ctx):
@@ -756,12 +739,7 @@ def _cycle_case21(n: int, f: _Faults, ctx: _Ctx, istar: int, i2: int):
     C2, tr2 = c2
     idx1, idx2 = _ring_index(C1), _ring_index(C2)
     rest = [j for j in f.indices if j not in (istar, i2)]
-    for s in sorted(C1):
-        if -s[0] != i2:
-            continue
-        ns = _usable_stub(s, f)
-        if ns is None or ns not in idx2:
-            continue
+    for s, ns in _cross_candidates(n, istar, i2, f):
         for t in _ring_neighbors(C1, idx1, s):
             nt = _usable_stub(t, f)
             if nt is None or nt[n - 1] == i2:
@@ -794,45 +772,38 @@ def _cycle_case22(n: int, f: _Faults, ctx: _Ctx, istar: int):
         return None
     CB, trb0 = cb
     idx1, idxb = _ring_index(C1), _ring_index(CB)
-    for s in sorted(C1):
-        ns = _usable_stub(s, f)
-        if ns is None:
-            continue
-        h = ns[n - 1]
-        for z in sorted(CB):
-            if -z[0] != h:
-                continue
-            nz = _usable_stub(z, f)
-            if nz is None:
-                continue
-            for t in _ring_neighbors(C1, idx1, s):
-                nt = _usable_stub(t, f)
-                if nt is None or nt[n - 1] == h:
+    # s ascends as in the sorted ring: by s[0] = -h first, then within h
+    for h in sorted((j for j in f.indices if abs(j) != abs(istar)), key=neg):
+        rest = [j for j in f.indices if j not in (istar, -istar, h)]
+        for s, ns in _cross_candidates(n, istar, h, f):
+            ts = [
+                (t, nt)
+                for t in _ring_neighbors(C1, idx1, s)
+                if (nt := _usable_stub(t, f)) is not None and nt[n - 1] != h
+            ]
+            for z, nz in _cross_candidates(n, -istar, h, f):
+                ends = [
+                    (t, nt, w, nw)
+                    for t, nt in ts
+                    for w in _ring_neighbors(CB, idxb, z)
+                    if (nw := _usable_stub(w, f)) is not None and nw[n - 1] not in (h, nt[n - 1])
+                ]
+                if not ends:
                     continue
-                for w in _ring_neighbors(CB, idxb, z):
-                    nw = _usable_stub(w, f)
-                    if nw is None or nw[n - 1] in (h, nt[n - 1]):
-                        continue
-                    mid = _subgraph(n, h, f, ctx, ns, nz)
-                    if mid is None:
-                        ctx.spend()
-                        break  # the h-path does not depend on t, w
-                    mv, trm = mid
-                    rest = [j for j in f.indices if j not in (istar, -istar, h)]
+                # the h-path does not depend on t, w: ask for it once
+                mid = _subgraph(n, h, f, ctx, ns, nz)
+                if mid is None:
+                    ctx.spend()
+                    continue
+                mv, trm = mid
+                for t, nt, w, nw in ends:
                     bridge = _chain(n, rest, nw, nt, f, ctx)
                     if bridge is None:
                         ctx.spend()
                         continue
                     bv, trc = bridge
-                    full = (
-                        _open_ring(C1, idx1, t, s)
-                        + mv
-                        + _open_ring(CB, idxb, z, w)
-                        + bv
-                    )
-                    return full, CaseTrace(
-                        "L18/2.2", {"i1": istar, "h": h}, [tr1, trb0, trm, trc]
-                    )
+                    full = _open_ring(C1, idx1, t, s) + mv + _open_ring(CB, idxb, z, w) + bv
+                    return full, CaseTrace("L18/2.2", {"i1": istar, "h": h}, [tr1, trb0, trm, trc])
     return None
 
 
@@ -868,14 +839,13 @@ def _cycle_case3_pair(n: int, f: _Faults, ctx: _Ctx, istar: int, pair: Pair):
         raise InternalInvariantError("re-admitted pair missing from subgraph cycle")
     if _ring_neighbors(C1, idx1, a1)[0] == b1:
         a1, b1 = b1, a1  # normalize so b1 follows a1 when they are ring-adjacent
-    pa, pb = idx1[a1], idx1[b1]
-    if (pb - pa) % len(C1) == 1:
-        arc = _ring_span(C1, pb + 1, pa - 1)  # y1 .. x1
-        res = _reconnect_one_arc(n, f, ctx, istar, arc, "L18/3.1")
+    R = _ring_from(C1, idx1[a1])
+    k = R.index(b1)
+    if k == 1:
+        res = _reconnect_one_arc(n, f, ctx, istar, R[2:], "L18/3.1")  # y1 .. x1
     else:
-        arc_a = _ring_span(C1, pa + 1, pb - 1)  # x2 .. y2
-        arc_b = _ring_span(C1, pb + 1, pa - 1)  # y1 .. x1
-        res = _reconnect_two_arcs(n, f, ctx, istar, arc_a, arc_b, "L18/3.2")
+        # arc A runs x2 .. y2, arc B y1 .. x1
+        res = _reconnect_two_arcs(n, f, ctx, istar, R[1:k], R[k + 1 :], "L18/3.2")
     if res is None:
         return None
     vertices, tr = res
@@ -900,9 +870,7 @@ def _cycle_case3_single(n: int, f: _Faults, ctx: _Ctx, istar: int, sv: Vertex):
     idx1 = _ring_index(C1)
     if sv not in idx1:
         raise InternalInvariantError("re-admitted single missing from subgraph cycle")
-    p = idx1[sv]
-    arc = _ring_span(C1, p + 1, p - 1)
-    res = _reconnect_one_arc(n, f, ctx, istar, arc, "EXT/L18/3-single")
+    res = _reconnect_one_arc(n, f, ctx, istar, _ring_from(C1, idx1[sv])[1:], "EXT/L18/3-single")
     if res is None:
         return None
     vertices, tr = res
@@ -1220,11 +1188,8 @@ def _path_c2_outside_two(n, u, v, f, ctx, istar, C1, idx1, tr1):
     for e_x, e_y, swapped in options:
         jx = e_x[n - 1]
         rest = [j for j in f.indices if j not in (istar, jx)]
-        for s in sorted(C1):
-            if -s[0] != jx:
-                continue
-            ns = _usable_stub(s, f)
-            if ns is None or ns == e_x:
+        for s, ns in _cross_candidates(n, istar, jx, f):
+            if ns == e_x:
                 continue
             for s1 in _ring_neighbors(C1, idx1, s):
                 ns1 = _usable_stub(s1, f)
@@ -1366,9 +1331,10 @@ def _path_c2_inside_pair(n, u, v, f, ctx, istar, C1, idx1, tr1):
         return None
     # endpoints non-adjacent on the cycle: walk one arc between them, cross
     # to the outside and come back along the other
-    pu, pv = idx1[u], idx1[v]
-    arc_p = _ring_span(C1, pu + 1, pv - 1)  # forward arc strictly between u and v
-    arc_q = _ring_span(C1, pv + 1, pu - 1)[::-1]  # backward arc strictly between u and v
+    R = _ring_from(C1, idx1[u])
+    k = R.index(v)
+    arc_p = R[1:k]  # forward arc strictly between u and v
+    arc_q = R[:k:-1]  # backward arc strictly between u and v
     for first, second in ((arc_q, arc_p), (arc_p, arc_q)):
         nv1, nu1 = _usable_stub(first[-1], f), _usable_stub(second[0], f)
         if nu1 is None or nv1 is None:
@@ -1462,7 +1428,7 @@ def hamiltonian_cycle(n: int, fault_set: FaultSet) -> VertexCycle:
     ctx = _Ctx()
     got = _cycle(n, f, ctx)
     if got is None:
-        raise ctx.failure(ctx.note or "scan exhausted")
+        raise ctx.failure("scan exhausted")
     vertices, tr = got
     _check_output(n, f, vertices, closed=True)
     return VertexCycle(tuple(vertices), _finish(tr, n))
@@ -1474,7 +1440,7 @@ def hamiltonian_path(n: int, u, v, fault_set: FaultSet) -> VertexPath:
     ctx = _Ctx()
     got = _path(n, u, v, f, ctx)
     if got is None:
-        raise ctx.failure(ctx.note or "scan exhausted")
+        raise ctx.failure("scan exhausted")
     vertices, tr = got
     _check_output(n, f, vertices, closed=False, u=u, v=v)
     return VertexPath(tuple(vertices), _finish(tr, n))

@@ -109,7 +109,16 @@ def format_vertex(u: Vertex) -> str:
 
 
 def iter_vertices(n: int) -> Iterator[Vertex]:
-    """All 2^n * n! signed permutations, in lexicographic order."""
+    """All 2^n * n! signed permutations.  Not in lexicographic order: the
+    absolute values run through the permutations of 1..n in lexicographic
+    order, and each takes its 2^n sign patterns, all positive first and the
+    last sign flipping fastest.  :func:`all_vertices` sorts them.
+
+    >>> list(iter_vertices(1))
+    [(1,), (-1,)]
+    >>> list(iter_vertices(2))[:5]
+    [(1, 2), (1, -2), (-1, 2), (-1, -2), (2, 1)]
+    """
     for base in permutations(range(1, n + 1)):
         for signs in product((1, -1), repeat=n):
             yield tuple(map(mul, signs, base))

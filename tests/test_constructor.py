@@ -19,15 +19,23 @@ from burntpancake.constructor import (
     BudgetExceededError,
     InternalInvariantError,
     NoOrderingError,
+    StrictModeFailure,
     UsageError,
     _chain,
     _check_output,
+    _cross_candidates,
     _Ctx,
     _Faults,
     _free_path,
     _leaf_view,
     _loop,
+    _open_ring,
+    _restrict_embed,
+    _ring_from,
     _small_search,
+    _subgraph,
+    _usable_stub,
+    _weights,
     hamiltonian_cycle,
     hamiltonian_path,
     order_subgraphs,
@@ -411,6 +419,35 @@ def test_successes_do_not_spend_the_attempt_budget(monkeypatch):
     assert verify_cycle(5, FaultSet.build(5), got).ok
 
 
+def test_failed_loop_leaves_no_note_on_the_build_failure(monkeypatch):
+    import burntpancake.constructor as cons
+
+    # both endpoints in subgraph 4 of fault-free BP_4: the path runs through
+    # a loop, and with every chain refused the loop finds no usable edge
+    monkeypatch.setattr(cons, "_chain", lambda *a, **k: None)
+    with pytest.raises(StrictModeFailure, match=r"note=scan exhausted\)$"):
+        cons.hamiltonian_path(4, identity(4), (-1, 2, 3, 4), FaultSet.build(4))
+
+
+def test_refused_h_path_is_asked_for_once(monkeypatch):
+    import burntpancake.constructor as cons
+
+    # the heavy subgraph is paired with its complement (L18/2.2), whose two
+    # rings are joined through a path of an intermediate subgraph h that
+    # depends on the junctions s, z but not on their ring neighbours t, w
+    fs = FaultSet.build(4, [[(-2, -1, 4, 3), (1, 2, 4, 3)], [(1, -2, -4, -3), (2, -1, -4, -3)]])
+    assert "L18/2.2" in hamiltonian_cycle(4, fs).trace.labels()
+    subgraph = cons._subgraph
+
+    def no_paths(n, i, f, ctx, a=None, b=None):
+        return None if a is not None else subgraph(n, i, f, ctx, a, b)
+
+    # every refused request is one attempt: 353 distinct h-paths, each once
+    monkeypatch.setattr(cons, "_subgraph", no_paths)
+    with pytest.raises(StrictModeFailure, match=r"attempts=353,"):
+        hamiltonian_cycle(4, fs)
+
+
 def test_benchmark_layers_are_all_found(monkeypatch):
     # the benchmark's traced run wraps package functions by name and adds
     # the return value of each _Ctx.spend call to constructor.attempts
@@ -483,8 +520,54 @@ def test_cross_edge_candidates_stay_abundant_under_faults():
             floor = cross_edge_count(n) - 2 * fs.size
             assert floor > 0
             for i, j in ((1, 2), (2, -1), (-3, n)):
-                got = len(_cross_candidates(n, i, j, f))
+                got = sum(1 for _ in _cross_candidates(n, i, j, f))
                 assert got >= floor
+
+
+def test_cross_candidates_are_the_sorted_ring_junctions():
+    # the case routines take junctions from _cross_candidates where a scan
+    # of the sorted ring for -s[0] == j with a usable stub would give the
+    # same vertices in the same order; n = 5 adds the frame of subgraph -2
+    checked = 0
+    for n in (4, 5):
+        for trial in range(3):
+            f = _Faults.from_fault_set(sample_fault_set(n, n - 2, trial_rng(17, trial)))
+            frames = [(n, f), (4, _restrict_embed(f, -2))] if n == 5 else [(n, f)]
+            for m, g in frames:
+                ws = _weights(g)
+                for i in g.indices:
+                    built = _subgraph(m, i, g, _Ctx()) if ws[i] <= m - 3 else None
+                    if built is None:
+                        continue
+                    ring = built[0]
+                    for j in g.indices:
+                        if j == i:
+                            continue
+                        got = list(_cross_candidates(m, i, j, g))
+                        assert [s for s, _ in got] == [s for s in sorted(ring) if -s[0] == j and _usable_stub(s, g)]
+                        assert all(ns == _usable_stub(s, g) for s, ns in got)
+                        checked += bool(got)
+    assert checked > 200
+
+
+def test_ring_cuts_on_a_bp3_ring():
+    ring = list(hamiltonian_cycle(3, FaultSet.build(3)).vertices)
+    idx = {x: p for p, x in enumerate(ring)}
+    size = len(ring)
+    for p in range(size):
+        assert _ring_from(ring, p) == [ring[(p + t) % size] for t in range(size)]
+    # b after a on the ring: the path walks backward from a; before it, forward
+    assert _open_ring(ring, idx, ring[0], ring[1]) == ring[:1] + ring[:0:-1]
+    assert _open_ring(ring, idx, ring[1], ring[0]) == ring[1:] + ring[:1]
+    assert _open_ring(ring, idx, ring[-1], ring[0]) == ring[::-1]
+    assert _open_ring(ring, idx, ring[0], ring[-1]) == ring
+    for a, b in zip(ring, ring[1:] + ring[:1]):
+        for x, y in ((a, b), (b, a)):
+            got = _open_ring(ring, idx, x, y)
+            assert got[0] == x and got[-1] == y and sorted(got) == sorted(ring)
+            assert all(map(is_adjacent, got, got[1:]))
+    with pytest.raises(InternalInvariantError, match="ring edge expected"):
+        _open_ring(ring, idx, ring[0], ring[2])
 
 
 def test_public_builders_reject_dimension_above_limit(monkeypatch):
