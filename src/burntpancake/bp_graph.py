@@ -11,18 +11,26 @@ this to build in BP_n coordinates at every level (:func:`iter_cross_edges`
 takes the suffix); :func:`lift_all` applies one table to a whole list, and
 :func:`subgraph_lift` / :func:`subgraph_embed` are the one-level forms.
 
-Adjacency is tested directly: if ``v`` is the k-th prefix reversal of ``u``,
-the last position where the two differ is k (the symbol arriving there is
-``-u[0]``, which differs from what was there), so one comparison of the
-first k symbols decides.  Cross edges between two subgraphs are produced
-lazily by :func:`iter_cross_edges`, already in lexicographic order, so a
-caller that wants only the first usable edge builds no more than it reads.
+Adjacency is tested in two ways.  :func:`is_adjacent` tests one step: if
+``v`` is the k-th prefix reversal of ``u``, the last position where the two
+differ is k (the symbol arriving there is ``-u[0]``, which differs from what
+was there), so one comparison of the first k symbols decides.  It is the
+reference, and it names the bad step when a check fails.  :func:`is_walk`
+answers the same question for every step of a whole sequence at once: it
+packs the symbols into bytes and compares columns of the sequence as big
+integers, with no Python call per step, so the constructor's self-check and
+the oracle, which test every step of every built object, call it instead.
+Cross edges between two subgraphs are produced lazily by
+:func:`iter_cross_edges`, already in lexicographic order, so a caller that
+wants only the first usable edge builds no more than it reads.
 """
 
 from __future__ import annotations
 
+import struct
 from collections import deque
 from collections.abc import Iterator, Sequence
+from itertools import chain, islice, starmap
 from math import factorial
 from operator import neg
 
@@ -81,6 +89,100 @@ def edge_dimension(u: Vertex, v: Vertex) -> int:
 
 def is_adjacent(u: Vertex, v: Vertex) -> bool:
     return _dimension(u, v) != 0
+
+
+# Steps per block of is_walk; a block of an n=8 sequence packs 32 776 bytes.
+_WALK_BLOCK = 1 << 12
+# Byte of -x for the byte of x, in two's complement (exact except for -128).
+_NEGATE = bytes([0, *range(255, 0, -1)])
+
+
+def is_walk(n: int, vertices: Sequence[Vertex], closed: bool) -> bool:
+    """Whether every step of ``vertices`` joins adjacent vertices: exactly
+    ``all(map(is_adjacent, vertices, successors))``, where the successors
+    are ``vertices[1:]``, followed by ``vertices[0]`` when ``closed``.
+
+    Fast path.  When ``vertices[0]`` is a tuple that is a signed permutation
+    of 1..n, the steps are tested a block of :data:`_WALK_BLOCK` at a time
+    (:func:`_prefix_reversal_steps`), blocks overlapping by one vertex, and
+    the answer is whether each step is an exact prefix reversal: some k
+    with ``v[j] == -u[k-1-j]`` for j < k and ``v[j] == u[j]`` for j >= k.
+    A block whose entries are not all tuples, or do not each pack into n
+    signed bytes (``struct.error``: a wrong length, floats, values outside
+    -128..127), and input that breaks the guard itself (``TypeError``),
+    leave the fast path for the per-step loop.
+
+    Why the answers agree.  Every step the fast path accepts is an exact
+    prefix reversal of its first vertex, and a prefix reversal of a signed
+    permutation of 1..n is one too; so, from the valid first vertex, every
+    vertex up to the first rejected step is valid, and byte negation, exact
+    on valid symbols, was exact wherever it decided.  For a valid ``u``,
+    ``_dimension(u, v)`` is nonzero exactly when v is some prefix reversal
+    of u (the module docstring's argument), so every accepted step is
+    accepted by :func:`is_adjacent`, and the first rejected one is rejected
+    by it.  The first-vertex guard is needed: ``(1, -1, 3)`` is its own
+    2-prefix reversal, a step that the column test accepts and
+    :func:`is_adjacent` rejects.  Symbols compare by value on both paths
+    (``True`` packs, and compares, as 1).
+    """
+    size = len(vertices)
+    steps = size if closed else size - 1
+    try:
+        first = vertices[0] if size else None
+        if type(first) is tuple and len(first) == n and sorted(map(abs, first)) == list(range(1, n + 1)):
+            for start in range(0, steps, _WALK_BLOCK):
+                block = vertices[start : start + _WALK_BLOCK + 1]
+                if closed and start + _WALK_BLOCK >= size:
+                    block = [*block, first]
+                if set(map(type, block)) != {tuple}:
+                    break
+                if not _prefix_reversal_steps(n, block):
+                    return False
+            else:
+                return True
+    except (struct.error, TypeError):
+        pass
+    successors = islice(vertices, 1, None)
+    if closed:
+        successors = chain(successors, vertices[:1])
+    return all(map(is_adjacent, vertices, successors))
+
+
+def _prefix_reversal_steps(n: int, block: Sequence[Vertex]) -> bool:
+    """Whether each step of ``block``, at least two tuples, is a prefix
+    reversal of its first vertex; ``struct.error`` unless every tuple is n
+    symbols in -128..127.
+
+    Column j of the block, ``flat[j::n]`` of the packed symbols, read as one
+    big-endian integer, holds symbol j of every vertex, one byte each; less
+    its last byte it is the steps' first vertices (``u[j]``), less its
+    first byte their second (``v[j]``).  A byte of ``v[j] ^ u[j]`` is zero
+    where the two agree, so the k-th prefix reversal's mismatch is the OR of
+    ``v[j] ^ -u[k-1-j]`` over j < k and ``v[j] ^ u[j]`` over j >= k.  Each
+    mismatch is cut to the top bit of each nonzero byte, and a step passes
+    when some k leaves its byte zero: when the AND over k is zero there.
+    """
+    flat = b"".join(starmap(struct.Struct(f"{n}b").pack, block))
+    width = len(block) - 1
+    last = (1 << 8 * width) - 1
+    high = int.from_bytes(b"\x80" * width, "big")
+    low = high - (high >> 7)  # 0x7f in every byte
+    u, v, neg_u = [], [], []
+    for j in range(n):
+        column = flat[j::n]
+        whole = int.from_bytes(column, "big")
+        u.append(whole >> 8)
+        v.append(whole & last)
+        neg_u.append(int.from_bytes(column.translate(_NEGATE), "big") >> 8)
+    failing = high
+    suffix = 0  # where some v[j] != u[j], j >= k
+    for k in range(n, 0, -1):
+        mismatch = suffix
+        for j in range(k):
+            mismatch |= v[j] ^ neg_u[k - 1 - j]
+        failing &= ((mismatch & low) + low | mismatch) & high
+        suffix |= v[k - 1] ^ u[k - 1]
+    return not failing
 
 
 def edge_steps(vertices: Sequence[Vertex], a: Vertex, b: Vertex, closed: bool) -> list[int]:

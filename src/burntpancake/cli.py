@@ -1,7 +1,8 @@
 """Command-line front end: construct, verify, fuzz, count, and witness.
 
 Exit codes: 0 success, 1 verification or absence failure, 2 invalid input,
-3 strict-mode construction failure, 4 fault budget exceeded.
+3 strict-mode construction failure, 4 fault budget exceeded, 5 out of memory
+(a ``MemoryError`` anywhere in a command, reported in one line on stderr).
 
 Every emitted construction is self-verified against the oracle before the
 process can exit 0.  Reports and artifacts are deterministic for a fixed
@@ -33,6 +34,7 @@ EXIT_VERIFY = 1
 EXIT_INPUT = 2
 EXIT_STRICT = 3
 EXIT_BUDGET = 4
+EXIT_MEMORY = 5
 
 
 def _load_faults(path: str | None, n: int) -> FaultSet:
@@ -324,6 +326,9 @@ def main(argv=None) -> int:
     except (UsageError, bp_graph.CapabilityError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError:
+        print("out of memory: the command needs more memory than this process can have", file=sys.stderr)
+        return EXIT_MEMORY
 
 
 def entry() -> None:

@@ -52,7 +52,6 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain, islice
 from operator import neg
 
 from . import bp_graph
@@ -1366,12 +1365,9 @@ def _check_output(n: int, f: _Faults, vertices: list[Vertex], closed: bool, u=No
         raise InternalInvariantError("cycles must have at least eight vertices")
     if len(set(vertices)) != len(vertices):
         raise InternalInvariantError("repeated vertex in construction")
-    successors = islice(vertices, 1, None)
-    if closed:
-        successors = chain(successors, vertices[:1])
     if (
         not f.removed.isdisjoint(vertices)
-        or not all(map(bp_graph.is_adjacent, vertices, successors))
+        or not bp_graph.is_walk(n, vertices, closed)
         or any(bp_graph.edge_steps(vertices, a, b, closed) for a, b in f.edges)
     ):
         removed = f.removed

@@ -13,7 +13,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, islice
 from typing import Iterable
 
 from . import bp_graph
@@ -69,15 +68,15 @@ def _verify_common(
             if v in removed:
                 bad.append(("FaultyVertexUsed", pos, format_vertex(v)))
 
-    successors = islice(vertices, 1, None)
-    if closed:
-        successors = chain(successors, vertices[:1])
-    adjacent = all(map(bp_graph.is_adjacent, vertices, successors))
+    adjacent = bp_graph.is_walk(n, vertices, closed)
 
     # The MissingVertex walk may be skipped only when the sequence provably
-    # covers every vertex outside ``removed``.  The first vertex is a vertex
-    # of BP_n, and every step is a prefix reversal, which maps a vertex to a
-    # vertex, so every entry equals a vertex of BP_n (symbol by symbol, and
+    # covers every vertex outside ``removed``.  ``is_walk`` answers as
+    # ``is_adjacent`` on every step would (its docstring proves it, and
+    # tests hold it to the per-step loop), so when ``adjacent`` holds every
+    # step is a prefix reversal.  The first vertex is a vertex of BP_n, and
+    # a prefix reversal maps a vertex to a vertex, so every entry equals a
+    # vertex of BP_n (symbol by symbol, and
     # numbers that compare equal hash equal, so set lookups agree).  The
     # entries are distinct, none is removed, and there are |V| - |removed|
     # of them; with removed a subset of V(BP_n), they are all of V(BP_n)

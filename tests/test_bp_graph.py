@@ -1,3 +1,4 @@
+import random
 from collections import deque
 
 import pytest
@@ -13,6 +14,7 @@ from burntpancake.bp_graph import (
     edge_dimension,
     frame_tables,
     is_adjacent,
+    is_walk,
     iter_cross_edges,
     last_symbol,
     lift_all,
@@ -301,3 +303,106 @@ def test_edge_dimension_matches_brute_force():
         assert not is_adjacent(u, u)
         with pytest.raises(ValueError):
             edge_dimension(u, u)
+
+
+def _steps_reference(vertices, closed):
+    """Every step through ``is_adjacent``, as ``is_walk`` promises to answer."""
+    steps = len(vertices) if closed else len(vertices) - 1
+    return all(is_adjacent(vertices[i], vertices[(i + 1) % len(vertices)]) for i in range(steps))
+
+
+def _check_walk(n, vertices):
+    for closed in (False, True):
+        want = _steps_reference(vertices, closed)
+        assert is_walk(n, vertices, closed) == want, (n, closed, vertices[:4])
+        assert is_walk(n, tuple(vertices), closed) == want
+
+
+def _random_walk(rng, n, steps):
+    v = tuple(rng.choice((1, -1)) * x for x in rng.sample(range(1, n + 1), n))
+    walk = [v]
+    for _ in range(steps):
+        walk.append(prefix_reversal(walk[-1], rng.randint(1, n)))
+    return walk
+
+
+def test_is_walk_matches_steps_on_every_pair_up_to_n3():
+    for n in (1, 2, 3):
+        vertices = all_vertices(n)
+        for u in vertices:
+            for v in vertices:
+                _check_walk(n, [u, v])
+                _check_walk(n, [u, v, u])
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_is_walk_matches_steps_on_random_walks(n):
+    rng = random.Random(n)
+    for _ in range(40):
+        walk = _random_walk(rng, n, rng.randint(1, 60))
+        _check_walk(n, walk)
+        if rng.random() < 0.5:  # closable: walk back along the first steps
+            _check_walk(n, walk + walk[-2:0:-1])
+        bad = list(walk)
+        bad[rng.randrange(len(bad))] = _random_walk(rng, n, 0)[0]
+        _check_walk(n, bad)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_is_walk_matches_steps_across_block_boundaries(monkeypatch, block):
+    monkeypatch.setattr(bp_graph, "_WALK_BLOCK", block)
+    rng = random.Random(block)
+    for length in range(1, 3 * block + 3):
+        walk = _random_walk(rng, 4, length - 1)
+        _check_walk(4, walk)
+        for pos in range(length):  # one bad vertex in every position
+            bad = list(walk)
+            bad[pos] = _random_walk(rng, 4, 0)[0]
+            _check_walk(4, bad)
+            if length > 1:
+                _check_walk(4, bad[:pos] + bad[pos + 1 :])
+
+
+def test_is_walk_falls_back_on_entries_that_are_not_vertices():
+    walk = _random_walk(random.Random(0), 4, 12)
+    e = identity(4)
+    loop = (1, -1, 3, 4)
+    odd = [
+        (1.0, 2.0, 3.0, 4.0),
+        (True, 2, 3, 4),
+        (-1, 2, 3, 4),
+        (0, 2, 3, 4),
+        (200, 2, 3, 4),
+        (-128, 2, 3, 4),
+        (127, 2, 3, 4),
+        (1, 2, 3),
+        (1, 2, 3, 4, 5),
+        [1, 2, 3, 4],
+        loop,
+    ]
+    for v in odd:
+        for pos in (0, 1, 6, 12):
+            _check_walk(4, walk[:pos] + [v] + walk[pos + 1 :])
+        _check_walk(4, [v, e])
+        _check_walk(4, [e, v])
+        _check_walk(4, [v])
+    # the same symbols cut into vertices differently, and a list entry:
+    # is_adjacent rejects a step between lengths, or into a list
+    for pos in (1, 6, 11):
+        cut = walk[pos] + walk[pos + 1]
+        _check_walk(4, walk[:pos] + [cut[:3], cut[3:]] + walk[pos + 2 :])
+        _check_walk(4, walk[:pos] + [list(walk[pos])] + walk[pos + 1 :])
+    # floats and True equal their integers; a float walk is still a walk
+    _check_walk(4, [tuple(map(float, v)) for v in walk])
+    _check_walk(4, [tuple(True if x == 1 else x for x in v) for v in walk])
+    # the self-loop: the column test alone would accept each step
+    assert prefix_reversal(loop, 2) == loop
+    _check_walk(4, [loop, loop, loop])
+    # the right walk at the wrong n, empty and one-vertex sequences
+    for n in (0, 3, 5, 200):
+        _check_walk(n, walk)
+    for n in (0, 4):
+        _check_walk(n, [])
+        _check_walk(n, [()])
+        _check_walk(n, [(), ()])
+        _check_walk(n, [e])

@@ -307,3 +307,17 @@ def test_artifact_json_matches_reference_encoder():
             **(extra or {}),
         }
         assert _artifact_json(kind, 4, obj.vertices, obj.trace, extra) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_out_of_memory_exit_code(tmp_path, monkeypatch, capsys):
+    import burntpancake.cli as cli
+
+    def boom(*args, **kwargs):
+        raise MemoryError
+
+    artifact = tmp_path / "c.json"
+    artifact.write_text(json.dumps({"kind": "cycle", "n": 3, "vertices": [[1, 2, 3]]}))
+    monkeypatch.setattr(cli.json, "load", boom)
+    assert main(["verify", str(artifact)]) == cli.EXIT_MEMORY == 5
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory: ") and err.count("\n") == 1

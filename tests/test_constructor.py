@@ -647,6 +647,33 @@ def test_check_output_raises_exactly_on_bad_output(case):
             _check_output(n, f, seq, closed, u, v)
 
 
+def test_self_checks_test_no_step_alone(monkeypatch):
+    """Both self-checks of a built n=6 cycle take ``is_walk``'s column test:
+    neither makes one ``bp_graph._dimension`` call.  A count, not a time,
+    so a fast path that silently falls back fails here on any machine.
+    Only the checks are counted: the builder's validation of the fault set
+    tests its faulty edge with ``is_adjacent``, one call."""
+    from burntpancake import bp_graph, constructor
+
+    calls = []
+    dimension = bp_graph._dimension
+    monkeypatch.setattr(bp_graph, "_dimension", lambda u, v: calls.append(1) or dimension(u, v))
+    checks = []
+    check_output = constructor._check_output
+
+    def counted_check(*args, **kwargs):
+        before = len(calls)
+        check_output(*args, **kwargs)
+        checks.append(len(calls) - before)
+
+    monkeypatch.setattr(constructor, "_check_output", counted_check)
+    fs = sample_fault_set(6, 4, trial_rng(0, 0))
+    built = hamiltonian_cycle(6, fs)
+    before = len(calls)
+    assert verify_cycle(6, fs, built).ok
+    assert checks == [0] and len(calls) == before
+
+
 # ---------------------------------------------------------------- frames
 
 

@@ -28,7 +28,12 @@ Groups:
   used at step 0, an interior step or the closing step, a vertex that is
   not one of BP_n, a rotation, a reversal, an empty sequence), and on fault
   stand-ins that remove one vertex, inside or outside BP_3, with faulty
-  edges in either order.
+  edges in either order;
+- ``oracle_walk_reports``: the same reports on a built n=5 cycle and path
+  under swaps, drops, duplicates, rotations and a reversal, and with
+  entries that are not vertices of BP_5 (floats, ``True``, 0, 200, -128,
+  short and long tuples, the self-loop ``(1, -1, 3, 4, 5)``), and on the
+  whole objects checked against the wrong dimension.
 
 On orientations.  ``_reconnect_double_split`` splits the path P1 at an edge
 (s, t) and the path P2 at an edge (ns, z), so it has four orientations: s
@@ -48,6 +53,7 @@ import itertools
 
 import pytest
 
+from burntpancake import bp_graph
 from burntpancake.bp_graph import edge_key, neighbors
 from burntpancake.constructor import _small_search, hamiltonian_cycle, hamiltonian_path
 from burntpancake.fault_model import FaultSet
@@ -55,6 +61,7 @@ from burntpancake.fuzz import sample_endpoints, sample_fault_set, trial_rng
 from burntpancake.oracle import exhaustive_path_search, verify_cycle, verify_path
 from burntpancake.signed_perm import all_vertices, generator, identity
 from test_acceptance import CASE_TABLE
+from test_bp_graph import _steps_reference
 from test_constructor import _OneVertexRemoved
 
 # Splice orientations: (what the build reaches, n, pairs, edges, endpoints).
@@ -175,6 +182,7 @@ GOLDEN = {
     "bp3_solver": "be288b6ef999d84dd14413d40b34e92de57bec92b5101f4aff6d4fafd0d98d1e",
     "oracle_reports": "c5010afd02dd3ca9643e59c6ce063ae1ec41d7db54194d41ca5aa4f5126da193",
     "full_n7": "a7f218232cae4a1125721f55f9546ef834ce1ec626f71cd4d38d1bfa200a57b6",
+    "oracle_walk_reports": "e64482d309062c915ee72efd5000469b704aa030807cc235df93fa9511923f3d",
 }
 
 
@@ -361,3 +369,83 @@ def test_golden_oracle_reports():
         h.update(repr((report.ok, report.violations)).encode())
         h.update(b"\n")
     assert h.hexdigest() == GOLDEN["oracle_reports"]
+
+
+def _with_symbol(v, old, new):
+    return tuple(new if x == old else x for x in v)
+
+
+def _walk_corruptions(n, s):
+    """(label, sequence) for one valid built sequence of BP_n, n >= 4: the
+    step mutations of a whole object, and entries that are not vertices of
+    BP_n, at the first position and inside."""
+    k = len(s)
+    yield "valid", s
+    for i, j in ((0, 1), (100, k // 2), (k - 2, k - 1)):
+        t = list(s)
+        t[i], t[j] = t[j], t[i]
+        yield f"swapped {i} {j}", t
+    for i in (0, k // 2, k - 1):
+        yield f"dropped {i}", s[:i] + s[i + 1 :]
+        yield f"duplicated {i}", s[:i] + [s[i]] + s[i:]
+        yield f"overwritten {i}", s[:i] + [s[(i + 7) % k]] + s[i + 1 :]
+    yield "rotated 1", s[1:] + s[:1]
+    yield f"rotated {k // 3}", s[k // 3 :] + s[: k // 3]
+    yield "reversed", s[::-1]
+    for pos in (0, k // 2):
+        edit = lambda v: s[:pos] + [v] + s[pos + 1 :]  # noqa: E731
+        yield f"True for 1 at {pos}", edit(_with_symbol(s[pos], 1, True))
+        yield f"float at {pos}", edit(tuple(map(float, s[pos])))
+        yield f"0 for 1 at {pos}", edit(_with_symbol(s[pos], 1, 0))
+        yield f"200 for 1 at {pos}", edit(_with_symbol(s[pos], 1, 200))
+        yield f"-128 for -1 at {pos}", edit(_with_symbol(_with_symbol(s[pos], 1, -1), -1, -128))
+        yield f"short at {pos}", edit(s[pos][:-1])
+        yield f"long at {pos}", edit(s[pos] + (n + 1,))
+    yield "all True", [_with_symbol(v, 1, True) for v in s]
+    loop = (1, -1) + tuple(range(3, n + 1))
+    yield "self-loop", [loop, loop, loop]
+    yield "self-loop, then the object", [loop] + s
+    yield "one vertex", s[:1]
+    yield "one self-loop vertex", [loop]
+
+
+def _oracle_walk_reports():
+    cycle_faults = sample_fault_set(5, 3, trial_rng(0, 1))
+    cycle = list(hamiltonian_cycle(5, cycle_faults).vertices)
+    rng = trial_rng(0, 1)
+    path_faults = sample_fault_set(5, 2, rng)
+    u, v = sample_endpoints(rng, 5, path_faults)
+    path = list(hamiltonian_path(5, u, v, path_faults).vertices)
+    for _, got in _walk_corruptions(5, cycle):
+        yield verify_cycle(5, cycle_faults, got)
+    for _, got in _walk_corruptions(5, path):
+        yield verify_path(5, path_faults, u, v, got)
+    # the right vertices of the wrong dimension
+    yield verify_cycle(4, FaultSet.build(4), cycle)
+    yield verify_cycle(6, FaultSet.build(6), cycle)
+    yield verify_path(4, FaultSet.build(4), u[:4], v[:4], path)
+
+
+def test_golden_oracle_walk_reports():
+    """The oracle's full reports on whole built n=5 objects under step
+    mutations, and on entries that are not vertices: floats, True, 0, 200,
+    -128, short and long tuples, and the self-loop (1, -1, 3, ...), whose
+    2-prefix reversal is itself."""
+    h = hashlib.sha256()
+    for report in _oracle_walk_reports():
+        h.update(repr((report.ok, report.violations)).encode())
+        h.update(b"\n")
+    assert h.hexdigest() == GOLDEN["oracle_walk_reports"]
+
+
+@pytest.mark.parametrize("block", [5, 64, bp_graph._WALK_BLOCK])
+def test_is_walk_matches_steps_on_the_walk_corpus(monkeypatch, block):
+    """``is_walk`` against the per-step loop on every sequence of the
+    corpus above, with blocks small enough that every mutation sits near a
+    block boundary (5), a few (64), and as shipped."""
+    monkeypatch.setattr(bp_graph, "_WALK_BLOCK", block)
+    cycle = list(hamiltonian_cycle(5, sample_fault_set(5, 3, trial_rng(0, 1))).vertices)
+    for seq in (cycle, cycle[::-1][:1000]):
+        for label, got in _walk_corruptions(5, seq):
+            for closed in (False, True):
+                assert bp_graph.is_walk(5, got, closed) == _steps_reference(got, closed), (label, closed)
