@@ -76,12 +76,11 @@ def _verify_common(
     # tests hold it to the per-step loop), so when ``adjacent`` holds every
     # step is a prefix reversal.  The first vertex is a vertex of BP_n, and
     # a prefix reversal maps a vertex to a vertex, so every entry equals a
-    # vertex of BP_n (symbol by symbol, and
-    # numbers that compare equal hash equal, so set lookups agree).  The
-    # entries are distinct, none is removed, and there are |V| - |removed|
-    # of them; with removed a subset of V(BP_n), they are all of V(BP_n)
-    # minus removed, and the walk would report nothing.  In every other
-    # case the walk runs.
+    # vertex of BP_n (symbol by symbol, and numbers that compare equal hash
+    # equal, so set lookups agree).  The entries are distinct, none is
+    # removed, and there are |V| - |removed| of them; with removed a subset
+    # of V(BP_n), they are all of V(BP_n) minus removed, and the walk would
+    # report nothing.  In every other case the walk runs.
     complete = (
         adjacent
         and distinct
