@@ -1276,6 +1276,7 @@ def _path_c2_complement_pair(n, u, v, f, ctx, istar, C1, idx1, tr1):
     P, trp = base
     pos = _ring_index(P)
     ring_edges = [(C1[i], C1[(i + 1) % len(C1)]) for i in range(len(C1))]
+    mids = {}  # the g-path from ns to nz, asked for once per (ns, nz)
     for i in range(len(P) - 1):
         for s, t in ((P[i], P[i + 1]), (P[i + 1], P[i])):
             ns = _usable_stub(s, f)
@@ -1287,6 +1288,7 @@ def _path_c2_complement_pair(n, u, v, f, ctx, istar, C1, idx1, tr1):
             nt = _usable_stub(t, f)
             if nt is None or nt[n - 1] in (istar, g):
                 continue
+            rest = [q for q in f.indices if q not in (istar, -istar, g)]
             for z0, w0 in ring_edges:
                 for z, w in ((z0, w0), (w0, z0)):
                     nz = _usable_stub(z, f)
@@ -1295,8 +1297,9 @@ def _path_c2_complement_pair(n, u, v, f, ctx, istar, C1, idx1, tr1):
                     nw = _usable_stub(w, f)
                     if nw is None or nw[n - 1] in (g, nt[n - 1]):
                         continue
-                    mid = _subgraph(n, g, f, ctx, ns, nz)
-                    rest = [q for q in f.indices if q not in (istar, -istar, g)]
+                    if (ns, nz) not in mids:
+                        mids[ns, nz] = _subgraph(n, g, f, ctx, ns, nz)
+                    mid = mids[ns, nz]
                     got = mid and _splice(n, rest, P, pos, s, t, lambda: mid[0] + _open_ring(C1, idx1, z, w), nw, nt, f, ctx)
                     if got is None:
                         ctx.spend()

@@ -448,6 +448,39 @@ def test_refused_h_path_is_asked_for_once(monkeypatch):
         hamiltonian_cycle(4, fs)
 
 
+def test_refused_g_path_is_asked_for_once(monkeypatch):
+    import burntpancake.constructor as cons
+
+    # both endpoints in subgraph 2, the complement of the heavy subgraph -2
+    # (L19/2.2 complement-pair): the splice passes through a path of an
+    # intermediate subgraph g that depends on the junctions ns, nz only, not
+    # on the orientation of the P edge or on the ring neighbour w
+    rng = trial_rng(11, 106)
+    fs = sample_fault_set(4, 1, rng)
+    u, v = sample_endpoints(rng, 4, fs)
+    assert (u, v) == ((-4, -3, 1, 2), (4, 1, -3, 2))
+    subgraph, complement_pair = cons._subgraph, cons._path_c2_complement_pair
+    calls = []
+
+    def no_g_paths(n, i, f, ctx, a=None, b=None):
+        if a is None or i in (2, -2):
+            return subgraph(n, i, f, ctx, a, b)
+        calls[-1].append((i, a, b))
+        return None
+
+    def counted(*args):
+        calls.append([])
+        return complement_pair(*args)
+
+    monkeypatch.setattr(cons, "_subgraph", no_g_paths)
+    monkeypatch.setattr(cons, "_path_c2_complement_pair", counted)
+    # every refused candidate is still one attempt
+    with pytest.raises(StrictModeFailure, match=r"attempts=1166,"):
+        hamiltonian_path(4, u, v, fs)
+    assert calls and all(len(set(asked)) == len(asked) for asked in calls)
+    assert sum(map(len, calls)) == 384
+
+
 def test_benchmark_layers_are_all_found(monkeypatch):
     # the benchmark's traced run wraps package functions by name and adds
     # the return value of each _Ctx.spend call to constructor.attempts
