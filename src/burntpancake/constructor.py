@@ -30,6 +30,15 @@ signed symbols and commutes with negation and with prefix reversals of
 length up to m, so every lexicographic scan, sort and tie-break sees the
 same sequence, and the top level's relabel is the identity.
 
+The path leaf answers in one frame more: it left-translates BP_3 so that
+its start u is the identity, finds the path from the identity there, and
+translates the answer back.  A left translation ``x -> compose(w, x)`` is
+an automorphism of BP_n that keeps the dimension of every edge, so a path
+leaf answers every translate of an instance with the translate of one
+path, and its memo and ``FREE_PATHS`` hold paths from the identity only.
+Both translations are folded into the leaf's embed and lift tables.  The
+cycle leaf keeps its exact keys.
+
 A splice replaces an edge (s, t) of a path or ring with a detour that
 leaves s and returns to t.  Where (s, t) can lie either way round on a
 path, ``_splice`` does the work: it builds the detour's bridge chain from
@@ -71,6 +80,8 @@ from .signed_perm import (
     all_vertices,
     check_vertex,
     format_vertex,
+    identity,
+    inverse,
     left_translate,
     prefix_reversal,
 )
@@ -260,8 +271,9 @@ class _Ctx:
 
 
 # ---------------------------------------------------------------------------
-# BP_3 base level: complete backtracking search, memoized.  Fault-free paths
-# are read from the FREE_PATHS table instead of searched.
+# BP_3 base level: complete backtracking search, memoized.  Paths are asked
+# for from the identity, and fault-free ones are read from the FREE_PATHS
+# table instead of searched.
 
 _BP3_VERTICES = all_vertices(3)
 _BP3_INDEX = {x: i for i, x in enumerate(_BP3_VERTICES)}
@@ -275,6 +287,13 @@ _BP3_STEP = tuple(tuple(_BP3_INDEX[prefix_reversal(x, k)] for k in (1, 2, 3)) fo
 # _BP3_NEXT[d]: the two dimensions that may follow dimension d in a
 # Hamiltonian path, smaller first (dimensions counted from 0 here).
 _BP3_NEXT = ((1, 2), (0, 2), (0, 1))
+_BP3_IDENTITY = identity(3)
+# _BP3_TRANSLATE[x]: the symbol tables (negative indices from the end, as in
+# ``frame_tables``) of the left translations by inverse(x), which takes x to
+# the identity, and by x, which takes it back.
+_BP3_TRANSLATE = {
+    x: tuple((0, *w, *(-s for s in reversed(w))) for w in (inverse(x), x)) for x in _BP3_VERTICES
+}
 _bp3_path_cache: dict[tuple, tuple[Vertex, ...] | None] = {}
 _bp3_cycle_cache: dict[tuple, tuple[Vertex, ...] | None] = {}
 
@@ -360,13 +379,12 @@ def _small_search(
     return tuple(_BP3_VERTICES[i] for i in path) if rec(start) else None
 
 
-def _free_path(u: Vertex, v: Vertex) -> tuple[Vertex, ...]:
-    """The u -> v path of fault-free BP_3, decoded from ``FREE_PATHS``
-    (layout and encoding in ``bp3_fixtures``).  A decoded path that does not
-    end at v raises InternalInvariantError."""
-    i, j = _BP3_INDEX[u], _BP3_INDEX[v]
-    at = 6 * (48 * i + j)
-    bits = int.from_bytes(FREE_PATHS[at : at + 6], "big")
+def _free_path(v: Vertex) -> tuple[Vertex, ...]:
+    """The path of fault-free BP_3 from the identity to v, decoded from
+    ``FREE_PATHS`` (layout and encoding in ``bp3_fixtures``).  A decoded path
+    that does not end at v raises InternalInvariantError."""
+    i, j = _BP3_INDEX[_BP3_IDENTITY], _BP3_INDEX[v]
+    bits = int.from_bytes(FREE_PATHS[6 * j : 6 * j + 6], "big")
     d = bits >> 46
     path = [i]
     if d < 3:
@@ -377,21 +395,19 @@ def _free_path(u: Vertex, v: Vertex) -> tuple[Vertex, ...]:
             cur = _BP3_STEP[cur][d]
             path.append(cur)
     if path[-1] != j:
-        raise InternalInvariantError(f"stored BP_3 path {format_vertex(u)} -> {format_vertex(v)} ends elsewhere")
+        raise InternalInvariantError(f"stored BP_3 path to {format_vertex(v)} ends elsewhere")
     return tuple(_BP3_VERTICES[x] for x in path)
 
 
-def _bp3_search_path(
-    removed: frozenset[Vertex], banned: frozenset[Pair], u: Vertex, v: Vertex
-) -> tuple[Vertex, ...] | None:
-    """The BP_3 path that ``_small_search`` defines; a fault-free one is
-    decoded from the table rather than searched."""
-    key = (removed, banned, u, v)
+def _bp3_search_path(removed: frozenset[Vertex], banned: frozenset[Pair], v: Vertex) -> tuple[Vertex, ...] | None:
+    """The BP_3 path from the identity to v that ``_small_search`` defines;
+    a fault-free one is decoded from the table rather than searched."""
+    key = (removed, banned, v)
     if key not in _bp3_path_cache:
-        if removed or banned or u == v:
-            _bp3_path_cache[key] = _small_search(3, removed, banned, u, v)
+        if removed or banned:
+            _bp3_path_cache[key] = _small_search(3, removed, banned, _BP3_IDENTITY, v)
         else:
-            _bp3_path_cache[key] = _free_path(u, v)
+            _bp3_path_cache[key] = _free_path(v)
     return _bp3_path_cache[key]
 
 
@@ -404,20 +420,29 @@ def _bp3_search_cycle(
     return _bp3_cycle_cache[key]
 
 
-def _leaf_view(f: _Faults):
+def _leaf_view(f: _Faults, start: Vertex | None = None):
     """The BP_3 leaf's ``embed`` of a vertex into BP_3 coordinates (one rank
     table), ``lift`` of a list of BP_3 vertices back (the composed relabel
-    table and the suffix), and its removed vertices and faulty edges embedded."""
+    table and the suffix), and its removed vertices and faulty edges embedded
+    (each edge in ``edge_key`` order, which translation does not keep).
+
+    With ``start`` given, the BP_3 coordinates are moreover left-translated
+    so that ``start`` embeds as the identity.  Left translation is an
+    automorphism of BP_3, and both tables compose it in, so a vertex costs
+    what it costs without."""
     up, down = frame_tables(3 + len(f.suffix), f.suffix)
+    if start is not None:
+        to, back = _BP3_TRANSLATE[down[start[0]], down[start[1]], down[start[2]]]
+        up, down = [up[s] for s in back], [to[s] for s in down]
     suffix = f.suffix
 
     def embed(x: Vertex) -> Vertex:
         return down[x[0]], down[x[1]], down[x[2]]
 
     def lift(path) -> list[Vertex]:
-        return [(up[a], up[b], up[c], *suffix) for a, b, c in path]
+        return [(up[a], up[b], up[c]) + suffix for a, b, c in path]
 
-    return embed, lift, frozenset(map(embed, f.removed)), frozenset((embed(a), embed(b)) for a, b in f.edge_set)
+    return embed, lift, frozenset(map(embed, f.removed)), frozenset(edge_key(embed(a), embed(b)) for a, b in f.edge_set)
 
 
 def _cycle_bp3(f: _Faults, ctx: _Ctx):
@@ -444,8 +469,8 @@ def _cycle_bp3(f: _Faults, ctx: _Ctx):
 
 
 def _path_bp3(u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
-    embed, lift, removed, banned = _leaf_view(f)
-    got = _bp3_search_path(removed, banned, embed(u), embed(v))
+    embed, lift, removed, banned = _leaf_view(f, u)
+    got = _bp3_search_path(removed, banned, embed(v))
     if got is None:
         return None
     label = "BP3/path" if f.weight == 0 else "EXT/bp3-path"

@@ -30,6 +30,7 @@ from burntpancake.constructor import (
     _leaf_view,
     _loop,
     _open_ring,
+    _path,
     _restrict_embed,
     _ring_from,
     _small_search,
@@ -142,24 +143,28 @@ def _free_path_slot(path) -> bytes:
 
 
 def test_free_path_table_matches_search():
-    # the table is a stored copy of the search's fault-free paths; on a
-    # mismatch the failure prints the table the search gives, as base64
-    # lines ready to paste into bp3_fixtures
+    # the table is a stored copy of the search's fault-free paths from the
+    # identity; on a mismatch the failure prints the table the search gives,
+    # as base64 lines ready to paste into bp3_fixtures
     none = frozenset()
+    e = identity(3)
     vertices = all_vertices(3)
     paths = {}
     wrong = []
-    for u, v in itertools.permutations(vertices, 2):
-        paths[u, v] = _small_search(3, none, none, u, v)
+    for v in vertices:
+        if v == e:
+            continue
+        paths[v] = _small_search(3, none, none, e, v)
         try:
-            if _free_path(u, v) != paths[u, v]:
-                wrong.append((u, v))
+            if _free_path(v) != paths[v]:
+                wrong.append(v)
         except InternalInvariantError:
-            wrong.append((u, v))
+            wrong.append(v)
+    assert len(paths) == 47
     if wrong:
         table = bytearray(len(FREE_PATHS))
-        for (u, v), path in paths.items():
-            at = 6 * (48 * vertices.index(u) + vertices.index(v))
+        for v, path in paths.items():
+            at = 6 * vertices.index(v)
             table[at : at + 6] = _free_path_slot(path)
         text = base64.b64encode(table).decode()
         lines = "\n".join(f'    "{text[k : k + 76]}"' for k in range(0, len(text), 76))
@@ -173,11 +178,61 @@ def test_corrupt_free_path_raises(monkeypatch):
     # decoded path ends beside the target, not on it
     u, v = (1, 2, 3), (-1, 2, 3)
     table = bytearray(FREE_PATHS)
-    table[6 * (48 * cons._BP3_INDEX[u] + cons._BP3_INDEX[v]) + 5] ^= 1
+    table[6 * cons._BP3_INDEX[v] + 5] ^= 1
     monkeypatch.setattr(cons, "FREE_PATHS", bytes(table))
     monkeypatch.setattr(cons, "_bp3_path_cache", {})
     with pytest.raises(InternalInvariantError, match="stored BP_3 path"):
         hamiltonian_path(3, u, v, FaultSet.build(3))
+
+
+def test_fault_free_bp3_paths_share_47_keys(monkeypatch):
+    import burntpancake.constructor as cons
+
+    # every fault-free path is keyed by its target in the frame that puts
+    # its start on the identity
+    monkeypatch.setattr(cons, "_bp3_path_cache", {})
+    fs = FaultSet.build(3)
+    for u, v in itertools.permutations(all_vertices(3), 2):
+        assert hamiltonian_path(3, u, v, fs).vertices[0] == u
+    assert len(cons._bp3_path_cache) == 47
+
+
+def _bp3_leaf_path(u, v, f):
+    got = _path(3, u, v, f, _Ctx())
+    return None if got is None else got[0]
+
+
+@pytest.mark.parametrize(
+    "faults",
+    [
+        _Faults(3),
+        _Faults(3, edges=(((-2, 1, 3), (2, 1, 3)),)),
+        _Faults(3, pairs=(((-3, -2, 1), (3, -2, 1)),)),
+        _Faults(3, pairs=(((1, -3, 2), (3, -1, 2)),), edges=(((-2, -1, 3), (1, 2, 3)),)),
+    ],
+    ids=["fault-free", "faulty edge", "pair", "pair and edge"],
+)
+def test_bp3_leaf_commutes_with_left_translation(faults):
+    # the leaf answers in the frame of its start, so translating a whole
+    # instance by any w of BP_3 translates its answer by w
+    assert all(is_adjacent(a, b) for a, b in faults.pairs + faults.edges)
+
+    def moved(w, f):
+        def tr(x):
+            return left_translate(w, x)
+
+        return _Faults(3, tuple(edge_key(tr(a), tr(b)) for a, b in f.pairs), (),
+                       tuple(edge_key(tr(a), tr(b)) for a, b in f.edges))
+
+    ends = [((2, -3, 1), (-1, 3, 2)), ((-1, -2, -3), (3, 1, -2)), ((1, 2, 3), (2, 1, 3))]
+    for u, v in ends:
+        if {u, v} & faults.removed:
+            continue
+        want = _bp3_leaf_path(u, v, faults)
+        assert want is not None
+        for w in all_vertices(3):
+            got = _bp3_leaf_path(left_translate(w, u), left_translate(w, v), moved(w, faults))
+            assert got == [left_translate(w, x) for x in want], (u, v, w)
 
 
 class _OneVertexRemoved:
@@ -518,6 +573,18 @@ def test_strict_construction_certified_on_small_n4_families():
         ):
             got = hamiltonian_cycle(4, fs)
             assert verify_cycle(4, fs, got).ok and len(got.vertices) == size
+
+
+def test_n4_sweep_slice(monkeypatch):
+    # a strided slice of tools/sweep_n4.py, whose full run certifies both
+    # families; every instance of the slice builds and the oracle accepts it
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "tools"))
+    import sweep_n4
+
+    assert sum(1 for _ in sweep_n4.cycle_instances()) == 8 + 12_200
+    for op, stride, offset, instances in (("cycle", 97, 41, 126), ("path", 4_999, 1_234, 234)):
+        counts = sweep_n4.run(op, stride, offset)
+        assert counts["instances"] == counts["verified"] == instances, (op, counts)
 
 
 # The only strict failures of an exhaustive n=4 sweep of paths with |F| <= 1

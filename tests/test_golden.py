@@ -37,15 +37,17 @@ Groups:
 
 On orientations.  ``_reconnect_double_split`` splits the path P1 at an edge
 (s, t) and the path P2 at an edge (ns, z), so it has four orientations: s
-before or after t on P1, ns before or after z on P2.  The exhaustive n=4
-sweep of two-element cycle fault sets (one element at the identity, 12 200
-builds) reached two of them (t before s with ns after z, and s before t with
-ns after z), and 400 n=5 cycles with all three faults in one subgraph reached
-a third (t before s with ns before z).  The orientation with s before t on
-P1 and ns before z on P2 never ran.  ``_path_c2_outside_pair`` ran in both
-orientations of its split edge; ``_path_c2_complement_pair`` ran only with s
-before t on the endpoint path, never with t before s (3 600 sampled n=4 paths
-with one fault and both endpoints in one other subgraph).
+before or after t on P1, ns before or after z on P2.  The n=4 cycle sweep of
+``tools/sweep_n4.py`` (12 208 fault sets) reached two of them (t before s
+with ns after z, and s before t with ns after z), and 1 500 random n=5
+cycles with all three faults in one subgraph reached a third (t before s
+with ns before z).  The orientation with s before t on P1 and ns before z on
+P2 never ran.  The same-side splice ran only with its free arc forward in
+the n=4 sweep; the reversed instance is one of those n=5 cycles.
+``_path_c2_outside_pair`` ran in both orientations of its split edge;
+``_path_c2_complement_pair`` ran only with s before t on the endpoint path,
+never with t before s (every 10th instance of the sweep's n=4 paths,
+117 046 builds).
 """
 
 import hashlib
@@ -83,12 +85,8 @@ DIRECTED = [
     (
         "double split, t before s on P1, ns before z on P2",
         5,
-        [
-            [(2, -1, -4, -3, 5), (4, 1, -2, -3, 5)],
-            [(-2, 3, -1, -4, 5), (2, 3, -1, -4, 5)],
-            [(3, -2, -4, -1, 5), (4, 2, -3, -1, 5)],
-        ],
-        [],
+        [[(-5, 3, -4, 2, -1), (5, 3, -4, 2, -1)], [(-3, -2, -5, 4, -1), (3, -2, -5, 4, -1)]],
+        [[(-4, -5, -2, -3, -1), (3, 2, 5, 4, -1)]],
         None,
     ),
     (
@@ -100,9 +98,9 @@ DIRECTED = [
     ),
     (
         "same side, free arc reversed",
-        4,
-        [[(-1, 2, 3, 4), (1, 2, 3, 4)], [(-3, 1, -2, 4), (-1, 3, -2, 4)]],
-        [],
+        5,
+        [[(-4, -3, -2, -1, -5), (4, -3, -2, -1, -5)], [(-2, -4, 3, 1, -5), (-1, -3, 4, 2, -5)]],
+        [[(1, -2, 3, -4, -5), (2, -1, 3, -4, -5)]],
         None,
     ),
     (
@@ -173,16 +171,16 @@ DIRECTED_RECONNECT = [
 ]
 
 GOLDEN = {
-    "case_table": "4b293247ab965adf9d11860a20bf2143b0fd2664f0c0e9bed8bcb9d3b28bf642",
-    "fuzz_n4": "bf2984a24bff8da79d74e677de2ed47e0da4acbaabc38405343bc87d2e13e412",
-    "fuzz_n5": "99e64b417cccac913bb4e6801033e9cd2d957d4f985326f751da97323e296cfb",
-    "smoke_n6": "6c8f4f8e0fb49676a30a6d4dcf4b21e535b8be3135e1269e5cb65b47e46ff44f",
-    "directed": "1580b0f21c71ea95213f02abe8adcd5ad61120a2509a92329848f7e426b6ae2a",
-    "directed_reconnect": "91989ec876066e35908b64d359d1f019b54c77aa37128cd5d827498542a0f927",
+    "case_table": "939a27e1d052583a020f720684164747aa9297531b3c7ea0925cb318660d9015",
+    "fuzz_n4": "218a20eec2417a3d216bd6a16b52abdabd4ecca533a28a9ef67c55a250dc5399",
+    "fuzz_n5": "c12152f72e9994a1cad11115b6bcacc2dab9788f431930e6bca1105452faa313",
+    "smoke_n6": "8d8c777dae836f2562fd589ed64b6beeb89c691dbaff56be3e74a23a2c38384e",
+    "directed": "cae7a6d36c76549d7b33788365e9f554aae29b13ed4a867eb753b9024f7c703a",
+    "directed_reconnect": "002bca4dc39c0a0762be7934e0fd8a420ef51e44255e3daa78e9ce3e96d0e6d0",
     "bp3_solver": "be288b6ef999d84dd14413d40b34e92de57bec92b5101f4aff6d4fafd0d98d1e",
-    "oracle_reports": "c5010afd02dd3ca9643e59c6ce063ae1ec41d7db54194d41ca5aa4f5126da193",
-    "full_n7": "a7f218232cae4a1125721f55f9546ef834ce1ec626f71cd4d38d1bfa200a57b6",
-    "oracle_walk_reports": "e64482d309062c915ee72efd5000469b704aa030807cc235df93fa9511923f3d",
+    "oracle_reports": "7a196be78e6bb19fbaee74667753d4583b7b9bede9bab51e21e6e8e133ac89a9",
+    "full_n7": "beed4682ffeaf287f0645953c74cde6830df6bded1ba5a9109b7f3e1f188e14c",
+    "oracle_walk_reports": "8ea2c6f00f825bbd683ff661dc18b46e32436ca3e7084c5e0d68e8874443d17a",
 }
 
 
