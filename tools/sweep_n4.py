@@ -5,9 +5,8 @@ Run from the root of a checkout:
 
     PYTHONPATH=src python tools/sweep_n4.py [--stride K] [--jobs J]
 
-Left translation is an automorphism of BP_n, so every fault element is a
-translate of one on an edge {e, g_k} at the identity e, where g_k is the
-k-th prefix reversal of e.  Both families put their first element there:
+Both families put their first fault element on an edge {e, g_k} at the
+identity e, where g_k is the k-th prefix reversal of e:
 
 * ``cycle``: one element (a matching pair or a faulty edge on {e, g_k},
   8 fault sets), and two elements, the second any other matching pair or
@@ -15,11 +14,16 @@ k-th prefix reversal of e.  Both families put their first element there:
 * ``path``: one element on {e, g_k} and every ordered pair of distinct
   endpoints it leaves (1 170 456 instances).
 
-The constructor is not itself translation-invariant, so the endpoints are
-not reduced by the stabiliser of the element.  ``--stride K`` builds only
-every K-th instance of each family, from the first; ``--jobs`` splits the
-work over that many processes.  Prints one line of counts per family
-and exits 1 if any instance fails to build or to verify.
+Every fault set is a left translate of one of these, and left translation
+is an automorphism of BP_n, but the constructor does not commute with it
+above the BP_3 leaf.  So the sweep certifies these families, not every n=4
+instance, and the endpoints are not reduced by the stabiliser of the
+element.
+
+``--stride K`` builds only every K-th instance of each family, from the
+first; ``--jobs`` splits the work over that many processes.  Prints one line
+of counts per family, and each failing instance to stderr; exits 1 if any
+instance fails to build or to verify.
 """
 
 from __future__ import annotations
