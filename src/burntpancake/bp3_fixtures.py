@@ -1,17 +1,20 @@
 """Fixed BP_3 data that the base-case solver is built on.
 
 ``PAIR_CYCLES[k]``, one per generator dimension k, is a Hamiltonian cycle of
-BP_3 minus the pair {identity, generator(3, k)}.  Arbitrary single-pair
-instances reduce to these by left translation, since left translations are
-graph automorphisms and act transitively on vertices.  Validated on import;
-the data is load-bearing for the base-case solver.
+BP_3 minus the pair {identity, generator(3, k)}.  The constructor's BP_3
+leaf reads a vertex by the signed positions of its symbols in a reference
+vertex r, and a single-pair instance in the frame of the pair's larger
+endpoint b: there b is the identity and the pair is {identity, generator
+k}, so the fixture answers it as it is.  Reading back out of a frame is a
+left translation, an automorphism of the graph.  Validated on import; the
+data is load-bearing for the base-case solver.
 
 ``FREE_PATHS`` holds, for every vertex v other than the identity, the
 Hamiltonian path of fault-free BP_3 from the identity to v that
 ``constructor._small_search`` finds.  That search stays the definition of
 these paths; the table only saves running it.  Every other fault-free path
-is one of these, left-translated: the constructor's BP_3 leaf maps its start
-to the identity and maps the answer back.
+is one of these, read in the frame of its start, where the start is the
+identity.
 
 * Layout: 48 slots of 6 bytes.  The path to the j-th vertex of
   ``all_vertices(3)`` (lexicographic order) is in the slot at byte ``6 * j``.

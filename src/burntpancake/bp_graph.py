@@ -3,13 +3,18 @@
 The graph is never materialized: neighbors are computed on demand from the
 signed-permutation algebra.  Vertices with the same last symbol ``i`` form
 the subgraph ``BP_n^i``, which is isomorphic to ``BP_{n-1}``; the vertices
-with one suffix of length n-k form a copy of ``BP_k``.  :func:`frame_tables`
-gives that isomorphism as signed relabel tables, and its relabel is strictly
-increasing on signed symbols, so it keeps lexicographic order and commutes
-with the prefix reversals of length up to k.  The constructor relies on
-this to build in BP_n coordinates at every level (:func:`iter_cross_edges`
-takes the suffix); :func:`lift_all` applies one table to a whole list, and
-:func:`subgraph_lift` / :func:`subgraph_embed` are the one-level forms.
+with one suffix of length n-k form a copy of ``BP_k``.  Reading a vertex
+of the copy by the signed positions of its first k symbols in a reference
+vertex r of the copy is an isomorphism onto ``BP_k`` that sends r to the
+identity.  With r the copy's symbols in ascending order, it is the relabel
+that is strictly increasing on signed symbols, so it keeps lexicographic
+order and commutes with the prefix reversals of length up to k; other
+choices of r add a left translation.  The constructor builds in BP_n
+coordinates at every level (:func:`iter_cross_edges` takes the suffix)
+and reads its BP_3 leaf in such a frame.  :func:`frame_tables` gives the
+ascending relabel as signed tables, :func:`lift_all` applies one table to
+a whole list, and :func:`subgraph_lift` / :func:`subgraph_embed` are the
+one-level forms; tests compare the leaf with them.
 
 Adjacency is tested in two ways.  :func:`is_adjacent` tests one step: if
 ``v`` is the k-th prefix reversal of ``u``, the last position where the two

@@ -92,18 +92,23 @@ def _artifact_text(vertices) -> str:
     return "\n".join(format_vertex(v) for v in vertices) + "\n"
 
 
-def cmd_cycle(args) -> int:
-    fs = _load_faults(args.faults, args.n)
-    built = hamiltonian_cycle(args.n, fs)
-    report = oracle.verify_cycle(args.n, fs, built)
+def _emit_verified(args, kind: str, built, report, extra: dict | None = None) -> int:
+    """The tail of ``cycle`` and ``path``: emit the built object once the
+    oracle's ``report`` on it is ok."""
     if not report.ok:
         print(f"self-verification failed: {report}", file=sys.stderr)
         return EXIT_VERIFY
     if args.format == "json":
-        _emit(_artifact_json("cycle", args.n, built.vertices, built.trace), args.out)
+        _emit(_artifact_json(kind, args.n, built.vertices, built.trace, extra), args.out)
     else:
         _emit(_artifact_text(built.vertices), args.out)
     return EXIT_OK
+
+
+def cmd_cycle(args) -> int:
+    fs = _load_faults(args.faults, args.n)
+    built = hamiltonian_cycle(args.n, fs)
+    return _emit_verified(args, "cycle", built, oracle.verify_cycle(args.n, fs, built))
 
 
 def cmd_path(args) -> int:
@@ -112,15 +117,7 @@ def cmd_path(args) -> int:
     v = parse_vertex(args.target, args.n)
     built = hamiltonian_path(args.n, u, v, fs)
     report = oracle.verify_path(args.n, fs, u, v, built)
-    if not report.ok:
-        print(f"self-verification failed: {report}", file=sys.stderr)
-        return EXIT_VERIFY
-    extra = {"source": list(u), "target": list(v)}
-    if args.format == "json":
-        _emit(_artifact_json("path", args.n, built.vertices, built.trace, extra), args.out)
-    else:
-        _emit(_artifact_text(built.vertices), args.out)
-    return EXIT_OK
+    return _emit_verified(args, "path", built, report, {"source": list(u), "target": list(v)})
 
 
 def cmd_verify(args) -> int:
@@ -218,37 +215,27 @@ def cmd_tightness(args) -> int:
     if not 3 <= n <= SOFT_DIMENSION_LIMIT:
         raise UsageError(f"tightness needs 3 <= n <= {SOFT_DIMENSION_LIMIT}, got n={n}")
     ok = True
+
+    def check(good, text):
+        nonlocal ok
+        ok = ok and good
+        print(f"{'PASS' if good else 'FAIL'} {text}")
+
     cycle_witness = oracle.tightness_witness_cycle(n)
     path_witness, x, y = oracle.tightness_witness_path(n)
-
-    report = validate(cycle_witness, bound=n - 1)
-    print(f"{'PASS' if report.ok else 'FAIL'} cycle witness valid with |F| = {cycle_witness.size}")
-    ok = ok and report.ok
-
+    check(validate(cycle_witness, bound=n - 1).ok, f"cycle witness valid with |F| = {cycle_witness.size}")
     root = tuple(range(1, n + 1))
     deg = oracle.residual_degree(n, cycle_witness, root)
-    good = deg == 1
-    print(f"{'PASS' if good else 'FAIL'} cycle witness leaves a degree-1 vertex (degree {deg})")
-    ok = ok and good
-
-    report = validate(path_witness, bound=n - 2)
-    print(f"{'PASS' if report.ok else 'FAIL'} path witness valid with |F| = {path_witness.size}")
-    ok = ok and report.ok
-
+    check(deg == 1, f"cycle witness leaves a degree-1 vertex (degree {deg})")
+    check(validate(path_witness, bound=n - 2).ok, f"path witness valid with |F| = {path_witness.size}")
     deg = oracle.residual_degree(n, path_witness, root)
-    good = deg == 2
-    print(f"{'PASS' if good else 'FAIL'} path witness pins the pivot to its two spared neighbors")
-    ok = ok and good
-
+    check(deg == 2, "path witness pins the pivot to its two spared neighbors")
     if n <= oracle.SEARCH_LIMIT:
+        absent = oracle.SearchStatus.PROVEN_ABSENT
         res = oracle.exhaustive_cycle_search(n, cycle_witness, time_budget=args.time_budget)
-        good = res.status is oracle.SearchStatus.PROVEN_ABSENT
-        print(f"{'PASS' if good else 'FAIL'} exhaustive search: no cycle ({res.status.value})")
-        ok = ok and good
+        check(res.status is absent, f"exhaustive search: no cycle ({res.status.value})")
         res = oracle.exhaustive_path_search(n, path_witness, x, y, time_budget=args.time_budget)
-        good = res.status is oracle.SearchStatus.PROVEN_ABSENT
-        print(f"{'PASS' if good else 'FAIL'} exhaustive search: no path ({res.status.value})")
-        ok = ok and good
+        check(res.status is absent, f"exhaustive search: no path ({res.status.value})")
 
     if args.out:
         doc = {

@@ -22,22 +22,24 @@ is the set of BP_n vertices with one suffix (positions m..n-1, kept in
 ``_Faults.suffix``): there the out-neighbour of x is ``prefix_reversal(x,
 m)``, its subgraph index is ``x[m-1]``, the indices are the signed symbols
 the suffix leaves, in the canonical 1, -1, 2, -2, ... order, and cross
-edges carry the suffix.  Only the BP_3 leaf translates: it maps its faults
-and endpoints into BP_3 coordinates, so the memo keys and stored tables
-are those of BP_3, and lifts its result once.  The output is what a build
-that relabels at every level gives: each relabel is strictly increasing on
-signed symbols and commutes with negation and with prefix reversals of
-length up to m, so every lexicographic scan, sort and tie-break sees the
-same sequence, and the top level's relabel is the identity.
+edges carry the suffix.  Only the BP_3 leaf changes coordinates: it maps
+its faults and endpoints into BP_3, so the memo keys and stored tables are
+those of BP_3, and lifts its result once.
 
-The path leaf answers in one frame more: it left-translates BP_3 so that
-its start u is the identity, finds the path from the identity there, and
-translates the answer back.  A left translation ``x -> compose(w, x)`` is
-an automorphism of BP_n that keeps the dimension of every edge, so a path
-leaf answers every translate of an instance with the translate of one
-path, and its memo and ``FREE_PATHS`` hold paths from the identity only.
-Both translations are folded into the leaf's embed and lift tables.  The
-cycle leaf keeps its exact keys.
+The leaf has one frame rule.  It picks a reference vertex r of its copy of
+BP_3 and reads every vertex by the signed positions of its first three
+symbols among r's first three: r itself reads as the identity.  With r the
+leaf's symbols in ascending order (the cycle leaf), this is the relabel
+that a build relabelling at every level would reach.  It is strictly
+increasing on signed symbols and commutes with negation and with prefix
+reversals, so every lexicographic scan, sort and tie-break sees the same
+sequence, and at n = 3 it is the identity.  Any other r
+is that relabel followed by a left translation ``x -> compose(w, x)``, an
+automorphism of BP_n that keeps the dimension of every edge.  The path leaf
+takes its start u as r, so its memo and ``FREE_PATHS`` hold paths from the
+identity only; the single-pair cycle takes the pair's larger endpoint, in
+whose frame the pair is {identity, generator k} and ``PAIR_CYCLES[k]``
+lifts as it is.
 
 A splice replaces an edge (s, t) of a path or ring with a detour that
 leaves s and returns to t.  Where (s, t) can lie either way round on a
@@ -71,7 +73,6 @@ from .bp_graph import (
     edge_key,
     index_sort_key,
     iter_cross_edges,
-    frame_tables,
     subgraph_indices,
 )
 from .fault_model import FaultSet, validate
@@ -81,8 +82,6 @@ from .signed_perm import (
     check_vertex,
     format_vertex,
     identity,
-    inverse,
-    left_translate,
     prefix_reversal,
 )
 
@@ -288,12 +287,6 @@ _BP3_STEP = tuple(tuple(_BP3_INDEX[prefix_reversal(x, k)] for k in (1, 2, 3)) fo
 # Hamiltonian path, smaller first (dimensions counted from 0 here).
 _BP3_NEXT = ((1, 2), (0, 2), (0, 1))
 _BP3_IDENTITY = identity(3)
-# _BP3_TRANSLATE[x]: the symbol tables (negative indices from the end, as in
-# ``frame_tables``) of the left translations by inverse(x), which takes x to
-# the identity, and by x, which takes it back.
-_BP3_TRANSLATE = {
-    x: tuple((0, *w, *(-s for s in reversed(w))) for w in (inverse(x), x)) for x in _BP3_VERTICES
-}
 _bp3_path_cache: dict[tuple, tuple[Vertex, ...] | None] = {}
 _bp3_cycle_cache: dict[tuple, tuple[Vertex, ...] | None] = {}
 
@@ -420,20 +413,17 @@ def _bp3_search_cycle(
     return _bp3_cycle_cache[key]
 
 
-def _leaf_view(f: _Faults, start: Vertex | None = None):
-    """The BP_3 leaf's ``embed`` of a vertex into BP_3 coordinates (one rank
-    table), ``lift`` of a list of BP_3 vertices back (the composed relabel
-    table and the suffix), and its removed vertices and faulty edges embedded
-    (each edge in ``edge_key`` order, which translation does not keep).
-
-    With ``start`` given, the BP_3 coordinates are moreover left-translated
-    so that ``start`` embeds as the identity.  Left translation is an
-    automorphism of BP_3, and both tables compose it in, so a vertex costs
-    what it costs without."""
-    up, down = frame_tables(3 + len(f.suffix), f.suffix)
-    if start is not None:
-        to, back = _BP3_TRANSLATE[down[start[0]], down[start[1]], down[start[2]]]
-        up, down = [up[s] for s in back], [to[s] for s in down]
+def _leaf_view(f: _Faults, ref: Vertex | None = None):
+    """The BP_3 leaf's frame, read off a reference vertex r of the leaf: a
+    symbol's BP_3 symbol is its signed position among r's first three.
+    Returns ``embed`` of a vertex into BP_3 coordinates, ``lift`` of a list
+    of BP_3 vertices back (with the suffix), and the removed vertices and
+    faulty edges embedded (each edge in ``edge_key`` order, which a change
+    of r does not keep).  r defaults to the leaf's symbols in ascending
+    order, whose frame is the order-preserving relabel."""
+    r0, r1, r2 = ref[:3] if ref else [i for i in f.indices if i > 0]
+    down = {r0: 1, r1: 2, r2: 3, -r0: -1, -r1: -2, -r2: -3}
+    up = (0, r0, r1, r2, -r2, -r1, -r0)
     suffix = f.suffix
 
     def embed(x: Vertex) -> Vertex:
@@ -446,16 +436,15 @@ def _leaf_view(f: _Faults, start: Vertex | None = None):
 
 
 def _cycle_bp3(f: _Faults, ctx: _Ctx):
-    embed, lift, removed, banned = _leaf_view(f)
     if len(f.pairs) == 1 and not f.singles and not f.edges:
-        # Single stored pair: translate the matching canonical fixture, since
-        # left translation is a vertex-transitive automorphism family.  The
-        # translator maps {identity, generator k} onto the pair; taking the
-        # larger endpoint keeps identity-anchored pairs on the raw fixture.
+        # Single stored pair: in the frame of its larger endpoint b the pair
+        # is {identity, generator k}, which the matching fixture avoids.  A
+        # pair that holds the identity has it as b, so gets the raw fixture.
         a, b = f.pairs[0]
         k = edge_dimension(a, b)
-        verts = [left_translate(embed(b), x) for x in PAIR_CYCLES[k]]
-        return lift(verts), CaseTrace(f"L13/{k}", {"pair": [format_vertex(a), format_vertex(b)]})
+        lift = _leaf_view(f, b)[1]
+        return lift(PAIR_CYCLES[k]), CaseTrace(f"L13/{k}", {"pair": [format_vertex(a), format_vertex(b)]})
+    _, lift, removed, banned = _leaf_view(f)
     got = _bp3_search_cycle(removed, banned)
     if got is None:
         return None
@@ -469,6 +458,7 @@ def _cycle_bp3(f: _Faults, ctx: _Ctx):
 
 
 def _path_bp3(u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
+    # in the frame of u, u is the identity
     embed, lift, removed, banned = _leaf_view(f, u)
     got = _bp3_search_path(removed, banned, embed(v))
     if got is None:

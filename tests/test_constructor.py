@@ -8,6 +8,7 @@ from burntpancake.bp3_fixtures import FREE_PATHS, PAIR_CYCLES
 from burntpancake.bp_graph import (
     edge_dimension,
     edge_key,
+    frame_tables,
     is_adjacent,
     lift_all,
     neighbors,
@@ -48,6 +49,7 @@ from burntpancake.signed_perm import (
     all_vertices,
     generator,
     identity,
+    inverse,
     left_translate,
     parse_vertex,
     prefix_reversal,
@@ -583,8 +585,9 @@ def test_n4_sweep_slice(monkeypatch):
 
     assert sum(1 for _ in sweep_n4.cycle_instances()) == 8 + 12_200
     for op, stride, offset, instances in (("cycle", 97, 41, 126), ("path", 4_999, 1_234, 234)):
-        counts = sweep_n4.run(op, stride, offset)
+        counts, labels = sweep_n4.run(op, stride, offset)
         assert counts["instances"] == counts["verified"] == instances, (op, counts)
+        assert labels and "root" not in labels
 
 
 # The only strict failures of an exhaustive n=4 sweep of paths with |F| <= 1
@@ -779,19 +782,34 @@ def test_self_checks_test_no_step_alone(monkeypatch):
 
 def test_leaf_frame_is_order_preserving_and_commutes_with_reversals():
     # builds run in BP_n coordinates and only the BP_3 leaf relabels, so
-    # its scans see the same order as a build in BP_3 coordinates would
+    # its scans see the same order as a build in BP_3 coordinates would;
+    # the frame of a reference vertex r of the leaf is that relabel followed
+    # by the left translation that takes r to the identity
     bp3 = all_vertices(3)
     bp5 = all_vertices(5)
     for suffix in sorted({u[3:] for u in bp5}):
-        embed, lift, _, _ = _leaf_view(_Faults(3, suffix=suffix))
-        lifted = lift(bp3)
-        assert all(a < b for a, b in zip(lifted, lifted[1:]))
-        assert lifted == [u for u in bp5 if u[3:] == suffix]
-        assert lifted == lift_all(suffix, bp3)
-        assert [embed(u) for u in lifted] == bp3
-        for x, u in zip(bp3, lifted):
-            for k in (1, 2, 3):
-                assert lift([prefix_reversal(x, k)]) == [prefix_reversal(u, k)]
+        leaf = [u for u in bp5 if u[3:] == suffix]
+        rank = frame_tables(5, suffix)[1]
+
+        def ranked(u):
+            return tuple(rank[s] for s in u[:3])
+
+        for r in [None, *leaf]:
+            embed, lift, _, _ = _leaf_view(_Faults(3, suffix=suffix), r)
+            if r is None:
+                lifted = lift(bp3)
+                assert all(a < b for a, b in zip(lifted, lifted[1:]))
+                assert lifted == leaf
+                assert lifted == lift_all(suffix, bp3)
+                assert [embed(u) for u in lifted] == bp3 == [ranked(u) for u in leaf]
+            else:
+                assert embed(r) == (1, 2, 3)
+                to_r = inverse(ranked(r))
+                assert [embed(u) for u in leaf] == [left_translate(to_r, ranked(u)) for u in leaf]
+            assert lift(map(embed, leaf)) == leaf
+            for x, u in zip(bp3, lift(bp3)):
+                for k in (1, 2, 3):
+                    assert lift([prefix_reversal(x, k)]) == [prefix_reversal(u, k)]
 
 
 def test_leaf_maps_its_faults_into_bp3():

@@ -21,9 +21,11 @@ instance, and the endpoints are not reduced by the stabiliser of the
 element.
 
 ``--stride K`` builds only every K-th instance of each family, from the
-first; ``--jobs`` splits the work over that many processes.  Prints one line
-of counts per family, and each failing instance to stderr; exits 1 if any
-instance fails to build or to verify.
+first; ``--jobs`` splits the work over that many processes.  Prints, per
+family, one line of counts and one histogram of the case labels of the
+built objects' traces (every trace node but the root, sorted by label), and
+each failing instance to stderr; exits 1 if any instance fails to build or
+to verify.
 """
 
 from __future__ import annotations
@@ -81,14 +83,19 @@ def path_instances():
             yield fs, u, v
 
 
-def _build_and_verify(op: str, item) -> str:
-    """The outcome of one instance; a failure is printed to stderr."""
+def _build_and_verify(op: str, item) -> tuple[str, list[str]]:
+    """The outcome of one instance and the case labels of the built object's
+    trace (none when it fails to build); a failure is printed to stderr."""
+    labels = []
     try:
         if op == "cycle":
-            ok = verify_cycle(N, item, hamiltonian_cycle(N, item)).ok
+            built = hamiltonian_cycle(N, item)
+            ok = verify_cycle(N, item, built).ok
         else:
             fs, u, v = item
-            ok = verify_path(N, fs, u, v, hamiltonian_path(N, u, v, fs)).ok
+            built = hamiltonian_path(N, u, v, fs)
+            ok = verify_path(N, fs, u, v, built).ok
+        labels = [label for label in built.trace.labels() if label != "root"]
         outcome = "verified" if ok else "oracle_rejects"
     except StrictModeFailure:
         outcome = "strict_failures"
@@ -97,18 +104,20 @@ def _build_and_verify(op: str, item) -> str:
         outcome = "errors"
     if outcome != "verified":
         print(f"{op} {outcome}: {item!r}", file=sys.stderr)
-    return outcome
+    return outcome, labels
 
 
-def run(op: str, stride: int = 1, offset: int = 0) -> Counter:
-    """Counts of outcomes over the instances of ``op`` whose index is
-    ``offset`` modulo ``stride``."""
+def run(op: str, stride: int = 1, offset: int = 0) -> tuple[Counter, Counter]:
+    """Counts of outcomes and of case labels over the instances of ``op``
+    whose index is ``offset`` modulo ``stride``."""
     items = cycle_instances() if op == "cycle" else path_instances()
-    counts = Counter()
+    counts, labels = Counter(), Counter()
     for item in itertools.islice(items, offset, None, stride):
+        outcome, seen = _build_and_verify(op, item)
         counts["instances"] += 1
-        counts[_build_and_verify(op, item)] += 1
-    return counts
+        counts[outcome] += 1
+        labels.update(seen)
+    return counts, labels
 
 
 def main(argv=None) -> int:
@@ -128,10 +137,12 @@ def main(argv=None) -> int:
         else:
             with multiprocessing.get_context("spawn").Pool(args.jobs) as pool:
                 results = pool.starmap(run, parts)
-        counts = sum(results, Counter())
+        counts = sum((c for c, _ in results), Counter())
+        labels = sum((h for _, h in results), Counter())
         bad += counts["instances"] - counts["verified"]
         fields = ("instances", "verified", "strict_failures", "oracle_rejects", "errors")
         print(op, " ".join(f"{k}={counts[k]}" for k in fields), f"seconds={time.perf_counter() - t0:.1f}")
+        print(op, "labels", " ".join(f"{k}={labels[k]}" for k in sorted(labels)))
     return 1 if bad else 0
 
 
