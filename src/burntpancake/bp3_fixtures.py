@@ -29,9 +29,32 @@ identity.
   compares every slot with the search and, on a mismatch, prints the base64
   text below as the search gives it.
 
-The table is not checked on import; each decoded path is checked to end at
-its target, and every built object goes through the constructor's output
-check.
+``LEAF_CYCLES`` holds the Hamiltonian cycle that
+``constructor._small_search(3, removed, banned, None, None)`` finds for each
+of the 121 cycle keys with at most one fault: none, one removed vertex or
+one banned edge.  These are every key that the cycle leaf is asked for in
+the builds of ``tools/sweep_n4.py`` and of n=4..6 fuzz campaigns.  As with
+``FREE_PATHS``, the search defines these cycles and the table only saves
+running it; any other key is searched.
+
+* Layout: 121 slots of 6 bytes, the slot numbered s at byte ``6 * s``.
+  Slot 0 is the fault-free key.  Slots 1..48 remove one vertex: slot
+  ``1 + j`` removes the j-th vertex of ``all_vertices(3)``.  Slots 49..120
+  ban one edge: slot ``49 + r`` bans the r-th of the 72 edges of BP_3 in
+  sorted ``edge_key`` order.
+* Encoding: the step code of ``FREE_PATHS``, read from the search's start,
+  the first vertex of ``all_vertices(3)`` that is not removed (the second
+  one when slot 1 removes the first).  The cycle is the path of its steps
+  closed by the edge back to the start.  A 48-vertex cycle has 47 steps,
+  which fill all 48 bits; a 47-vertex cycle has 46, which fill the top 47
+  bits, and the low bit is 0.
+* Regenerating: ``tests/test_constructor.py::test_leaf_cycle_table_matches_search``
+  compares every slot with the search and, on a mismatch, prints the base64
+  text below as the search gives it.
+
+Neither table is checked on import; each decoded path is checked to end at
+its target, each decoded cycle to end beside its start, and every built
+object goes through the constructor's output check.
 """
 
 from __future__ import annotations
@@ -110,4 +133,20 @@ FREE_PATHS: bytes = binascii.a2b_base64(
     "CyZZAAAAAAAApWaCaHnWpMueeecPpMoPF02TpZsoDs2TpZssDyzZpaRljYsCpMoenizZpZ/5/f5/"
     "mB4EaTJCpVkZVkiCpZuXAX7JpZssCyMspWaCbK88pNTtos1QpaRljZYFpZv2T77wpZt7FAcMpZso"
     "CbJl"
+)
+
+LEAF_CYCLES: bytes = binascii.a2b_base64(
+    "vf/f/f/fjn07x258jn07x258vX9JZS5kun8yfz8+ptxSNdDqrJvxUyaEvX9Espfkv0yRGwrqueBc"
+    "yFkQueIysiC6s/djtz5cmTKAmyZQvSVs27a+meBQkLI0bluLe3LgvOT2/2a+vh+NljN2t4YolhaK"
+    "vh8uZCyQvfz+XP4+vH0yR8bOvf/H+7f6vH3kj42at80MMTQwS4C8LSCivSXJ9OlwvXX7ro7crPtZ"
+    "aL+uDzp3jtx8SzcuAv2SveSPjZr4vTpcPpLkMDDGaA8CvjtokrDCvTJFHZr4vZGllJQqvX9HS598"
+    "vR0uffPqvVm7WWi+vGGI2anaveFNvjSyvfMprN4mvSWUuZPqvX7PtZaKvfPr+jpcvfu1xf1+vRLK"
+    "X5PqvfNDmU1mSyMsCyMsveFkfGWHvf/f/f/fjq6vVK61vf/f/f/fvMn7N/hhvXX9df11veFkfGWH"
+    "vf/f/f/fveFkfGWHuldaeldavf/f/f/fvRSVhW1Fpv8MP5k/vf/f/f/frJ+yQXXQt4WR8ZYdvf/f"
+    "/f/fvGWHfeFkveFkfGWHvf/f/f/fvf/f/f/fveFkfGWHvy5/XX+7uedZaellvf/f/f/fveFkfGWH"
+    "uedZaellvn/n/n/nvf/f/f/fvRSVhW1Fvf/f/f/fs/rr/dv5mWllWWllvf/f/f/fvRSVhW1Fvf/f"
+    "/f/fveFkfGWHmWllWWllvf/f/f/fveFkfGWHbn9df7t/veFkfGWHvMn7N/hhvf/f/f/fvLahhikt"
+    "vRSVhW1Fvf/f/f/ft4WR8ZYdvf/f/f/fvRSVhW1Fvn/n/n/nvf/f/f/fvy2oYYpLvf/f/f/fvGWH"
+    "feFkvf/f/f/fvf/f/f/fvGWHfeFkvf/f/f/fSyMsCyMsvRSVhW1FvRSVhW1FvRSVhW1Fvn/n/n/n"
+    "rJ+yQXXQDwMDgMMIvRSVhW1FMCyMsCyMvf/f/f/fvXX+7fy5veFkfGWH"
 )

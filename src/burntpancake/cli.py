@@ -156,7 +156,15 @@ def cmd_verify(args) -> int:
 def cmd_fuzz(args) -> int:
     if args.trials < 1:
         raise UsageError("trials must be >= 1")
+    if not 3 <= args.n <= SOFT_DIMENSION_LIMIT:
+        raise UsageError(f"fuzz needs 3 <= n <= {SOFT_DIMENSION_LIMIT}, got n={args.n}")
     ops = ["cycle", "path"] if args.op == "both" else [args.op]
+    # a trial may draw --max-faults elements, so each operation's tolerance
+    # is checked before the first trial of any campaign
+    for op in ops:
+        bound = args.n - 2 if op == "cycle" else args.n - 3
+        if args.max_faults > bound:
+            raise BudgetExceededError(f"|F|={args.max_faults} exceeds tolerance {bound}")
     all_ok = True
     chunks = []
     wall = 0.0

@@ -66,7 +66,7 @@ from functools import cached_property
 from operator import neg
 
 from . import bp_graph
-from .bp3_fixtures import FREE_PATHS, PAIR_CYCLES
+from .bp3_fixtures import FREE_PATHS, LEAF_CYCLES, PAIR_CYCLES
 from .bp_graph import (
     Edge,
     edge_dimension,
@@ -270,9 +270,10 @@ class _Ctx:
 
 
 # ---------------------------------------------------------------------------
-# BP_3 base level: complete backtracking search, memoized.  Paths are asked
-# for from the identity, and fault-free ones are read from the FREE_PATHS
-# table instead of searched.
+# BP_3 base level: complete backtracking search, memoized.  The search
+# defines two tables that are read instead of searched: paths are asked for
+# from the identity, and fault-free ones come from FREE_PATHS; cycles with at
+# most one removed vertex or banned edge come from LEAF_CYCLES.
 
 _BP3_VERTICES = all_vertices(3)
 _BP3_INDEX = {x: i for i, x in enumerate(_BP3_VERTICES)}
@@ -287,6 +288,12 @@ _BP3_STEP = tuple(tuple(_BP3_INDEX[prefix_reversal(x, k)] for k in (1, 2, 3)) fo
 # Hamiltonian path, smaller first (dimensions counted from 0 here).
 _BP3_NEXT = ((1, 2), (0, 2), (0, 1))
 _BP3_IDENTITY = identity(3)
+# _BP3_EDGE_RANK[e]: the rank of edge e among the 72 edges of BP_3 in sorted
+# edge_key order, which numbers the banned-edge slots of LEAF_CYCLES.
+_BP3_EDGE_RANK = {
+    (_BP3_VERTICES[i], _BP3_VERTICES[j]): r
+    for r, (i, j) in enumerate((i, j) for i, ws in enumerate(_BP3_NEIGHBORS) for j in ws if i < j)
+}
 _bp3_path_cache: dict[tuple, tuple[Vertex, ...] | None] = {}
 _bp3_cycle_cache: dict[tuple, tuple[Vertex, ...] | None] = {}
 
@@ -309,9 +316,11 @@ def _small_search(
     the pruning test scans just those (``low``).  Returns None when the
     search space is exhausted.
 
-    This search defines every BP_3 path the constructor uses.  The
-    fault-free ones are shipped precomputed as ``FREE_PATHS``, which
-    tier-1 compares with this function on every ordered pair.
+    This search defines every BP_3 path and cycle the constructor uses,
+    and so two tables shipped precomputed in ``bp3_fixtures``: the
+    fault-free paths as ``FREE_PATHS`` and the cycles with at most one
+    removed vertex or banned edge as ``LEAF_CYCLES``.  Tier-1 compares both
+    with this function, slot by slot.
     """
     skip = {_BP3_INDEX[x] for x in removed}
     cut = {(_BP3_INDEX[a], _BP3_INDEX[b]) for a, b in banned}
@@ -372,24 +381,31 @@ def _small_search(
     return tuple(_BP3_VERTICES[i] for i in path) if rec(start) else None
 
 
-def _free_path(v: Vertex) -> tuple[Vertex, ...]:
-    """The path of fault-free BP_3 from the identity to v, decoded from
-    ``FREE_PATHS`` (layout and encoding in ``bp3_fixtures``).  A decoded path
-    that does not end at v raises InternalInvariantError."""
-    i, j = _BP3_INDEX[_BP3_IDENTITY], _BP3_INDEX[v]
-    bits = int.from_bytes(FREE_PATHS[6 * j : 6 * j + 6], "big")
+def _decode_steps(table: bytes, slot: int, start: int, steps: int, ends) -> tuple[Vertex, ...]:
+    """The BP_3 path of ``steps`` steps from the vertex of index ``start``
+    stored in slot ``slot`` of ``table`` (step code in ``bp3_fixtures``).
+    A decoded path whose last vertex's index is not in ``ends`` raises
+    InternalInvariantError."""
+    bits = int.from_bytes(table[6 * slot : 6 * slot + 6], "big")
     d = bits >> 46
-    path = [i]
+    path = [start]
     if d < 3:
-        cur = _BP3_STEP[i][d]
+        cur = _BP3_STEP[start][d]
         path.append(cur)
-        for shift in range(45, -1, -1):
+        for shift in range(45, 46 - steps, -1):
             d = _BP3_NEXT[d][bits >> shift & 1]
             cur = _BP3_STEP[cur][d]
             path.append(cur)
-    if path[-1] != j:
-        raise InternalInvariantError(f"stored BP_3 path to {format_vertex(v)} ends elsewhere")
+    if path[-1] not in ends:
+        raise InternalInvariantError(f"stored BP_3 path in slot {slot} ends elsewhere")
     return tuple(_BP3_VERTICES[x] for x in path)
+
+
+def _free_path(v: Vertex) -> tuple[Vertex, ...]:
+    """The path of fault-free BP_3 from the identity to v, decoded from
+    ``FREE_PATHS``; one that does not end at v raises InternalInvariantError."""
+    j = _BP3_INDEX[v]
+    return _decode_steps(FREE_PATHS, j, _BP3_INDEX[_BP3_IDENTITY], 47, (j,))
 
 
 def _bp3_search_path(removed: frozenset[Vertex], banned: frozenset[Pair], v: Vertex) -> tuple[Vertex, ...] | None:
@@ -407,9 +423,25 @@ def _bp3_search_path(removed: frozenset[Vertex], banned: frozenset[Pair], v: Ver
 def _bp3_search_cycle(
     removed: frozenset[Vertex], banned: frozenset[Pair]
 ) -> tuple[Vertex, ...] | None:
+    """The BP_3 cycle that ``_small_search`` defines; one with at most one
+    removed vertex or banned edge is decoded from the table rather than
+    searched.  The search starts from the first vertex not removed, and a
+    decoded cycle that does not end beside it raises InternalInvariantError."""
     key = (removed, banned)
     if key not in _bp3_cycle_cache:
-        _bp3_cycle_cache[key] = _small_search(3, removed, banned, None, None)
+        if len(removed) + len(banned) > 1:
+            _bp3_cycle_cache[key] = _small_search(3, removed, banned, None, None)
+        else:
+            if removed:
+                (x,) = removed
+                slot = 1 + _BP3_INDEX[x]
+            elif banned:
+                (e,) = banned
+                slot = 49 + _BP3_EDGE_RANK[e]
+            else:
+                slot = 0
+            start = 1 if slot == 1 else 0
+            _bp3_cycle_cache[key] = _decode_steps(LEAF_CYCLES, slot, start, 47 - len(removed), _BP3_NEIGHBORS[start])
     return _bp3_cycle_cache[key]
 
 

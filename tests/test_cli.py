@@ -136,6 +136,22 @@ def test_fuzz_exit_codes_and_determinism(tmp_path, capsys):
     assert doc["successes"] + doc["verification_failures"] + doc["strict_failures"] == doc["trials"]
 
 
+def test_fuzz_checks_each_budget_before_any_trial(monkeypatch, capsys):
+    # --op both at the cycle budget is past the path budget: exit 4 with one
+    # line on stderr before the cycle campaign runs a trial
+    import burntpancake.cli as cli
+
+    campaigns = []
+    monkeypatch.setattr(cli, "run_fuzz", lambda *args, **kwargs: campaigns.append(args))
+    assert main(["fuzz", "--n", "4", "--trials", "1000", "--max-faults", "2", "--op", "both"]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and campaigns == []
+    assert err == "fault budget exceeded: |F|=2 exceeds tolerance 1\n"
+    # a dimension the builders refuse is invalid input, not a budget overrun
+    assert main(["fuzz", "--n", "2", "--trials", "1", "--max-faults", "1"]) == 2
+    assert campaigns == []
+
+
 def test_fuzz_report_keys(capsys):
     assert main(["fuzz", "--n", "4", "--trials", "3", "--max-faults", "1", "--op", "cycle"]) == 0
     doc = json.loads(capsys.readouterr().out)

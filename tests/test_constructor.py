@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from burntpancake.bp3_fixtures import FREE_PATHS, PAIR_CYCLES
+from burntpancake.bp3_fixtures import FREE_PATHS, LEAF_CYCLES, PAIR_CYCLES
 from burntpancake.bp_graph import (
     edge_dimension,
     edge_key,
@@ -135,13 +135,20 @@ def test_base_path_rejects_equal_endpoints():
         hamiltonian_path(3, (1, 2, 3), (1, 2, 3), FaultSet.build(3))
 
 
-def _free_path_slot(path) -> bytes:
-    """One FREE_PATHS slot for ``path`` (encoding in bp3_fixtures)."""
+def _step_slot(path) -> bytes:
+    """One FREE_PATHS or LEAF_CYCLES slot for ``path`` (encoding in
+    bp3_fixtures): a path of 47 vertices leaves the low bit 0."""
     dims = [edge_dimension(a, b) for a, b in zip(path, path[1:])]
     bits = dims[0] - 1
     for prev, d in zip(dims, dims[1:]):
         bits = bits << 1 | sorted({1, 2, 3} - {prev}).index(d)
-    return bits.to_bytes(6, "big")
+    return (bits << 48 - len(path)).to_bytes(6, "big")
+
+
+def _base64_lines(table) -> str:
+    """``table`` as the base64 lines of a bytes literal in bp3_fixtures."""
+    text = base64.b64encode(table).decode()
+    return "\n".join(f'    "{text[k : k + 76]}"' for k in range(0, len(text), 76))
 
 
 def test_free_path_table_matches_search():
@@ -167,10 +174,11 @@ def test_free_path_table_matches_search():
         table = bytearray(len(FREE_PATHS))
         for v, path in paths.items():
             at = 6 * vertices.index(v)
-            table[at : at + 6] = _free_path_slot(path)
-        text = base64.b64encode(table).decode()
-        lines = "\n".join(f'    "{text[k : k + 76]}"' for k in range(0, len(text), 76))
-        pytest.fail(f"{len(wrong)} stored paths differ from the search, first {wrong[:3]}; regenerated:\n{lines}")
+            table[at : at + 6] = _step_slot(path)
+        pytest.fail(
+            f"{len(wrong)} stored paths differ from the search, first {wrong[:3]}; "
+            f"regenerated:\n{_base64_lines(table)}"
+        )
 
 
 def test_corrupt_free_path_raises(monkeypatch):
@@ -185,6 +193,93 @@ def test_corrupt_free_path_raises(monkeypatch):
     monkeypatch.setattr(cons, "_bp3_path_cache", {})
     with pytest.raises(InternalInvariantError, match="stored BP_3 path"):
         hamiltonian_path(3, u, v, FaultSet.build(3))
+
+
+def _leaf_cycle_keys():
+    """The (removed, banned) key of every LEAF_CYCLES slot, in slot order."""
+    none = frozenset()
+    vertices = all_vertices(3)
+    edges = sorted({edge_key(x, w) for x in vertices for w in neighbors(x)})
+    return (
+        [(none, none)]
+        + [(frozenset((x,)), none) for x in vertices]
+        + [(none, frozenset((e,))) for e in edges]
+    )
+
+
+def test_leaf_cycle_table_matches_search(monkeypatch):
+    # the table is a stored copy of the search's cycles for the keys with at
+    # most one fault; on a mismatch the failure prints the table the search
+    # gives, as base64 lines ready to paste into bp3_fixtures
+    import burntpancake.constructor as cons
+
+    keys = _leaf_cycle_keys()
+    assert len(keys) == 121 == len(LEAF_CYCLES) // 6
+    cycles = [_small_search(3, removed, banned, None, None) for removed, banned in keys]
+    monkeypatch.setattr(cons, "_bp3_cycle_cache", {})
+    wrong = []
+    for slot, (key, cycle) in enumerate(zip(keys, cycles)):
+        cons._bp3_cycle_cache.clear()
+        try:
+            if cons._bp3_search_cycle(*key) != cycle:
+                wrong.append(slot)
+        except InternalInvariantError:
+            wrong.append(slot)
+    if wrong:
+        table = b"".join(map(_step_slot, cycles))
+        pytest.fail(
+            f"{len(wrong)} stored cycles differ from the search, first slots {wrong[:3]}; "
+            f"regenerated:\n{_base64_lines(table)}"
+        )
+
+
+def test_corrupt_leaf_cycle_raises(monkeypatch):
+    import burntpancake.constructor as cons
+
+    # flipping the last bit of slot 0 swaps the fault-free cycle's final
+    # step, so the decoded path ends on a vertex that is not beside its start
+    table = bytearray(LEAF_CYCLES)
+    table[5] ^= 1
+    monkeypatch.setattr(cons, "LEAF_CYCLES", bytes(table))
+    monkeypatch.setattr(cons, "_bp3_cycle_cache", {})
+    with pytest.raises(InternalInvariantError, match="stored BP_3 path"):
+        hamiltonian_cycle(3, FaultSet.build(3))
+
+
+def test_leaf_cycles_are_read_not_searched(monkeypatch):
+    """Cold builds of the eight one-element n=4 cycle instances, and of a
+    full-budget n=5 cycle and path, ask the cycle leaf only for keys that
+    LEAF_CYCLES holds, so they make no cycle-mode search.  A count, not a
+    time, so it holds on any machine."""
+    import burntpancake.constructor as cons
+
+    search = cons._small_search
+    cycle_searches = []
+
+    def counted(n, removed, banned, u, v):
+        if u is None:
+            cycle_searches.append((removed, banned))
+        return search(n, removed, banned, u, v)
+
+    monkeypatch.setattr(cons, "_small_search", counted)
+    monkeypatch.setattr(cons, "_bp3_cycle_cache", {})
+    monkeypatch.setattr(cons, "_bp3_path_cache", {})
+    e = identity(4)
+    for k in range(1, 5):
+        pair = [e, generator(4, k)]
+        for fs in (FaultSet.build(4, matching_pairs=[pair]), FaultSet.build(4, faulty_edges=[pair])):
+            assert verify_cycle(4, fs, hamiltonian_cycle(4, fs)).ok
+    for op, budget in (("cycle", 3), ("path", 2)):
+        # the first trial of seed 21 whose fault set is at the budget
+        trial = next(t for t in itertools.count() if sample_fault_set(5, budget, trial_rng(21, t)).size == budget)
+        rng = trial_rng(21, trial)
+        fs = sample_fault_set(5, budget, rng)
+        if op == "cycle":
+            assert verify_cycle(5, fs, hamiltonian_cycle(5, fs)).ok
+        else:
+            u, v = sample_endpoints(rng, 5, fs)
+            assert verify_path(5, fs, u, v, hamiltonian_path(5, u, v, fs)).ok
+    assert cons._bp3_cycle_cache and cycle_searches == []
 
 
 def test_fault_free_bp3_paths_share_47_keys(monkeypatch):
@@ -588,6 +683,7 @@ def test_n4_sweep_slice(monkeypatch):
         counts, labels = sweep_n4.run(op, stride, offset)
         assert counts["instances"] == counts["verified"] == instances, (op, counts)
         assert labels and "root" not in labels
+        assert counts["cycle_searches"] == 0, (op, counts)
 
 
 # The only strict failures of an exhaustive n=4 sweep of paths with |F| <= 1
@@ -703,6 +799,31 @@ def _with(seq, **at):
     return out
 
 
+_CHECK_KINDS = (
+    "valid",
+    "valid, unused faulty edge",
+    "one short",
+    "repeat",
+    "removed vertex",
+    "removed pair on it",
+    "non-adjacent",
+    "non-adjacent before removed",
+    "removed before non-adjacent",
+    "faulty first step",
+    "faulty last step",
+)
+# The labels of _check_cases, in its order: parametrizing on these alone
+# leaves the builds to the fixture, so a constructor defect fails the cases
+# instead of the module's collection.
+_CHECK_LABELS = [f"{label} {kind}" for label in ("cycle", "path") for kind in _CHECK_KINDS] + [
+    "cycle faulty closing step",
+    "path checked as a cycle",
+    "path wrong endpoints",
+    "path reversed",
+    "cycle below the girth",
+]
+
+
 def _check_cases():
     """(label, n, faults, sequence, closed, endpoints, expected message or None)."""
     f = _Faults.from_fault_set(_CHECK_FAULTS)
@@ -740,9 +861,16 @@ def _check_cases():
     yield "cycle below the girth", 3, small, all_vertices(3)[:7], True, (None, None), "at least eight"
 
 
-@pytest.mark.parametrize("case", list(_check_cases()), ids=lambda case: case[0])
-def test_check_output_raises_exactly_on_bad_output(case):
-    _, n, f, seq, closed, (u, v), message = case
+@pytest.fixture(scope="module")
+def check_cases():
+    cases = {case[0]: case for case in _check_cases()}
+    assert list(cases) == _CHECK_LABELS
+    return cases
+
+
+@pytest.mark.parametrize("label", _CHECK_LABELS)
+def test_check_output_raises_exactly_on_bad_output(check_cases, label):
+    _, n, f, seq, closed, (u, v), message = check_cases[label]
     if message is None:
         _check_output(n, f, seq, closed, u, v)
     else:

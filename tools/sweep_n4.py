@@ -22,10 +22,14 @@ element.
 
 ``--stride K`` builds only every K-th instance of each family, from the
 first; ``--jobs`` splits the work over that many processes.  Prints, per
-family, one line of counts and one histogram of the case labels of the
-built objects' traces (every trace node but the root, sorted by label), and
-each failing instance to stderr; exits 1 if any instance fails to build or
-to verify.
+family, one line of counts, one histogram of the case labels of the built
+objects' traces (every trace node but the root, sorted by label) and one
+line with the number of cycle-mode and path-mode BP_3 searches
+(``constructor._small_search`` calls, which the leaf's tables and memo
+spare) summed over the processes, and each failing instance to stderr;
+exits 1 if any instance fails to build or to verify.  Each process keeps
+its own memo, so the path-mode count grows with ``--jobs``; a build of the
+cycle family makes no cycle-mode search.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import time
 import traceback
 from collections import Counter
 
+from burntpancake import constructor
 from burntpancake.bp_graph import edge_key, neighbors
 from burntpancake.constructor import StrictModeFailure, hamiltonian_cycle, hamiltonian_path
 from burntpancake.fault_model import FaultSet, validate
@@ -108,15 +113,26 @@ def _build_and_verify(op: str, item) -> tuple[str, list[str]]:
 
 
 def run(op: str, stride: int = 1, offset: int = 0) -> tuple[Counter, Counter]:
-    """Counts of outcomes and of case labels over the instances of ``op``
+    """Counts of outcomes and of BP_3 searches (``cycle_searches`` and
+    ``path_searches``), and of case labels, over the instances of ``op``
     whose index is ``offset`` modulo ``stride``."""
     items = cycle_instances() if op == "cycle" else path_instances()
     counts, labels = Counter(), Counter()
-    for item in itertools.islice(items, offset, None, stride):
-        outcome, seen = _build_and_verify(op, item)
-        counts["instances"] += 1
-        counts[outcome] += 1
-        labels.update(seen)
+    search = constructor._small_search
+
+    def counted(n, removed, banned, u, v):
+        counts["cycle_searches" if u is None else "path_searches"] += 1
+        return search(n, removed, banned, u, v)
+
+    constructor._small_search = counted
+    try:
+        for item in itertools.islice(items, offset, None, stride):
+            outcome, seen = _build_and_verify(op, item)
+            counts["instances"] += 1
+            counts[outcome] += 1
+            labels.update(seen)
+    finally:
+        constructor._small_search = search
     return counts, labels
 
 
@@ -143,6 +159,7 @@ def main(argv=None) -> int:
         fields = ("instances", "verified", "strict_failures", "oracle_rejects", "errors")
         print(op, " ".join(f"{k}={counts[k]}" for k in fields), f"seconds={time.perf_counter() - t0:.1f}")
         print(op, "labels", " ".join(f"{k}={labels[k]}" for k in sorted(labels)))
+        print(op, "searches", f"cycle={counts['cycle_searches']} path={counts['path_searches']}")
     return 1 if bad else 0
 
 
