@@ -20,11 +20,19 @@ Adjacency is tested in two ways.  :func:`is_adjacent` tests one step: if
 ``v`` is the k-th prefix reversal of ``u``, the last position where the two
 differ is k (the symbol arriving there is ``-u[0]``, which differs from what
 was there), so one comparison of the first k symbols decides.  It is the
-reference, and it names the bad step when a check fails.  :func:`is_walk`
+reference, and it names the bad step when a check fails.  The column test
 answers the same question for every step of a whole sequence at once: it
-packs the symbols into bytes and compares columns of the sequence as big
-integers, with no Python call per step, so the constructor's self-check and
-the oracle, which test every step of every built object, call it instead.
+compares columns of a packed sequence as big integers, with no Python call
+per step.  It has two entry points: :func:`is_walk` packs tuples, for the
+constructor's self-check and the oracle on tuples, and
+:func:`is_packed_walk` reads a packed sequence as it is, for the oracle on
+the packed form that the CLI writes and reads.
+
+The packed form of a vertex of BP_n, n <= :data:`PACKED_WIDTH`, is
+``PACKED_WIDTH`` signed bytes: its n symbols, then zero padding.  A packed
+sequence is its vertices' records one after another (:func:`pack`,
+:func:`unpack`); with zero padding, equal vertices have equal records, so
+the records can serve as 8-byte keys.
 Cross edges between two subgraphs are produced lazily by
 :func:`iter_cross_edges`, already in lexicographic order, so a caller that
 wants only the first usable edge builds no more than it reads.
@@ -34,7 +42,7 @@ from __future__ import annotations
 
 import struct
 from collections import deque
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, islice, starmap
 from math import factorial
 from operator import neg
@@ -96,10 +104,42 @@ def is_adjacent(u: Vertex, v: Vertex) -> bool:
     return _dimension(u, v) != 0
 
 
-# Steps per block of is_walk; a block of an n=8 sequence packs 32 776 bytes.
+# Bytes a vertex in the packed form; an n=8 vertex has no padding.
+PACKED_WIDTH = 8
+# Steps per block of the column test; a block packs 32 776 bytes.
 _WALK_BLOCK = 1 << 12
 # Byte of -x for the byte of x, in two's complement (exact except for -128).
 _NEGATE = bytes([0, *range(255, 0, -1)])
+
+
+def _record(n: int) -> struct.Struct:
+    return struct.Struct(f"{n}b{PACKED_WIDTH - n}x")
+
+
+def pack(n: int, vertices: Iterable[Vertex]) -> bytes:
+    """``vertices`` as a packed sequence; ``struct.error`` unless each is n
+    integers in -128..127, and n <= :data:`PACKED_WIDTH`."""
+    return b"".join(starmap(_record(n).pack, vertices))
+
+
+def _records(n: int, packed: bytes) -> int:
+    """The number of vertices in a packed sequence of BP_n; ValueError when
+    n is not in 0..:data:`PACKED_WIDTH` or the length is not a whole number
+    of records."""
+    if not 0 <= n <= PACKED_WIDTH or len(packed) % PACKED_WIDTH:
+        raise ValueError(f"not a packed sequence of BP_{n}: {len(packed)} bytes")
+    return len(packed) // PACKED_WIDTH
+
+
+def unpack(n: int, packed: bytes) -> list[Vertex]:
+    """The vertices of a packed sequence of BP_n, as tuples (ValueError as
+    for :func:`_records`)."""
+    _records(n, packed)
+    return list(_record(n).iter_unpack(packed))
+
+
+def _is_signed_perm(v: Sequence[int], n: int) -> bool:
+    return sorted(map(abs, v)) == list(range(1, n + 1))
 
 
 def is_walk(n: int, vertices: Sequence[Vertex], closed: bool) -> bool:
@@ -108,14 +148,15 @@ def is_walk(n: int, vertices: Sequence[Vertex], closed: bool) -> bool:
     are ``vertices[1:]``, followed by ``vertices[0]`` when ``closed``.
 
     Fast path.  When ``vertices[0]`` is a tuple that is a signed permutation
-    of 1..n, the steps are tested a block of :data:`_WALK_BLOCK` at a time
-    (:func:`_prefix_reversal_steps`), blocks overlapping by one vertex, and
-    the answer is whether each step is an exact prefix reversal: some k
-    with ``v[j] == -u[k-1-j]`` for j < k and ``v[j] == u[j]`` for j >= k.
-    A block whose entries are not all tuples, or do not each pack into n
-    signed bytes (``struct.error``: a wrong length, floats, values outside
-    -128..127), and input that breaks the guard itself (``TypeError``),
-    leave the fast path for the per-step loop.
+    of 1..n, n <= :data:`PACKED_WIDTH`, the steps are packed and tested a
+    block of :data:`_WALK_BLOCK` at a time (:func:`_prefix_reversal_steps`),
+    blocks overlapping by one vertex, and the answer is whether each step is
+    an exact prefix reversal: some k with ``v[j] == -u[k-1-j]`` for j < k
+    and ``v[j] == u[j]`` for j >= k.  A block whose entries are not all
+    tuples, or do not each pack into n signed bytes (``struct.error``: a
+    wrong length, floats, values outside -128..127), and input that breaks
+    the guard itself (``TypeError``), leave the fast path for the per-step
+    loop.
 
     Why the answers agree.  Every step the fast path accepts is an exact
     prefix reversal of its first vertex, and a prefix reversal of a signed
@@ -134,14 +175,15 @@ def is_walk(n: int, vertices: Sequence[Vertex], closed: bool) -> bool:
     steps = size if closed else size - 1
     try:
         first = vertices[0] if size else None
-        if type(first) is tuple and len(first) == n and sorted(map(abs, first)) == list(range(1, n + 1)):
+        if type(first) is tuple and len(first) == n <= PACKED_WIDTH and _is_signed_perm(first, n):
+            record = _record(n).pack
             for start in range(0, steps, _WALK_BLOCK):
                 block = vertices[start : start + _WALK_BLOCK + 1]
                 if closed and start + _WALK_BLOCK >= size:
                     block = [*block, first]
                 if set(map(type, block)) != {tuple}:
                     break
-                if not _prefix_reversal_steps(n, block):
+                if not _prefix_reversal_steps(n, b"".join(starmap(record, block))):
                     return False
             else:
                 return True
@@ -153,28 +195,46 @@ def is_walk(n: int, vertices: Sequence[Vertex], closed: bool) -> bool:
     return all(map(is_adjacent, vertices, successors))
 
 
-def _prefix_reversal_steps(n: int, block: Sequence[Vertex]) -> bool:
-    """Whether each step of ``block``, at least two tuples, is a prefix
-    reversal of its first vertex; ``struct.error`` unless every tuple is n
-    symbols in -128..127.
+def is_packed_walk(n: int, packed: bytes, closed: bool) -> bool:
+    """``is_walk(n, unpack(n, packed), closed)``, read off the packed
+    sequence: when its first vertex is a signed permutation of 1..n, the
+    column test runs on the records as they lie, a block at a time, and the
+    argument of :func:`is_walk` carries over (a record's bytes are its
+    symbols, so nothing can fail to pack); otherwise the tuples decide."""
+    size = _records(n, packed)
+    if not size or not _is_signed_perm(struct.unpack_from(f"{n}b", packed), n):
+        return is_walk(n, unpack(n, packed), closed)
+    steps = size if closed else size - 1
+    span = _WALK_BLOCK * PACKED_WIDTH
+    for start in range(0, steps * PACKED_WIDTH, span):
+        block = packed[start : start + span + PACKED_WIDTH]
+        if closed and start + span >= len(packed):
+            block += packed[:PACKED_WIDTH]
+        if not _prefix_reversal_steps(n, block):
+            return False
+    return True
 
-    Column j of the block, ``flat[j::n]`` of the packed symbols, read as one
-    big-endian integer, holds symbol j of every vertex, one byte each; less
-    its last byte it is the steps' first vertices (``u[j]``), less its
-    first byte their second (``v[j]``).  A byte of ``v[j] ^ u[j]`` is zero
-    where the two agree, so the k-th prefix reversal's mismatch is the OR of
+
+def _prefix_reversal_steps(n: int, flat: bytes) -> bool:
+    """Whether each step of ``flat``, a packed sequence of at least two
+    vertices, is a prefix reversal of its first vertex.
+
+    Column j of the block, ``flat[j::PACKED_WIDTH]``, read as one big-endian
+    integer, holds symbol j of every vertex, one byte each; less its last
+    byte it is the steps' first vertices (``u[j]``), less its first byte
+    their second (``v[j]``).  A byte of ``v[j] ^ u[j]`` is zero where the
+    two agree, so the k-th prefix reversal's mismatch is the OR of
     ``v[j] ^ -u[k-1-j]`` over j < k and ``v[j] ^ u[j]`` over j >= k.  Each
     mismatch is cut to the top bit of each nonzero byte, and a step passes
     when some k leaves its byte zero: when the AND over k is zero there.
     """
-    flat = b"".join(starmap(struct.Struct(f"{n}b").pack, block))
-    width = len(block) - 1
+    width = len(flat) // PACKED_WIDTH - 1
     last = (1 << 8 * width) - 1
     high = int.from_bytes(b"\x80" * width, "big")
     low = high - (high >> 7)  # 0x7f in every byte
     u, v, neg_u = [], [], []
     for j in range(n):
-        column = flat[j::n]
+        column = flat[j::PACKED_WIDTH]
         whole = int.from_bytes(column, "big")
         u.append(whole >> 8)
         v.append(whole & last)

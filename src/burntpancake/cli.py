@@ -7,6 +7,16 @@ Exit codes: 0 success, 1 verification or absence failure, 2 invalid input,
 Every emitted construction is self-verified against the oracle before the
 process can exit 0.  Reports and artifacts are deterministic for a fixed
 seed; wall-clock timings go to stderr only.
+
+Artifacts go through the packed form (``bp_graph.pack``: 8 signed bytes a
+vertex).  ``cycle`` and ``path`` pack the built vertices once: the oracle
+checks those bytes, and ``artifact.render`` writes the JSON from them,
+piece by piece, straight to the output; the text is exactly
+``json.dumps(doc, indent=2) + "\n"``.  ``verify`` first offers the file to
+``artifact.read_packed``, which reads only the writer's exact layout, into
+the packed form; any other file is read with ``json.load`` as it always
+was, so what is accepted, and every exit code and message, is the same.
+The ``artifact`` module is imported by the commands that use it.
 """
 
 from __future__ import annotations
@@ -62,14 +72,7 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _artifact_json(kind: str, n: int, vertices, trace, extra: dict | None = None) -> str:
-    """The artifact exactly as ``json.dumps(doc, indent=2) + "\\n"`` writes it.
-
-    The vertex block, one signed integer per line, is most of the bytes, so
-    it is formatted directly from one template for a length-n vertex (a
-    built object is never empty); the other members go through
-    ``json.dumps`` and are indented one level, as the encoder nests them.
-    """
+def _artifact_doc(kind: str, n: int, trace, extra: dict | None) -> dict:
     doc = {
         "kind": kind,
         "n": n,
@@ -78,37 +81,48 @@ def _artifact_json(kind: str, n: int, vertices, trace, extra: dict | None = None
     }
     if extra:
         doc.update(extra)
-    template = "    [\n" + ",\n".join(["      %d"] * n) + "\n    ]"
-    block = "[\n" + ",\n".join(map(template.__mod__, vertices)) + "\n  ]"
-    members = [
-        f"  {json.dumps(key)}: "
-        + (block if key == "vertices" else json.dumps(value, indent=2).replace("\n", "\n  "))
-        for key, value in doc.items()
-    ]
-    return "{\n" + ",\n".join(members) + "\n}\n"
+    return doc
+
+
+def _artifact_json(kind: str, n: int, vertices, trace, extra: dict | None = None) -> str:
+    """The artifact exactly as ``json.dumps(doc, indent=2) + "\\n"`` writes it,
+    as one string (the commands stream the same pieces)."""
+    from . import artifact
+
+    packed = bp_graph.pack(n, vertices)
+    return b"".join(artifact.render(_artifact_doc(kind, n, trace, extra), n, packed)).decode()
 
 
 def _artifact_text(vertices) -> str:
     return "\n".join(format_vertex(v) for v in vertices) + "\n"
 
 
-def _emit_verified(args, kind: str, built, report, extra: dict | None = None) -> int:
-    """The tail of ``cycle`` and ``path``: emit the built object once the
-    oracle's ``report`` on it is ok."""
+def _emit_verified(args, kind: str, built, packed: bytes, report, extra: dict | None = None) -> int:
+    """The tail of ``cycle`` and ``path``: emit the built object, packed as
+    ``packed``, once the oracle's ``report`` on it is ok."""
     if not report.ok:
         print(f"self-verification failed: {report}", file=sys.stderr)
         return EXIT_VERIFY
-    if args.format == "json":
-        _emit(_artifact_json(kind, args.n, built.vertices, built.trace, extra), args.out)
-    else:
+    if args.format == "text":
         _emit(_artifact_text(built.vertices), args.out)
+        return EXIT_OK
+    from . import artifact
+
+    pieces = artifact.render(_artifact_doc(kind, args.n, built.trace, extra), args.n, packed)
+    if args.out is None:
+        for piece in pieces:
+            sys.stdout.write(piece.decode())
+    else:
+        with open(args.out, "wb") as fh:
+            fh.writelines(pieces)
     return EXIT_OK
 
 
 def cmd_cycle(args) -> int:
     fs = _load_faults(args.faults, args.n)
     built = hamiltonian_cycle(args.n, fs)
-    return _emit_verified(args, "cycle", built, oracle.verify_cycle(args.n, fs, built))
+    packed = bp_graph.pack(args.n, built.vertices)
+    return _emit_verified(args, "cycle", built, packed, oracle.verify_cycle(args.n, fs, packed))
 
 
 def cmd_path(args) -> int:
@@ -116,13 +130,16 @@ def cmd_path(args) -> int:
     u = parse_vertex(args.source, args.n)
     v = parse_vertex(args.target, args.n)
     built = hamiltonian_path(args.n, u, v, fs)
-    report = oracle.verify_path(args.n, fs, u, v, built)
-    return _emit_verified(args, "path", built, report, {"source": list(u), "target": list(v)})
+    packed = bp_graph.pack(args.n, built.vertices)
+    report = oracle.verify_path(args.n, fs, u, v, packed)
+    return _emit_verified(args, "path", built, packed, report, {"source": list(u), "target": list(v)})
 
 
-def cmd_verify(args) -> int:
+def _load_artifact(path: str):
+    """(kind, n, vertices, [source, target] or []) read with ``json.load``;
+    UsageError for a malformed file."""
     try:
-        with open(args.artifact, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         kind = doc["kind"]
         if kind not in ("cycle", "path"):
@@ -134,6 +151,13 @@ def cmd_verify(args) -> int:
             raise ValueError("n and the vertex symbols must be integers")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"malformed artifact file: {exc}") from exc
+    return kind, n, vertices, ends
+
+
+def cmd_verify(args) -> int:
+    from . import artifact
+
+    kind, n, vertices, ends = artifact.read_packed(args.artifact) or _load_artifact(args.artifact)
     if not 1 <= n <= SOFT_DIMENSION_LIMIT:
         raise UsageError(f"artifact dimension n={n} outside 1..{SOFT_DIMENSION_LIMIT}")
     fs = _load_faults(args.faults, n)

@@ -384,8 +384,9 @@ def _small_search(
 def _decode_steps(table: bytes, slot: int, start: int, steps: int, ends) -> tuple[Vertex, ...]:
     """The BP_3 path of ``steps`` steps from the vertex of index ``start``
     stored in slot ``slot`` of ``table`` (step code in ``bp3_fixtures``).
-    A decoded path whose last vertex's index is not in ``ends`` raises
-    InternalInvariantError."""
+    A decoded path that repeats a vertex, or whose last vertex's index is
+    not in ``ends``, raises InternalInvariantError naming the slot; callers
+    memoize, so each slot is checked once per key and process."""
     bits = int.from_bytes(table[6 * slot : 6 * slot + 6], "big")
     d = bits >> 46
     path = [start]
@@ -396,6 +397,8 @@ def _decode_steps(table: bytes, slot: int, start: int, steps: int, ends) -> tupl
             d = _BP3_NEXT[d][bits >> shift & 1]
             cur = _BP3_STEP[cur][d]
             path.append(cur)
+    if len(set(path)) != len(path):
+        raise InternalInvariantError(f"stored BP_3 path in slot {slot} repeats a vertex")
     if path[-1] not in ends:
         raise InternalInvariantError(f"stored BP_3 path in slot {slot} ends elsewhere")
     return tuple(_BP3_VERTICES[x] for x in path)

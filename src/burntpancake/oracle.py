@@ -1,7 +1,12 @@
 """Independent verification and brute-force search.
 
 The verifiers check construction outputs structurally against the graph and
-the fault set; they share no code with the constructor.  The exhaustive
+the fault set; they share no code with the constructor.  They take a
+sequence of vertices, an object with ``vertices``, or a packed sequence
+(``bp_graph.pack``: 8 signed bytes a vertex).  A packed sequence is first
+put through whole-sequence passes on its bytes; when one fails, it is
+decoded to tuples and checked as tuples are, so its report is the report
+on its tuples.  The exhaustive
 searches run on small instances (n <= 4) with materialized adjacency.  They
 are complete, and only claim ``ProvenAbsent`` on full exhaustion of the
 search space, but not always fast: some n=4 path searches time out, and a
@@ -10,6 +15,7 @@ timeout is a distinct outcome.
 
 from __future__ import annotations
 
+import struct
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -112,17 +118,88 @@ def _verify_common(
     return bad
 
 
+def _packed_ok(n: int, fault_set: FaultSet, packed: bytes, closed: bool, ends=()) -> bool:
+    """Whether a packed sequence passes every check of a verifier, decided
+    by whole-sequence passes on its bytes; False sends it to the tuples.
+
+    The passes: the vertex count (at least 3 for a cycle); the first vertex
+    is a signed permutation and every record is zero-padded; the column
+    walk; distinctness, from a set over the 8-byte records; no removed
+    vertex, each removed one being a vertex of BP_n; no faulty edge, found
+    by where its ends sit; the endpoints.  Together they leave
+    ``_verify_common`` nothing to report, by the argument written there for
+    skipping the MissingVertex walk.  A removed vertex, faulty edge or
+    endpoint that does not pack (``struct.error``) fails them.
+    """
+    width = bp_graph.PACKED_WIDTH
+    count = len(packed) // width
+    removed = fault_set.removed_vertices()
+    if (
+        len(packed) % width
+        or not 1 <= n <= width
+        or count != bp_graph.vertex_count(n) - len(removed)
+        or count < (3 if closed else 1)
+        or not _is_vertex(struct.unpack_from(f"{n}b", packed), n)
+    ):
+        return False
+    zero = bytes(count)
+    if any(packed[j::width] != zero for j in range(n, width)) or not bp_graph.is_packed_walk(n, packed, closed):
+        return False
+    seen = set(memoryview(packed).cast("q"))
+    try:
+        if (
+            len(seen) != count
+            or not all(_is_vertex(r, n) for r in removed)
+            or not seen.isdisjoint(memoryview(bp_graph.pack(n, removed)).cast("q"))
+        ):
+            return False
+        for a, b in fault_set.faulty_edges:
+            pos = _packed_index(packed, bp_graph.pack(n, [a]))
+            if pos >= 0:
+                key = bp_graph.pack(n, [b])
+                after, before = ((pos + d) % count * width for d in (1, -1))
+                if (pos + 1 < count or closed) and packed[after : after + width] == key:
+                    return False
+                if (pos > 0 or closed) and packed[before : before + width] == key:
+                    return False
+        return not ends or packed[:width] + packed[-width:] == bp_graph.pack(n, ends)
+    except (struct.error, TypeError):
+        return False
+
+
+def _packed_index(packed: bytes, key: bytes) -> int:
+    """The index of the first record of ``packed`` equal to ``key``, or -1."""
+    width = bp_graph.PACKED_WIDTH
+    pos = packed.find(key)
+    while pos > 0 and pos % width:
+        pos = packed.find(key, pos + 1)
+    return pos // width if pos >= 0 else -1
+
+
 def verify_cycle(n: int, fault_set: FaultSet, cycle) -> VerificationReport:
-    """Check a claimed Hamiltonian cycle of BP_n minus the fault set."""
+    """Check a claimed Hamiltonian cycle of BP_n minus the fault set.
+
+    A closed walk must have three vertices at least: two vertices would
+    run one edge there and back (``ShortCycle``)."""
+    if isinstance(cycle, (bytes, bytearray)):
+        if _packed_ok(n, fault_set, cycle, closed=True):
+            return VerificationReport(True)
+        cycle = bp_graph.unpack(n, cycle)
     vertices = _vertex_sequence(cycle)
     if not vertices:
         return VerificationReport(False, (("WrongLength", -1, "empty"),))
     bad = _verify_common(n, fault_set, vertices, closed=True)
+    if len(vertices) == 2:
+        bad.append(("ShortCycle", -1, "2 vertices: a cycle needs at least 3"))
     return VerificationReport(ok=not bad, violations=tuple(bad))
 
 
 def verify_path(n: int, fault_set: FaultSet, u: Vertex, v: Vertex, path) -> VerificationReport:
     """Check a claimed Hamiltonian path between ``u`` and ``v``."""
+    if isinstance(path, (bytes, bytearray)):
+        if _packed_ok(n, fault_set, path, closed=False, ends=(u, v)):
+            return VerificationReport(True)
+        path = bp_graph.unpack(n, path)
     vertices = _vertex_sequence(path)
     if not vertices:
         return VerificationReport(False, (("WrongLength", -1, "empty"),))

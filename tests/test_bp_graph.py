@@ -406,3 +406,28 @@ def test_is_walk_falls_back_on_entries_that_are_not_vertices():
         _check_walk(n, [()])
         _check_walk(n, [(), ()])
         _check_walk(n, [e])
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 7])
+def test_is_packed_walk_matches_steps(monkeypatch, block):
+    """The packed entry point of the column test answers as the per-step
+    loop on the decoded tuples: random walks at n = 1, 3, 4 and 8 with one
+    bad vertex in every position, across block boundaries, and sequences
+    whose first vertex is no vertex of BP_n, which go to the tuples."""
+    monkeypatch.setattr(bp_graph, "_WALK_BLOCK", block)
+    rng = random.Random(block)
+    for n in (1, 3, 4, 8):
+        for length in range(1, 3 * block + 3):
+            walk = _random_walk(rng, n, length - 1)
+            for pos in (None, *range(length)):
+                seq = list(walk)
+                if pos is not None:
+                    seq[pos] = _random_walk(rng, n, 0)[0]
+                for closed in (False, True):
+                    assert bp_graph.is_packed_walk(n, bp_graph.pack(n, seq), closed) == _steps_reference(seq, closed)
+    loop, zero = (1, -1, 3, 4), (0, 2, 3, 4)
+    for seq in ([loop, loop, loop], [zero, (-0, 2, 3, 4)], [(-128, 2, 3, 4), (127, 2, 3, 4)], []):
+        for closed in (False, True):
+            assert bp_graph.is_packed_walk(4, bp_graph.pack(4, seq), closed) == _steps_reference(seq, closed)
+    with pytest.raises(ValueError):
+        bp_graph.is_packed_walk(4, bytes(12), True)

@@ -343,3 +343,174 @@ def test_out_of_memory_exit_code(tmp_path, monkeypatch, capsys):
     assert main(["verify", str(artifact)]) == cli.EXIT_MEMORY == 5
     err = capsys.readouterr().err
     assert err.startswith("out of memory: ") and err.count("\n") == 1
+
+
+class _Trace:
+    def __init__(self, labels):
+        self._labels = labels
+
+    def labels(self):
+        return ["root", *self._labels]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 7, 4096])
+def test_renderer_matches_reference_encoder_for_every_symbol(monkeypatch, chunk):
+    """The vertex block rendered from packed bytes is the encoder's, for
+    n = 1..8 with each symbol +-1..+-8 at each position, for cycle and path
+    documents, with the vertex count below, at and past chunk boundaries."""
+    from burntpancake import artifact
+    from burntpancake.bp_graph import pack
+
+    monkeypatch.setattr(artifact, "RENDER_CHUNK", chunk)
+    symbols = [*range(1, 9), *range(-1, -9, -1)]
+    trace = _Trace(["L13/1", "EXT/é \"quoted\"\n"])
+    for n in range(1, 9):
+        for count in sorted({1, 2, chunk, chunk + 1, 2 * chunk + 1, 16}):
+            vertices = [tuple(symbols[(i + 5 * j) % 16] for j in range(n)) for i in range(count)]
+            ends = {"source": list(vertices[0]), "target": list(vertices[-1])}
+            for kind, extra in (("cycle", None), ("path", ends)):
+                doc = {"kind": kind, "n": n, "vertices": [list(v) for v in vertices], "trace": trace.labels()[1:]}
+                doc.update(extra or {})
+                want = json.dumps(doc, indent=2) + "\n"
+                assert _artifact_json(kind, n, vertices, trace, extra) == want
+                pieces = list(artifact.render({**doc, "vertices": None}, n, pack(n, vertices)))
+                assert b"".join(pieces).decode() == want
+                assert len(pieces) == 2 + -(-count // chunk)
+
+
+def test_renderer_refuses_symbols_it_cannot_write():
+    from burntpancake import artifact
+    from burntpancake.bp_graph import pack
+
+    for bad in (10, -10, 127, -128):
+        with pytest.raises(ValueError):
+            list(artifact.vertex_block(3, pack(3, [(1, 2, 3), (1, bad, 3)])))
+
+
+def _edits(text: str, n: int) -> dict:
+    """Edited copies of an artifact as the writer renders it."""
+    lines = text.split("\n")
+    first = lines.index("    [")  # the first vertex record
+    record = n + 2
+    sym = first + 1  # the first symbol line
+    doc = json.loads(text)
+
+    def set_line(i, value):
+        return "\n".join(lines[:i] + [value] + lines[i + 1 :])
+
+    recs = [lines[first + k * record : first + (k + 1) * record] for k in range(3)]
+    out = {
+        "valid": text,
+        "sign flipped": text.replace("\n      1,", "\n      -1,", 1).replace("\n      -2,", "\n      2,", 1),
+        "digit 0": set_line(sym + 1, "      0,"),
+        "digit 9": set_line(sym + 1, "      9,"),
+        "symbol line dropped": "\n".join(lines[:sym] + lines[sym + 1 :]),
+        "symbol line duplicated": "\n".join(lines[: sym + 1] + lines[sym:]),
+        "record dropped": "\n".join(lines[:first] + lines[first + record :]),
+        "record duplicated": "\n".join(lines[: first + record] + recs[0][:-1] + ["    ],"] + lines[first + record :]),
+        "records swapped": "\n".join(lines[:first] + recs[1] + recs[0] + lines[first + 2 * record :]),
+        "float symbol": set_line(sym, "      1.0" + ("," if n > 1 else "")),
+        "true symbol": set_line(sym, "      true" + ("," if n > 1 else "")),
+        "minus zero symbol": set_line(sym, "      -0" + ("," if n > 1 else "")),
+        "two-digit symbol": set_line(sym, "      12" + ("," if n > 1 else "")),
+        "CRLF": text.replace("\n", "\r\n"),
+        "trailing spaces": text.replace(",\n", ", \n"),
+        "trailing space at end": text[:-1] + " \n",
+        "BOM": "﻿" + text,
+        "no final newline": text[:-1],
+        "members reordered": json.dumps({"n": doc["n"], **doc}, indent=2) + "\n",
+        "extra member": json.dumps({**doc, "note": 1}, indent=2) + "\n",
+        "compact": json.dumps(doc),
+        "indent 4": json.dumps(doc, indent=4) + "\n",
+        "kind edited": text.replace(f'"{doc["kind"]}"', '"path"' if doc["kind"] == "cycle" else '"cycle"', 1),
+        "kind unknown": text.replace(f'"{doc["kind"]}"', '"tour"', 1),
+        "n minus one": text.replace(f'"n": {n},', f'"n": {n - 1},', 1),
+        "n plus one": text.replace(f'"n": {n},', f'"n": {n + 1},', 1),
+        "n as 9": text.replace(f'"n": {n},', '"n": 9,', 1),
+        "n as float": text.replace(f'"n": {n},', f'"n": {n}.0,', 1),
+        "trace edited": text.replace('"trace": [\n', '"trace": [\n    "X",\n', 1),
+        "trace not a list": text[: text.index('"trace": ') + 9] + "7" + text[text.index("\n  ]", text.index('"trace": ')) + 4 :],
+        "truncated": text[: len(text) // 2],
+        "truncated in the tail": text[:-3],
+        "empty": "",
+    }
+    if doc["kind"] == "path":
+        src, tgt = doc["source"], doc["target"]
+        swapped = json.dumps({**doc, "source": tgt, "target": src}, indent=2) + "\n"
+        out["source and target swapped"] = swapped
+        out["source edited"] = json.dumps({**doc, "source": [-x for x in src]}, indent=2) + "\n"
+        out["target short"] = json.dumps({**doc, "target": tgt[:-1]}, indent=2) + "\n"
+        out["target of floats"] = json.dumps({**doc, "target": [float(x) for x in tgt]}, indent=2) + "\n"
+        out["target of bools"] = json.dumps({**doc, "target": [True] * n}, indent=2) + "\n"
+        out["target missing"] = json.dumps({k: v for k, v in doc.items() if k != "target"}, indent=2) + "\n"
+        out["source a number"] = json.dumps({**doc, "source": 5}, indent=2) + "\n"
+    return out
+
+
+def _artifacts(tmp_path, n):
+    """(artifact text, fault file, another fault file) for a cycle and, at
+    n < 6, a path of BP_n; the n=6 path would only double the test's time."""
+    fs = FaultSet.build(n, matching_pairs=[[identity(n), generator(n, 2)]])
+    faults = tmp_path / "faults.json"
+    faults.write_text(fs.to_json())
+    free = tmp_path / "free.json"
+    free.write_text(FaultSet.build(n).to_json())
+    cycle = tmp_path / "cycle.json"
+    assert main(["cycle", "--n", str(n), "--faults", str(faults), "--out", str(cycle)]) == 0
+    out = [(cycle.read_text(), faults, free)]
+    if n < 6:
+        path = tmp_path / "path.json"
+        u, v = ",".join(map(str, generator(n, 1))), ",".join(map(str, generator(n, n)))
+        argv = ["path", "--n", str(n), "--faults", str(free), f"--source={u}", f"--target={v}", "--out", str(path)]
+        assert main(argv) == 0
+        out.append((path.read_text(), free, faults))
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_verify_packed_reader_changes_no_output(n, tmp_path, monkeypatch, capsys):
+    """``verify`` gives the same exit code, stdout and stderr with the packed
+    reader on and with it declining every file, over an edit corpus of BP_n
+    artifacts (each valid one also against a wrong fault file); the reader
+    takes the writer's layout, edited or not, and declines everything else."""
+    from burntpancake import artifact
+
+    reader = artifact.read_packed
+    taken = set()
+    target = tmp_path / "edited.json"
+    for text, faults, other in _artifacts(tmp_path, n):
+        for label, edited in _edits(text, n).items():
+            target.write_bytes(edited.encode("utf-8"))
+            if reader(str(target)) is not None:
+                taken.add(label)
+            for fault_file in (faults, other) if label == "valid" else (faults,):
+                runs = []
+                for packed in (True, False):
+                    monkeypatch.setattr(artifact, "read_packed", reader if packed else lambda path: None)
+                    code = main(["verify", str(target), "--faults", str(fault_file)])
+                    runs.append((code, *capsys.readouterr()))
+                assert runs[0] == runs[1], (label, runs)
+                if label == "valid":
+                    assert runs[0][0] == (0 if fault_file == faults else 1)
+    # the reader reads exactly the edits that keep the writer's layout
+    kept = {"valid", "sign flipped", "digit 0", "digit 9", "record dropped", "record duplicated", "records swapped"}
+    kept |= {"trace edited", "trace not a list"}
+    if n < 6:
+        kept |= {"source and target swapped", "source edited", "target short"}
+    assert taken == kept
+
+
+def test_verify_rejects_a_two_vertex_cycle(tmp_path, capsys):
+    """A closed walk on two vertices runs one edge there and back: no
+    Hamiltonian cycle of BP_1, or of BP_2 less three matching pairs."""
+    c = [(1, 2), (-1, 2), (-2, 1), (2, 1), (-1, -2), (1, -2), (2, -1), (-2, -1)]  # BP_2, an 8-cycle
+    faults = tmp_path / "f.json"
+    faults.write_text(FaultSet.build(2, matching_pairs=[c[2:4], c[4:6], c[6:8]]).to_json())
+    artifact = tmp_path / "a.json"
+    for n, cycle, fault_file in ((1, [[1], [-1]], None), (2, [list(c[0]), list(c[1])], faults)):
+        for text in (json.dumps({"kind": "cycle", "n": n, "vertices": cycle, "trace": []}, indent=2) + "\n",
+                     json.dumps({"kind": "cycle", "n": n, "vertices": cycle})):
+            artifact.write_text(text)
+            argv = ["verify", str(artifact)] + (["--faults", str(fault_file)] if fault_file else [])
+            assert main(argv) == 1
+            assert capsys.readouterr().out.startswith("ShortCycle -1 ")

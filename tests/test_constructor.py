@@ -972,3 +972,30 @@ def test_trace_details_name_bp5_vertices():
                     assert is_adjacent(*vertices)
                     splits += 1
     assert splits
+
+
+def test_leaf_cycle_bit_flips_never_decode_to_repeats(monkeypatch):
+    """Every single-bit flip of LEAF_CYCLES slots 0, 1 and 49 (no fault, the
+    first vertex removed, the first edge banned) either raises
+    InternalInvariantError naming the slot or decodes to a cycle that
+    visits no vertex twice.  Some flips decode to walks that repeat a
+    vertex, so the distinctness check is what catches them."""
+    import burntpancake.constructor as cons
+
+    first_edge = min(cons._BP3_EDGE_RANK, key=cons._BP3_EDGE_RANK.get)
+    keys = {0: (frozenset(), frozenset()), 1: (frozenset(cons._BP3_VERTICES[:1]), frozenset()), 49: (frozenset(), frozenset([first_edge]))}
+    messages = []
+    for slot, key in keys.items():
+        for bit in range(48):
+            table = bytearray(LEAF_CYCLES)
+            table[6 * slot + bit // 8] ^= 0x80 >> bit % 8
+            monkeypatch.setattr(cons, "LEAF_CYCLES", bytes(table))
+            monkeypatch.setattr(cons, "_bp3_cycle_cache", {})
+            try:
+                cycle = cons._bp3_search_cycle(*key)
+            except InternalInvariantError as exc:
+                assert f"slot {slot} " in str(exc)
+                messages.append(str(exc))
+            else:
+                assert len(set(cycle)) == len(cycle) == 48 - len(key[0]), (slot, bit)
+    assert sum("repeats a vertex" in m for m in messages) >= 12

@@ -51,6 +51,7 @@ never with t before s (every 10th instance of the sweep's n=4 paths,
 """
 
 import hashlib
+import struct
 import itertools
 
 import pytest
@@ -447,3 +448,71 @@ def test_is_walk_matches_steps_on_the_walk_corpus(monkeypatch, block):
         for label, got in _walk_corruptions(5, seq):
             for closed in (False, True):
                 assert bp_graph.is_walk(5, got, closed) == _steps_reference(got, closed), (label, closed)
+
+
+def _oracle_sequences():
+    """(n, fault set, sequence, ends) for every sequence that
+    ``_oracle_reports`` and ``_oracle_walk_reports`` check."""
+    e3, e4 = identity(3), identity(4)
+    fs3 = FaultSet.build(3, [[e3, generator(3, 2)]])
+    fs4 = FaultSet.build(4, [[e4, generator(4, 3)]], [[(2, 1, 3, 4), (-2, 1, 3, 4)]])
+    fs4p = FaultSet.build(4, [[e4, generator(4, 3)]])
+    free = FaultSet.build(3)
+    ends3, ends4 = ((1, 2, 3), (-1, 2, 3)), ((2, 1, 3, 4), (-4, 1, -2, 3))
+    cases = [
+        (3, fs3, hamiltonian_cycle(3, fs3).vertices, None),
+        (3, free, hamiltonian_path(3, *ends3, free).vertices, ends3),
+        (4, fs4, hamiltonian_cycle(4, fs4).vertices, None),
+        (4, fs4p, hamiltonian_path(4, *ends4, fs4p).vertices, ends4),
+    ]
+    for n, fs, seq, ends in cases:
+        removed = min(fs.removed_vertices()) if fs.matching_pairs else e3
+        for _, got, f in _corruptions(n, fs, seq, ends is None, removed):
+            yield n, f, got, ends
+        if ends is not None:
+            yield n, fs, seq, None
+    cycle = hamiltonian_cycle(3, fs3).vertices
+    path = exhaustive_path_search(3, _OneVertexRemoved((-1, -2, 3)), *ends3).vertices
+    for stand_in in (_OneVertexRemoved(e3), _OneVertexRemoved((9, 9, 9)), _OneVertexRemoved((1, 2))):
+        yield 3, stand_in, cycle, None
+        yield 3, stand_in, path, ends3
+    for a, b in ((0, -1), (4, 5)):
+        yield 3, _OneVertexRemoved(e3, [[cycle[a], cycle[b]]]), cycle, None
+    for a, b in ((3, 4), (1, 0), (-1, -2), (0, -1)):
+        yield 3, _OneVertexRemoved((-1, -2, 3), [[path[a], path[b]]]), path, ends3
+    cycle_faults = sample_fault_set(5, 3, trial_rng(0, 1))
+    cycle = list(hamiltonian_cycle(5, cycle_faults).vertices)
+    rng = trial_rng(0, 1)
+    path_faults = sample_fault_set(5, 2, rng)
+    u, v = sample_endpoints(rng, 5, path_faults)
+    path = list(hamiltonian_path(5, u, v, path_faults).vertices)
+    for _, got in _walk_corruptions(5, cycle):
+        yield 5, cycle_faults, got, None
+    for _, got in _walk_corruptions(5, path):
+        yield 5, path_faults, got, (u, v)
+
+
+def test_packed_sequence_gets_the_report_of_its_tuples(monkeypatch):
+    """The oracle on a packed sequence reports what it reports on the
+    decoded tuples, for every case above that packs, and decodes only the
+    sequences that it rejects: a valid one passes on the bytes alone."""
+    unpack = bp_graph.unpack
+    decoded = []
+    monkeypatch.setattr(bp_graph, "unpack", lambda n, packed: decoded.append(n) or unpack(n, packed))
+    outcomes = []
+    for n, fs, got, ends in _oracle_sequences():
+        try:
+            packed = bp_graph.pack(n, got)
+        except struct.error:
+            continue
+        tuples = unpack(n, packed)
+        for seq in (packed, bytearray(packed)):
+            before = len(decoded)
+            if ends is None:
+                have, want = verify_cycle(n, fs, seq), verify_cycle(n, fs, tuples)
+            else:
+                have, want = verify_path(n, fs, *ends, seq), verify_path(n, fs, *ends, tuples)
+            assert have == want, (n, tuples[:3], ends)
+            assert (len(decoded) > before) == (not want.ok)
+        outcomes.append(want.ok)
+    assert outcomes.count(True) >= 6 and outcomes.count(False) >= 100

@@ -174,3 +174,20 @@ def test_search_and_constructor_agree_on_single_fault_existence():
             FaultSet.build(3, faulty_edges=[[a, b]]),
         ):
             assert exhaustive_cycle_search(3, fs).found
+
+
+def test_two_vertex_closed_walk_is_no_cycle():
+    """A closed sequence of two adjacent vertices runs one edge twice; the
+    oracle rejects it on tuples and on the packed form alike."""
+    from burntpancake.bp_graph import pack
+
+    c = [(1, 2), (-1, 2), (-2, 1), (2, 1), (-1, -2), (1, -2), (2, -1), (-2, -1)]  # BP_2, an 8-cycle
+    assert all(b in neighbors(a) for a, b in zip(c, c[1:] + c[:1]))
+    fs2 = FaultSet.build(2, matching_pairs=[c[2:4], c[4:6], c[6:8]])
+    assert validate(fs2).ok
+    for n, fs, seq in ((1, FaultSet.build(1), [(1,), (-1,)]), (2, fs2, c[:2])):
+        for got in (seq, pack(n, seq)):
+            report = verify_cycle(n, fs, got)
+            assert not report.ok and report.kinds() == {"ShortCycle"}, report
+    # one vertex is reported as before, with no ShortCycle
+    assert verify_cycle(1, FaultSet.build(1), [(1,)]).kinds() == {"NonAdjacent", "WrongLength", "MissingVertex"}

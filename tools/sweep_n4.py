@@ -26,10 +26,13 @@ family, one line of counts, one histogram of the case labels of the built
 objects' traces (every trace node but the root, sorted by label) and one
 line with the number of cycle-mode and path-mode BP_3 searches
 (``constructor._small_search`` calls, which the leaf's tables and memo
-spare) summed over the processes, and each failing instance to stderr;
-exits 1 if any instance fails to build or to verify.  Each process keeps
-its own memo, so the path-mode count grows with ``--jobs``; a build of the
-cycle family makes no cycle-mode search.
+spare) summed over the processes, one line with the number of distinct
+faulted path keys ``(removed, banned, v)`` those searches were asked for,
+by shape ``(|removed|, |banned|)`` and over all processes, and each failing
+instance to stderr; exits 1 if any instance fails to build or to verify.
+Each process keeps its own memo, so the path-mode count grows with
+``--jobs`` and the key count does not; a build of the cycle family makes no
+cycle-mode search.
 """
 
 from __future__ import annotations
@@ -112,16 +115,19 @@ def _build_and_verify(op: str, item) -> tuple[str, list[str]]:
     return outcome, labels
 
 
-def run(op: str, stride: int = 1, offset: int = 0) -> tuple[Counter, Counter]:
+def run_keyed(op: str, stride: int = 1, offset: int = 0) -> tuple[Counter, Counter, set]:
     """Counts of outcomes and of BP_3 searches (``cycle_searches`` and
-    ``path_searches``), and of case labels, over the instances of ``op``
-    whose index is ``offset`` modulo ``stride``."""
+    ``path_searches``), of case labels, and the set of path keys searched,
+    over the instances of ``op`` whose index is ``offset`` modulo
+    ``stride``."""
     items = cycle_instances() if op == "cycle" else path_instances()
-    counts, labels = Counter(), Counter()
+    counts, labels, path_keys = Counter(), Counter(), set()
     search = constructor._small_search
 
     def counted(n, removed, banned, u, v):
         counts["cycle_searches" if u is None else "path_searches"] += 1
+        if u is not None:
+            path_keys.add((removed, banned, v))
         return search(n, removed, banned, u, v)
 
     constructor._small_search = counted
@@ -133,7 +139,12 @@ def run(op: str, stride: int = 1, offset: int = 0) -> tuple[Counter, Counter]:
             labels.update(seen)
     finally:
         constructor._small_search = search
-    return counts, labels
+    return counts, labels, path_keys
+
+
+def run(op: str, stride: int = 1, offset: int = 0) -> tuple[Counter, Counter]:
+    """:func:`run_keyed` without the path keys."""
+    return run_keyed(op, stride, offset)[:2]
 
 
 def main(argv=None) -> int:
@@ -149,17 +160,19 @@ def main(argv=None) -> int:
         # job j takes every (stride * jobs)-th instance from j * stride
         parts = [(op, args.stride * args.jobs, j * args.stride) for j in range(args.jobs)]
         if args.jobs == 1:
-            results = [run(*parts[0])]
+            results = [run_keyed(*parts[0])]
         else:
             with multiprocessing.get_context("spawn").Pool(args.jobs) as pool:
-                results = pool.starmap(run, parts)
-        counts = sum((c for c, _ in results), Counter())
-        labels = sum((h for _, h in results), Counter())
+                results = pool.starmap(run_keyed, parts)
+        counts = sum((c for c, _, _ in results), Counter())
+        labels = sum((h for _, h, _ in results), Counter())
+        shapes = Counter((len(r), len(b)) for r, b, _ in set().union(*(k for _, _, k in results)))
         bad += counts["instances"] - counts["verified"]
         fields = ("instances", "verified", "strict_failures", "oracle_rejects", "errors")
         print(op, " ".join(f"{k}={counts[k]}" for k in fields), f"seconds={time.perf_counter() - t0:.1f}")
         print(op, "labels", " ".join(f"{k}={labels[k]}" for k in sorted(labels)))
         print(op, "searches", f"cycle={counts['cycle_searches']} path={counts['path_searches']}")
+        print(op, "path keys", f"total={sum(shapes.values())}", " ".join(f"{r},{b}={shapes[r, b]}" for r, b in sorted(shapes)))
     return 1 if bad else 0
 
 
