@@ -409,6 +409,7 @@ def _edits(text: str, n: int) -> dict:
         "record dropped": "\n".join(lines[:first] + lines[first + record :]),
         "record duplicated": "\n".join(lines[: first + record] + recs[0][:-1] + ["    ],"] + lines[first + record :]),
         "records swapped": "\n".join(lines[:first] + recs[1] + recs[0] + lines[first + 2 * record :]),
+        "records merged": text.replace("\n    ],\n    [\n", "\n     ,\n     \n", 1),  # same length and symbols
         "float symbol": set_line(sym, "      1.0" + ("," if n > 1 else "")),
         "true symbol": set_line(sym, "      true" + ("," if n > 1 else "")),
         "minus zero symbol": set_line(sym, "      -0" + ("," if n > 1 else "")),
