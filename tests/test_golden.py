@@ -14,6 +14,11 @@ Groups:
 - two of the acceptance suite's n=6 smoke instances;
 - ``full_n7``: one full-budget n=7 cycle (|F| = 5), four levels of recursion
   above BP_3;
+- ``full_n6``: full-budget n=6 builds drawn from ``trial_rng``, an L18/1
+  and an L18/2.1 cycle (|F| = 4), and a path (|F| = 3) whose top level runs
+  the loop engine (L20) and one that runs the chain engine (L17).  Their
+  fault-free level-4 subpaths repeat up to a relabel of their symbols, and
+  this group's digest also hashes every trace node's details;
 - directed instances that reach each splice orientation a sweep reached;
 - directed instances that reach ``_reconnect_pairings`` in pairings (x1,y2)
   and (x1,x2) and ``_cycle_case3_single`` on both kinds of single;
@@ -181,6 +186,7 @@ GOLDEN = {
     "bp3_solver": "be288b6ef999d84dd14413d40b34e92de57bec92b5101f4aff6d4fafd0d98d1e",
     "oracle_reports": "7a196be78e6bb19fbaee74667753d4583b7b9bede9bab51e21e6e8e133ac89a9",
     "full_n7": "beed4682ffeaf287f0645953c74cde6830df6bded1ba5a9109b7f3e1f188e14c",
+    "full_n6": "ed6abb950ce754f8d291934b661f8618e60216f54b217defeab730a6163e0e87",
     "oracle_walk_reports": "8ea2c6f00f825bbd683ff661dc18b46e32436ca3e7084c5e0d68e8874443d17a",
 }
 
@@ -237,6 +243,41 @@ FULL_N7 = FaultSet.build(
         [(5, 2, -7, -4, -3, -1, -6), (-5, 2, -7, -4, -3, -1, -6)],
     ],
 )
+
+
+# (seed, trial, top-level label) of ``trial_rng`` draws at the full budget
+FULL_N6_CYCLES = [(1, 11, "L18/1"), (2, 15, "L18/2.1")]
+FULL_N6_PATHS = [(1, 18, "L20"), (1, 11, "L17")]
+
+
+def _full_n6():
+    for seed, trial, label in FULL_N6_CYCLES:
+        fs = sample_fault_set(6, 4, trial_rng(seed, trial))
+        assert fs.size == 4
+        built = hamiltonian_cycle(6, fs)
+        assert built.trace.children[0].label == label
+        yield built
+    for seed, trial, label in FULL_N6_PATHS:
+        rng = trial_rng(seed, trial)
+        fs = sample_fault_set(6, 3, rng)
+        assert fs.size == 3
+        built = hamiltonian_path(6, *sample_endpoints(rng, 6, fs), fs)
+        assert built.trace.children[0].children[0].label == label
+        yield built
+
+
+def _details(trace):
+    yield trace.detail
+    for child in trace.children:
+        yield from _details(child)
+
+
+def test_golden_full_n6_with_details():
+    h = hashlib.sha256()
+    for built in _full_n6():
+        h.update(_digest([built]).encode())
+        h.update(repr(list(_details(built.trace))).encode())
+    assert h.hexdigest() == GOLDEN["full_n6"]
 
 
 def _directed(instances):
