@@ -32,7 +32,11 @@ The packed form of a vertex of BP_n, n <= :data:`PACKED_WIDTH`, is
 ``PACKED_WIDTH`` signed bytes: its n symbols, then zero padding.  A packed
 sequence is its vertices' records one after another (:func:`pack`,
 :func:`unpack`); with zero padding, equal vertices have equal records, so
-the records can serve as 8-byte keys.
+the records can serve as 8-byte keys, found with :func:`record_index`.
+The constructor assembles its cycles and paths in this form, so the
+record helpers here (:func:`iter_unpack`, :func:`unpack_at`,
+:func:`reverse_records`, :func:`packed_edge_steps`) serve both it and the
+oracle.
 Cross edges between two subgraphs are produced lazily by
 :func:`iter_cross_edges`, already in lexicographic order, so a caller that
 wants only the first usable edge builds no more than it reads.
@@ -112,8 +116,14 @@ _WALK_BLOCK = 1 << 12
 _NEGATE = bytes([0, *range(255, 0, -1)])
 
 
+_RECORDS: dict[int, struct.Struct] = {}
+
+
 def _record(n: int) -> struct.Struct:
-    return struct.Struct(f"{n}b{PACKED_WIDTH - n}x")
+    rec = _RECORDS.get(n)
+    if rec is None:
+        rec = _RECORDS[n] = struct.Struct(f"{n}b{PACKED_WIDTH - n}x")
+    return rec
 
 
 def pack(n: int, vertices: Iterable[Vertex]) -> bytes:
@@ -136,6 +146,47 @@ def unpack(n: int, packed: bytes) -> list[Vertex]:
     for :func:`_records`)."""
     _records(n, packed)
     return list(_record(n).iter_unpack(packed))
+
+
+def iter_unpack(n: int, packed: bytes) -> Iterator[Vertex]:
+    """The vertices of a packed sequence of BP_n, decoded as they are read."""
+    return _record(n).iter_unpack(packed)
+
+
+def unpack_at(n: int, packed: bytes, p: int) -> Vertex:
+    """Vertex ``p`` of a packed sequence of BP_n; a negative p counts from
+    the end."""
+    if p < 0:
+        p += len(packed) // PACKED_WIDTH
+    return _record(n).unpack_from(packed, p * PACKED_WIDTH)
+
+
+def record_index(packed: bytes, key: bytes) -> int:
+    """The index of the first record of ``packed`` equal to ``key``, or -1."""
+    pos = packed.find(key)
+    while pos > 0 and pos % PACKED_WIDTH:
+        pos = packed.find(key, pos + 1)
+    return pos // PACKED_WIDTH if pos >= 0 else -1
+
+
+def reverse_records(packed: bytes) -> bytes:
+    """The packed sequence read backwards, record by record."""
+    return memoryview(packed).cast("q")[::-1].tobytes()
+
+
+def packed_edge_steps(packed: bytes, a: bytes, b: bytes, closed: bool) -> list[int]:
+    """:func:`edge_steps` on a packed sequence, for the records a and b:
+    the steps that run between them, ascending."""
+    pos = record_index(packed, a)
+    if pos < 0:
+        return []
+    size = len(packed) // PACKED_WIDTH
+    steps = []
+    for step, other in (((pos - 1) % size, pos - 1), (pos, pos + 1)):
+        at = other % size * PACKED_WIDTH
+        if (0 <= other < size or closed) and packed[at : at + PACKED_WIDTH] == b:
+            steps.append(step)
+    return sorted(steps)
 
 
 def _is_signed_perm(v: Sequence[int], n: int) -> bool:

@@ -9,10 +9,12 @@ process can exit 0.  Reports and artifacts are deterministic for a fixed
 seed; wall-clock timings go to stderr only.
 
 Artifacts go through the packed form (``bp_graph.pack``: 8 signed bytes a
-vertex).  ``cycle`` and ``path`` pack the built vertices once: the oracle
-checks those bytes, and ``artifact.render`` writes the JSON from them,
-piece by piece, straight to the output; the text is exactly
-``json.dumps(doc, indent=2) + "\n"``.  ``verify`` first offers the file to
+vertex).  The builders return their objects in that form, and ``cycle``
+and ``path`` hand those bytes as they are to the oracle and to
+``artifact.render``, which writes the JSON from them, piece by piece,
+straight to the output; the text is exactly
+``json.dumps(doc, indent=2) + "\n"``.  A write that fails part way
+removes the file it was writing, then lets the error through.  ``verify`` first offers the file to
 ``artifact.read_packed``, which reads only the writer's exact layout, into
 the packed form; any other file is read with ``json.load`` as it always
 was, so what is accepted, and every exit code and message, is the same.
@@ -97,9 +99,11 @@ def _artifact_text(vertices) -> str:
     return "\n".join(format_vertex(v) for v in vertices) + "\n"
 
 
-def _emit_verified(args, kind: str, built, packed: bytes, report, extra: dict | None = None) -> int:
-    """The tail of ``cycle`` and ``path``: emit the built object, packed as
-    ``packed``, once the oracle's ``report`` on it is ok."""
+def _emit_verified(args, kind: str, built, report, extra: dict | None = None) -> int:
+    """The tail of ``cycle`` and ``path``: emit the built object once the
+    oracle's ``report`` on it is ok.  An ``--out`` file left part-written
+    by an error (say a ``MemoryError`` while rendering) is removed before
+    the error goes on, so no truncated artifact is left behind."""
     if not report.ok:
         print(f"self-verification failed: {report}", file=sys.stderr)
         return EXIT_VERIFY
@@ -108,21 +112,28 @@ def _emit_verified(args, kind: str, built, packed: bytes, report, extra: dict | 
         return EXIT_OK
     from . import artifact
 
-    pieces = artifact.render(_artifact_doc(kind, args.n, built.trace, extra), args.n, packed)
+    pieces = artifact.render(_artifact_doc(kind, args.n, built.trace, extra), args.n, built.packed)
     if args.out is None:
         for piece in pieces:
             sys.stdout.write(piece.decode())
-    else:
-        with open(args.out, "wb") as fh:
+        return EXIT_OK
+    with open(args.out, "wb") as fh:
+        try:
             fh.writelines(pieces)
+        except BaseException:
+            import os
+
+            fh.close()
+            if os.path.isfile(args.out):  # never a device such as /dev/null
+                os.remove(args.out)
+            raise
     return EXIT_OK
 
 
 def cmd_cycle(args) -> int:
     fs = _load_faults(args.faults, args.n)
     built = hamiltonian_cycle(args.n, fs)
-    packed = bp_graph.pack(args.n, built.vertices)
-    return _emit_verified(args, "cycle", built, packed, oracle.verify_cycle(args.n, fs, packed))
+    return _emit_verified(args, "cycle", built, oracle.verify_cycle(args.n, fs, built.packed))
 
 
 def cmd_path(args) -> int:
@@ -130,9 +141,8 @@ def cmd_path(args) -> int:
     u = parse_vertex(args.source, args.n)
     v = parse_vertex(args.target, args.n)
     built = hamiltonian_path(args.n, u, v, fs)
-    packed = bp_graph.pack(args.n, built.vertices)
-    report = oracle.verify_path(args.n, fs, u, v, packed)
-    return _emit_verified(args, "path", built, packed, report, {"source": list(u), "target": list(v)})
+    report = oracle.verify_path(args.n, fs, u, v, built.packed)
+    return _emit_verified(args, "path", built, report, {"source": list(u), "target": list(v)})
 
 
 def _load_artifact(path: str):

@@ -86,6 +86,7 @@ from .signed_perm import (
 )
 
 Pair = Edge
+_WIDTH = bp_graph.PACKED_WIDTH  # bytes a vertex in the packed form
 
 
 class UsageError(ValueError):
@@ -134,18 +135,34 @@ class CaseTrace:
 
 @dataclass(frozen=True)
 class VertexPath:
-    vertices: tuple[Vertex, ...]
+    """A Hamiltonian path of BP_n, held as its packed sequence."""
+
+    n: int
+    packed: bytes
     trace: CaseTrace
 
     @property
+    def vertices(self) -> tuple[Vertex, ...]:
+        """The vertices, decoded from ``packed`` on each access."""
+        return tuple(bp_graph.iter_unpack(self.n, self.packed))
+
+    @property
     def endpoints(self) -> tuple[Vertex, Vertex]:
-        return self.vertices[0], self.vertices[-1]
+        return bp_graph.unpack_at(self.n, self.packed, 0), bp_graph.unpack_at(self.n, self.packed, -1)
 
 
 @dataclass(frozen=True)
 class VertexCycle:
-    vertices: tuple[Vertex, ...]
+    """A Hamiltonian cycle of BP_n, held as its packed sequence."""
+
+    n: int
+    packed: bytes
     trace: CaseTrace
+
+    @property
+    def vertices(self) -> tuple[Vertex, ...]:
+        """The vertices, decoded from ``packed`` on each access."""
+        return tuple(bp_graph.iter_unpack(self.n, self.packed))
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +180,11 @@ class _Faults:
     @staticmethod
     def from_fault_set(fs: FaultSet) -> "_Faults":
         return _Faults(fs.n, fs.matching_pairs, (), fs.faulty_edges)
+
+    @property
+    def dim(self) -> int:
+        """The n of the BP_n whose coordinates every vertex here is in."""
+        return self.n + len(self.suffix)
 
     @cached_property
     def removed(self) -> frozenset[Vertex]:
@@ -253,6 +275,8 @@ def _restrict_embed(f: _Faults, i: int) -> _Faults:
 class _Ctx:
     attempts: int = 0
     max_attempts: int = 200_000
+    # fault-free paths of this build, in frame form (``_free_path_memo``)
+    memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def failure(self, why: str) -> StrictModeFailure:
         """The failure of a build that found nothing, naming why it stopped."""
@@ -294,8 +318,10 @@ _BP3_EDGE_RANK = {
     (_BP3_VERTICES[i], _BP3_VERTICES[j]): r
     for r, (i, j) in enumerate((i, j) for i, ws in enumerate(_BP3_NEIGHBORS) for j in ws if i < j)
 }
-_bp3_path_cache: dict[tuple, tuple[Vertex, ...] | None] = {}
-_bp3_cycle_cache: dict[tuple, tuple[Vertex, ...] | None] = {}
+# The places of a BP_3 frame record after its three symbols (``_frame_bytes``).
+_BP3_PLACES = bytes(range(19, 24))
+_bp3_path_cache: dict[tuple, bytes | None] = {}
+_bp3_cycle_cache: dict[tuple, bytes | None] = {}
 
 
 def _small_search(
@@ -411,29 +437,51 @@ def _free_path(v: Vertex) -> tuple[Vertex, ...]:
     return _decode_steps(FREE_PATHS, j, _BP3_INDEX[_BP3_IDENTITY], 47, (j,))
 
 
-def _bp3_search_path(removed: frozenset[Vertex], banned: frozenset[Pair], v: Vertex) -> tuple[Vertex, ...] | None:
-    """The BP_3 path from the identity to v that ``_small_search`` defines;
-    a fault-free one is decoded from the table rather than searched."""
+def _frame_bytes(path) -> bytes:
+    """A BP_3 path or cycle, given as vertices, in frame form: each record
+    holds the vertex's three symbols, then the places 19..23 that a lift
+    table (:func:`_frame_table`) fills with the suffix or zero padding."""
+    return b"".join(bytes(map((255).__and__, x)) + _BP3_PLACES for x in path)
+
+
+def _frame_table(ref, suffix: Vertex) -> bytes:
+    """The 256-byte translate table that lifts a sequence in frame form into
+    the copy of BP_m, m = len(ref), whose vertices end in ``suffix``: frame
+    symbol k becomes ref[k-1] and -k becomes -ref[k-1] (as signed bytes),
+    place 16 + m + j becomes suffix[j], and every other place zero padding."""
+    table = bytearray(256)
+    for k, x in enumerate(ref, 1):
+        table[k] = x & 255
+        table[-k] = -x & 255
+    start = 16 + len(ref)
+    table[start : start + len(suffix)] = bytes(map((255).__and__, suffix))
+    return bytes(table)
+
+
+def _bp3_search_path(removed: frozenset[Vertex], banned: frozenset[Pair], v: Vertex) -> bytes | None:
+    """The BP_3 path from the identity to v that ``_small_search`` defines,
+    in frame form; a fault-free one is decoded from the table rather than
+    searched."""
     key = (removed, banned, v)
     if key not in _bp3_path_cache:
         if removed or banned:
-            _bp3_path_cache[key] = _small_search(3, removed, banned, _BP3_IDENTITY, v)
+            got = _small_search(3, removed, banned, _BP3_IDENTITY, v)
         else:
-            _bp3_path_cache[key] = _free_path(v)
+            got = _free_path(v)
+        _bp3_path_cache[key] = got and _frame_bytes(got)
     return _bp3_path_cache[key]
 
 
-def _bp3_search_cycle(
-    removed: frozenset[Vertex], banned: frozenset[Pair]
-) -> tuple[Vertex, ...] | None:
-    """The BP_3 cycle that ``_small_search`` defines; one with at most one
-    removed vertex or banned edge is decoded from the table rather than
-    searched.  The search starts from the first vertex not removed, and a
-    decoded cycle that does not end beside it raises InternalInvariantError."""
+def _bp3_search_cycle(removed: frozenset[Vertex], banned: frozenset[Pair]) -> bytes | None:
+    """The BP_3 cycle that ``_small_search`` defines, in frame form; one with
+    at most one removed vertex or banned edge is decoded from the table
+    rather than searched.  The search starts from the first vertex not
+    removed, and a decoded cycle that does not end beside it raises
+    InternalInvariantError."""
     key = (removed, banned)
     if key not in _bp3_cycle_cache:
         if len(removed) + len(banned) > 1:
-            _bp3_cycle_cache[key] = _small_search(3, removed, banned, None, None)
+            got = _small_search(3, removed, banned, None, None)
         else:
             if removed:
                 (x,) = removed
@@ -444,30 +492,28 @@ def _bp3_search_cycle(
             else:
                 slot = 0
             start = 1 if slot == 1 else 0
-            _bp3_cycle_cache[key] = _decode_steps(LEAF_CYCLES, slot, start, 47 - len(removed), _BP3_NEIGHBORS[start])
+            got = _decode_steps(LEAF_CYCLES, slot, start, 47 - len(removed), _BP3_NEIGHBORS[start])
+        _bp3_cycle_cache[key] = got and _frame_bytes(got)
     return _bp3_cycle_cache[key]
 
 
 def _leaf_view(f: _Faults, ref: Vertex | None = None):
     """The BP_3 leaf's frame, read off a reference vertex r of the leaf: a
     symbol's BP_3 symbol is its signed position among r's first three.
-    Returns ``embed`` of a vertex into BP_3 coordinates, ``lift`` of a list
-    of BP_3 vertices back (with the suffix), and the removed vertices and
-    faulty edges embedded (each edge in ``edge_key`` order, which a change
-    of r does not keep).  r defaults to the leaf's symbols in ascending
-    order, whose frame is the order-preserving relabel."""
-    r0, r1, r2 = ref[:3] if ref else [i for i in f.indices if i > 0]
+    Returns ``embed`` of a vertex into BP_3 coordinates, the translate table
+    (:func:`_frame_table`) that lifts a BP_3 sequence in frame form back,
+    suffix and all, and the removed vertices and faulty edges embedded
+    (each edge in ``edge_key`` order, which a change of r does not keep).
+    r defaults to the leaf's symbols in ascending order, whose frame is the
+    order-preserving relabel."""
+    r0, r1, r2 = ref = ref[:3] if ref else [i for i in f.indices if i > 0]
     down = {r0: 1, r1: 2, r2: 3, -r0: -1, -r1: -2, -r2: -3}
-    up = (0, r0, r1, r2, -r2, -r1, -r0)
-    suffix = f.suffix
 
     def embed(x: Vertex) -> Vertex:
         return down[x[0]], down[x[1]], down[x[2]]
 
-    def lift(path) -> list[Vertex]:
-        return [(up[a], up[b], up[c]) + suffix for a, b, c in path]
-
-    return embed, lift, frozenset(map(embed, f.removed)), frozenset(edge_key(embed(a), embed(b)) for a, b in f.edge_set)
+    removed = frozenset(map(embed, f.removed))
+    return embed, _frame_table(ref, f.suffix), removed, frozenset(edge_key(embed(a), embed(b)) for a, b in f.edge_set)
 
 
 def _cycle_bp3(f: _Faults, ctx: _Ctx):
@@ -478,7 +524,9 @@ def _cycle_bp3(f: _Faults, ctx: _Ctx):
         a, b = f.pairs[0]
         k = edge_dimension(a, b)
         lift = _leaf_view(f, b)[1]
-        return lift(PAIR_CYCLES[k]), CaseTrace(f"L13/{k}", {"pair": [format_vertex(a), format_vertex(b)]})
+        return _frame_bytes(PAIR_CYCLES[k]).translate(lift), CaseTrace(
+            f"L13/{k}", {"pair": [format_vertex(a), format_vertex(b)]}
+        )
     _, lift, removed, banned = _leaf_view(f)
     got = _bp3_search_cycle(removed, banned)
     if got is None:
@@ -489,7 +537,7 @@ def _cycle_bp3(f: _Faults, ctx: _Ctx):
         label = "L13/edge"
     else:
         label = "EXT/bp3-cycle"
-    return lift(got), CaseTrace(label, {})
+    return got.translate(lift), CaseTrace(label, {})
 
 
 def _path_bp3(u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
@@ -499,7 +547,7 @@ def _path_bp3(u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
     if got is None:
         return None
     label = "BP3/path" if f.weight == 0 else "EXT/bp3-path"
-    return lift(got), CaseTrace(label, {})
+    return got.translate(lift), CaseTrace(label, {})
 
 
 # ---------------------------------------------------------------------------
@@ -617,8 +665,7 @@ def _chain(n: int, I, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
     if got is None:
         return None
     got.reverse()
-    vertices = [x for seg, _ in got for x in seg]
-    return vertices, CaseTrace("L17", {"order": list(ordering)}, [tr for _, tr in got])
+    return b"".join(seg for seg, _ in got), CaseTrace("L17", {"order": list(ordering)}, [tr for _, tr in got])
 
 
 def _loop(n: int, I, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
@@ -638,8 +685,7 @@ def _loop(n: int, I, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
     rest = [i for i in I if i != k1]
     rest_set = set(rest)
     avoid = f.fault_vertices
-    for pos in range(len(path) - 1):
-        x, y = path[pos], path[pos + 1]
+    for pos, x, y in _steps(f, path):
         nx, ny = prefix_reversal(x, n), prefix_reversal(y, n)
         if nx in avoid or ny in avoid:
             continue
@@ -652,7 +698,8 @@ def _loop(n: int, I, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
             ctx.spend()
             continue
         bridge_vertices, bridge_trace = bridge
-        full = path[: pos + 1] + bridge_vertices + path[pos + 1 :]
+        cut = (pos + 1) * _WIDTH
+        full = path[:cut] + bridge_vertices + path[cut:]
         return full, CaseTrace("L20", {"split": [format_vertex(x), format_vertex(y)]}, [base_trace, bridge_trace])
     return None
 
@@ -670,47 +717,75 @@ def _connector(n: int, I, a: Vertex, b: Vertex, f: _Faults, ctx: _Ctx):
 # ring helpers
 
 
-def _ring_index(C: list[Vertex]) -> dict[Vertex, int]:
-    return {x: p for p, x in enumerate(C)}
+def _record(x: Vertex) -> bytes:
+    """The packed record of one vertex."""
+    return bp_graph.pack(len(x), (x,))
 
 
-def _ring_neighbors(C: list[Vertex], idx: dict[Vertex, int], x: Vertex) -> tuple[Vertex, Vertex]:
-    p = idx[x]
-    return C[p - 1], C[(p + 1) % len(C)]
+def _at(f: _Faults, C: bytes, p: int) -> Vertex:
+    """Vertex p (negative: from the end) of the packed sequence C at f's level."""
+    return bp_graph.unpack_at(f.dim, C, p)
 
 
-def _ring_from(C: list[Vertex], p: int) -> list[Vertex]:
-    """The ring read forward from position p."""
-    return C[p:] + C[:p]
+def _pos(C: bytes, x: Vertex) -> int:
+    """The position of x in the packed sequence C, which must hold it."""
+    p = bp_graph.record_index(C, _record(x))
+    if p < 0:
+        raise InternalInvariantError(f"{format_vertex(x)} missing from a subgraph's cycle or path")
+    return p
 
 
-def _open_ring(C: list[Vertex], idx: dict[Vertex, int], a: Vertex, b: Vertex) -> list[Vertex]:
-    """The path from a to b around the ring, skipping the ring edge (a, b)."""
-    pa = idx[a]
-    if C[(pa + 1) % len(C)] == b:
-        return _ring_from(C, pa + 1)[::-1]
-    if C[pa - 1] == b:
+def _steps(f: _Faults, P: bytes) -> Iterator[tuple[int, Vertex, Vertex]]:
+    """(p, x, y) for each step of the packed path P, x at position p,
+    decoded only as far as the scan reads."""
+    records = bp_graph.iter_unpack(f.dim, P)
+    x = next(records)
+    for p, y in enumerate(records):
+        yield p, x, y
+        x = y
+
+
+def _ring_neighbors(f: _Faults, C: bytes, p: int) -> list[tuple[Vertex, int]]:
+    """(vertex, position) of the two neighbours of position p on the packed
+    ring C: the one before, then the one after."""
+    size = len(C) // _WIDTH
+    return [(_at(f, C, q), q) for q in ((p - 1) % size, (p + 1) % size)]
+
+
+def _ring_from(C: bytes, p: int) -> bytes:
+    """The packed ring read forward from position p."""
+    return C[p * _WIDTH :] + C[: p * _WIDTH]
+
+
+def _open_ring(C: bytes, pa: int, pb: int) -> bytes:
+    """The path from position pa to its ring neighbour pb around the packed
+    ring C, skipping the ring edge between them."""
+    size = len(C) // _WIDTH
+    if (pa + 1) % size == pb:
+        return bp_graph.reverse_records(_ring_from(C, pa + 1))
+    if (pa - 1) % size == pb:
         return _ring_from(C, pa)
     raise InternalInvariantError("ring edge expected between split vertices")
 
 
-def _splice(n: int, I, P: list[Vertex], pos: dict[Vertex, int], s: Vertex, t: Vertex, middle, a, b, f, ctx):
-    """Route a detour through the edge (s, t) of path P: the piece
-    ``middle()``, which leaves s, then a chain over ``I`` from a to b, which
-    returns to t.  Returns (vertices, chain trace), or None if no chain.
+def _splice(n: int, I, P: bytes, ps: int, pt: int, middle, a, b, f, ctx):
+    """Route a detour through the edge of path P between positions ps and
+    pt (s and t): the piece ``middle()``, which leaves s, then a chain over
+    ``I`` from a to b, which returns to t.  Returns (packed path, chain
+    trace), or None if no chain.
 
     The chain is built from the end that P lists first, so its junction
     scan does not depend on the orientation of (s, t), and ``middle()`` is
     built only once the chain exists.
     """
-    forward = pos[s] < pos[t]
+    forward = ps < pt
     bridge = _chain(n, I, *((a, b) if forward else (b, a)), f, ctx)
     if bridge is None:
         return None
     bv, trb = bridge
     if forward:
-        return P[: pos[s] + 1] + middle() + bv + P[pos[t] :], trb
-    return P[: pos[t] + 1] + bv + middle()[::-1] + P[pos[s] :], trb
+        return P[: (ps + 1) * _WIDTH] + middle() + bv + P[pt * _WIDTH :], trb
+    return P[: (pt + 1) * _WIDTH] + bv + bp_graph.reverse_records(middle()) + P[ps * _WIDTH :], trb
 
 
 def _usable_stub(x: Vertex, f: _Faults) -> Vertex | None:
@@ -786,14 +861,14 @@ def _cycle_case21(n: int, f: _Faults, ctx: _Ctx, istar: int, i2: int):
     if c2 is None:
         return None
     C2, tr2 = c2
-    idx1, idx2 = _ring_index(C1), _ring_index(C2)
     rest = [j for j in f.indices if j not in (istar, i2)]
     for s, ns in _cross_candidates(n, istar, i2, f):
-        for t in _ring_neighbors(C1, idx1, s):
+        ps, pns = _pos(C1, s), _pos(C2, ns)
+        for t, pt in _ring_neighbors(f, C1, ps):
             nt = _usable_stub(t, f)
             if nt is None or nt[n - 1] == i2:
                 continue
-            for s1 in _ring_neighbors(C2, idx2, ns):
+            for s1, ps1 in _ring_neighbors(f, C2, pns):
                 ns1 = _usable_stub(s1, f)
                 if ns1 is None or ns1[n - 1] in (istar, nt[n - 1]):
                     continue
@@ -802,7 +877,7 @@ def _cycle_case21(n: int, f: _Faults, ctx: _Ctx, istar: int, i2: int):
                     ctx.spend()
                     continue
                 bv, trb = bridge
-                full = _open_ring(C1, idx1, t, s) + _open_ring(C2, idx2, ns, s1) + bv
+                full = _open_ring(C1, pt, ps) + _open_ring(C2, pns, ps1) + bv
                 return full, CaseTrace(
                     "L18/2.1", {"i1": istar, "i2": i2, "s": format_vertex(s)}, [tr1, tr2, trb]
                 )
@@ -820,21 +895,24 @@ def _cycle_case22(n: int, f: _Faults, ctx: _Ctx, istar: int):
     if cb is None:
         return None
     CB, trb0 = cb
-    idx1, idxb = _ring_index(C1), _ring_index(CB)
     # s ascends as in the sorted ring: by s[0] = -h first, then within h
     for h in sorted((j for j in f.indices if abs(j) != abs(istar)), key=neg):
         rest = [j for j in f.indices if j not in (istar, -istar, h)]
         for s, ns in _cross_candidates(n, istar, h, f):
+            ps = _pos(C1, s)
             ts = [
-                (t, nt)
-                for t in _ring_neighbors(C1, idx1, s)
+                (t, pt, nt)
+                for t, pt in _ring_neighbors(f, C1, ps)
                 if (nt := _usable_stub(t, f)) is not None and nt[n - 1] != h
             ]
+            if not ts:
+                continue  # no z below could give an end
             for z, nz in _cross_candidates(n, -istar, h, f):
+                pz = _pos(CB, z)
                 ends = [
-                    (t, nt, w, nw)
-                    for t, nt in ts
-                    for w in _ring_neighbors(CB, idxb, z)
+                    (t, pt, nt, pw, nw)
+                    for t, pt, nt in ts
+                    for w, pw in _ring_neighbors(f, CB, pz)
                     if (nw := _usable_stub(w, f)) is not None and nw[n - 1] not in (h, nt[n - 1])
                 ]
                 if not ends:
@@ -845,13 +923,13 @@ def _cycle_case22(n: int, f: _Faults, ctx: _Ctx, istar: int):
                     ctx.spend()
                     continue
                 mv, trm = mid
-                for t, nt, w, nw in ends:
+                for t, pt, nt, pw, nw in ends:
                     bridge = _chain(n, rest, nw, nt, f, ctx)
                     if bridge is None:
                         ctx.spend()
                         continue
                     bv, trc = bridge
-                    full = _open_ring(C1, idx1, t, s) + mv + _open_ring(CB, idxb, z, w) + bv
+                    full = _open_ring(C1, pt, ps) + mv + _open_ring(CB, pz, pw) + bv
                     return full, CaseTrace("L18/2.2", {"i1": istar, "h": h}, [tr1, trb0, trm, trc])
     return None
 
@@ -882,19 +960,20 @@ def _cycle_case3_pair(n: int, f: _Faults, ctx: _Ctx, istar: int, pair: Pair):
     if c1 is None:
         return None
     C1, tr1 = c1
-    idx1 = _ring_index(C1)
+    size = len(C1) // _WIDTH
     a1, b1 = pair
-    if a1 not in idx1 or b1 not in idx1:
+    pa, pb = (bp_graph.record_index(C1, _record(x)) for x in pair)
+    if pa < 0 or pb < 0:
         raise InternalInvariantError("re-admitted pair missing from subgraph cycle")
-    if _ring_neighbors(C1, idx1, a1)[0] == b1:
-        a1, b1 = b1, a1  # normalize so b1 follows a1 when they are ring-adjacent
-    R = _ring_from(C1, idx1[a1])
-    k = R.index(b1)
+    if (pa - 1) % size == pb:
+        a1, b1, pa, pb = b1, a1, pb, pa  # normalize so b1 follows a1 when they are ring-adjacent
+    R = _ring_from(C1, pa)
+    k = (pb - pa) % size
     if k == 1:
-        res = _reconnect_one_arc(n, f, ctx, istar, R[2:], "L18/3.1")  # y1 .. x1
+        res = _reconnect_one_arc(n, f, ctx, istar, R[2 * _WIDTH :], "L18/3.1")  # y1 .. x1
     else:
         # arc A runs x2 .. y2, arc B y1 .. x1
-        res = _reconnect_two_arcs(n, f, ctx, istar, R[1:k], R[k + 1 :], "L18/3.2")
+        res = _reconnect_two_arcs(n, f, ctx, istar, R[_WIDTH : k * _WIDTH], R[(k + 1) * _WIDTH :], "L18/3.2")
     if res is None:
         return None
     vertices, tr = res
@@ -916,10 +995,10 @@ def _cycle_case3_single(n: int, f: _Faults, ctx: _Ctx, istar: int, sv: Vertex):
     if c1 is None:
         return None
     C1, tr1 = c1
-    idx1 = _ring_index(C1)
-    if sv not in idx1:
+    p = bp_graph.record_index(C1, _record(sv))
+    if p < 0:
         raise InternalInvariantError("re-admitted single missing from subgraph cycle")
-    res = _reconnect_one_arc(n, f, ctx, istar, _ring_from(C1, idx1[sv])[1:], "EXT/L18/3-single")
+    res = _reconnect_one_arc(n, f, ctx, istar, _ring_from(C1, p)[_WIDTH:], "EXT/L18/3-single")
     if res is None:
         return None
     vertices, tr = res
@@ -938,16 +1017,18 @@ def _cycle_edge_excise(n: int, f: _Faults, ctx: _Ctx, istar: int):
         if c1 is None:
             continue
         C1, tr1 = c1
-        idx1 = _ring_index(C1)
         a, b = e
-        if b in _ring_neighbors(C1, idx1, a):
-            arc = _open_ring(C1, idx1, a, b)  # a .. b without the faulty edge
+        pa = _pos(C1, a)
+        at_b = [q for w, q in _ring_neighbors(f, C1, pa) if w == b]
+        if at_b:
+            arc = _open_ring(C1, pa, at_b[0])  # a .. b without the faulty edge
             res = _reconnect_one_arc(n, f, ctx, istar, arc, "L16/3.1")
         else:
             res = None
-            for pos in range(len(C1)):
-                x, y = C1[pos], C1[(pos + 1) % len(C1)]
-                arc = _open_ring(C1, idx1, y, x)
+            size = len(C1) // _WIDTH
+            for pos in range(size):
+                # the ring opened at its edge (pos, pos + 1), from pos + 1 round to pos
+                arc = _ring_from(C1, (pos + 1) % size)
                 res = _reconnect_one_arc(n, f, ctx, istar, arc, "L16/3.2")
                 if res is not None:
                     break
@@ -964,9 +1045,9 @@ def _cycle_edge_excise(n: int, f: _Faults, ctx: _Ctx, istar: int):
 # splice reconnection engines
 
 
-def _reconnect_one_arc(n: int, f: _Faults, ctx: _Ctx, istar: int, arc: list[Vertex], label: str):
+def _reconnect_one_arc(n: int, f: _Faults, ctx: _Ctx, istar: int, arc: bytes, label: str):
     """Close one subgraph arc through a connector over all other subgraphs."""
-    p, q = arc[0], arc[-1]
+    p, q = _at(f, arc, 0), _at(f, arc, -1)
     np_, nq = _usable_stub(p, f), _usable_stub(q, f)
     if np_ is None or nq is None:
         return None
@@ -978,9 +1059,7 @@ def _reconnect_one_arc(n: int, f: _Faults, ctx: _Ctx, istar: int, arc: list[Vert
     return arc + bv, CaseTrace(label, {}, [trb])
 
 
-def _reconnect_two_arcs(
-    n: int, f: _Faults, ctx: _Ctx, istar: int, arc_a: list[Vertex], arc_b: list[Vertex], prefix: str
-):
+def _reconnect_two_arcs(n: int, f: _Faults, ctx: _Ctx, istar: int, arc_a: bytes, arc_b: bytes, prefix: str):
     """Rejoin two subgraph arcs into a full cycle through outside subgraphs.
 
     The arcs are what remains of a ring after excising the non-adjacent pair
@@ -1001,8 +1080,8 @@ def _reconnect_two_arcs(
     All four stubs are usable past this point, so the routines below take
     their out-neighbors without checking them again.
     """
-    x2, y2 = arc_a[0], arc_a[-1]
-    y1, x1 = arc_b[0], arc_b[-1]
+    x2, y2 = _at(f, arc_a, 0), _at(f, arc_a, -1)
+    y1, x1 = _at(f, arc_b, 0), _at(f, arc_b, -1)
     nx1, nx2 = _usable_stub(x1, f), _usable_stub(x2, f)
     ny1, ny2 = _usable_stub(y1, f), _usable_stub(y2, f)
     if None in (nx1, nx2, ny1, ny2):
@@ -1027,9 +1106,7 @@ def _reconnect_two_arcs(
     return _reconnect_double_split(n, f, ctx, istar, arc_a, arc_b, f"{prefix}.3.2")
 
 
-def _reconnect_pairings(
-    n: int, f: _Faults, ctx: _Ctx, istar: int, arc_a: list[Vertex], arc_b: list[Vertex], label: str
-):
+def _reconnect_pairings(n: int, f: _Faults, ctx: _Ctx, istar: int, arc_a: bytes, arc_b: bytes, label: str):
     """Try the four cross-arc stub pairings with direct connectors.
 
     Each pairing routes one connector between a B-stub and an A-stub and a
@@ -1039,10 +1116,12 @@ def _reconnect_pairings(
     run (x1, y2), (x1, x2), (y1, y2), (y1, x2) and every one is assembled
     as B + conn1 + A + conn2.
     """
-    for B in (arc_b, arc_b[::-1]):
-        for A in (arc_a[::-1], arc_a):
-            p_stub, other_b = B[-1], B[0]
-            q_stub, other_a = A[0], A[-1]
+    ends_b = _at(f, arc_b, 0), _at(f, arc_b, -1)
+    ends_a = _at(f, arc_a, 0), _at(f, arc_a, -1)
+    for b_forward in (True, False):
+        other_b, p_stub = ends_b if b_forward else ends_b[::-1]
+        for a_forward in (False, True):
+            q_stub, other_a = ends_a if a_forward else ends_a[::-1]
             np_, nq = prefix_reversal(p_stub, n), prefix_reversal(q_stub, n)
             sp, sq = np_[n - 1], nq[n - 1]
             nob, noa = prefix_reversal(other_b, n), prefix_reversal(other_a, n)
@@ -1069,6 +1148,8 @@ def _reconnect_pairings(
             cv, trc = conn2
             # a two-subgraph connector records its subgraph paths, not an L17 node
             conn1_traces = [tr1] if sp == sq else tr1.children
+            B = arc_b if b_forward else bp_graph.reverse_records(arc_b)
+            A = arc_a if a_forward else bp_graph.reverse_records(arc_a)
             return B + c1v + A + cv, CaseTrace(
                 label,
                 {"pairing": [format_vertex(p_stub), format_vertex(q_stub)]},
@@ -1078,7 +1159,7 @@ def _reconnect_pairings(
 
 
 def _reconnect_same_side(
-    n: int, f: _Faults, ctx: _Ctx, istar: int, eq_arc: list[Vertex], free_arc: list[Vertex], label: str
+    n: int, f: _Faults, ctx: _Ctx, istar: int, eq_arc: bytes, free_arc: bytes, label: str
 ):
     """Both stubs of one arc point into the same subgraph ``h``.
 
@@ -1087,24 +1168,24 @@ def _reconnect_same_side(
     out-neighbor reaches a free stub's subgraph, and re-enter the second
     piece from the outside chain.
     """
-    e_hi, e_lo = prefix_reversal(eq_arc[-1], n), prefix_reversal(eq_arc[0], n)
+    e_hi, e_lo = prefix_reversal(_at(f, eq_arc, -1), n), prefix_reversal(_at(f, eq_arc, 0), n)
     h = e_hi[n - 1]
-    ends = prefix_reversal(free_arc[0], n), prefix_reversal(free_arc[-1], n)
+    ends = prefix_reversal(_at(f, free_arc, 0), n), prefix_reversal(_at(f, free_arc, -1), n)
     base = _subgraph(n, h, f, ctx, e_hi, e_lo)
     if base is None:
         return None
     ph, tr_ph = base
-    # the free arc runs from the stub the middle piece reaches to the one the chain leaves
-    options = ((free_arc, *ends), (free_arc[::-1], *ends[::-1]))
-    for pos in range(len(ph) - 1):
-        s, t = ph[pos], ph[pos + 1]
+    # the free arc runs from the stub the middle piece reaches to the one the
+    # chain leaves: forward, or reversed
+    options = ((False, *ends), (True, *ends[::-1]))
+    for pos, s, t in _steps(f, ph):
         ns, nt = _usable_stub(s, f), _usable_stub(t, f)
         if ns is None or nt is None:
             continue
         snt = nt[n - 1]
         if snt == istar:
             continue
-        for free_dir, mid_target, chain_start in options:
+        for reverse_free, mid_target, chain_start in options:
             mid_sub = mid_target[n - 1]
             if ns[n - 1] != mid_sub or ns == mid_target or snt == mid_sub:
                 continue
@@ -1118,16 +1199,16 @@ def _reconnect_same_side(
                 continue
             mv, tr_mid = mid
             bv, trb = bridge
-            full = eq_arc + ph[: pos + 1] + mv + free_dir + bv + ph[pos + 1 :]
+            free_dir = bp_graph.reverse_records(free_arc) if reverse_free else free_arc
+            cut = (pos + 1) * _WIDTH
+            full = eq_arc + ph[:cut] + mv + free_dir + bv + ph[cut:]
             return full, CaseTrace(
                 label, {"h": h, "split": [format_vertex(s), format_vertex(t)]}, [tr_ph, tr_mid, trb]
             )
     return None
 
 
-def _reconnect_double_split(
-    n: int, f: _Faults, ctx: _Ctx, istar: int, arc_a: list[Vertex], arc_b: list[Vertex], label: str
-):
+def _reconnect_double_split(n: int, f: _Faults, ctx: _Ctx, istar: int, arc_a: bytes, arc_b: bytes, label: str):
     """Stub out-subgraphs coincide side-by-side: h1 for arc B, h2 for arc A.
 
     Both subgraphs are covered by stub-to-stub paths: P1 closes a ring R1 with
@@ -1135,8 +1216,8 @@ def _reconnect_double_split(
     whose s leads into h2; R2 is opened at the P2 edge (ns, z), and a chain
     over the remaining subgraphs runs from z's out-neighbor back to t's.
     """
-    nx1, ny1 = prefix_reversal(arc_b[-1], n), prefix_reversal(arc_b[0], n)
-    nx2, ny2 = prefix_reversal(arc_a[0], n), prefix_reversal(arc_a[-1], n)
+    nx1, ny1 = prefix_reversal(_at(f, arc_b, -1), n), prefix_reversal(_at(f, arc_b, 0), n)
+    nx2, ny2 = prefix_reversal(_at(f, arc_a, 0), n), prefix_reversal(_at(f, arc_a, -1), n)
     h1, h2 = nx1[n - 1], nx2[n - 1]
     p1 = _subgraph(n, h1, f, ctx, nx1, ny1)
     if p1 is None:
@@ -1147,26 +1228,27 @@ def _reconnect_double_split(
         return None
     P2, tr2 = p2
     R1 = arc_b + P1  # y1 .. x1, nx1 .. ny1
-    R2 = P2 + arc_a[::-1]  # nx2 .. ny2, y2 .. x2
-    pos1, pos2 = _ring_index(R1), _ring_index(R2)
+    R2 = P2 + bp_graph.reverse_records(arc_a)  # nx2 .. ny2, y2 .. x2
+    off = len(arc_b) // _WIDTH  # where P1 starts on R1
+    size2 = len(P2) // _WIDTH
     rest = [j for j in f.indices if j not in (istar, h1, h2)]
-    for i1 in range(len(P1) - 1):
-        for s, t in ((P1[i1], P1[i1 + 1]), (P1[i1 + 1], P1[i1])):
+    for i1, x, y in _steps(f, P1):
+        for s, t, ps, pt in ((x, y, i1, i1 + 1), (y, x, i1 + 1, i1)):
             ns, nt = _usable_stub(s, f), _usable_stub(t, f)
             if ns is None or nt is None:
                 continue
             if ns[n - 1] != h2 or nt[n - 1] in (istar, h2):
                 continue
-            i2 = pos2[ns]
-            for z in (P2[i2 - 1] if i2 > 0 else None, P2[i2 + 1] if i2 + 1 < len(P2) else None):
-                if z is None:
+            i2 = _pos(P2, ns)
+            for iz in (i2 - 1, i2 + 1):
+                if not 0 <= iz < size2:
                     continue
-                nz = _usable_stub(z, f)
+                nz = _usable_stub(_at(f, P2, iz), f)
                 if nz is None or nz[n - 1] in (istar, h1):
                     continue
                 if nz[n - 1] == nt[n - 1]:
                     raise InternalInvariantError("double-split chain endpoints coincide")
-                got = _splice(n, rest, R1, pos1, s, t, lambda: _open_ring(R2, pos2, ns, z), nz, nt, f, ctx)
+                got = _splice(n, rest, R1, off + ps, off + pt, lambda: _open_ring(R2, i2, iz), nz, nt, f, ctx)
                 if got is None:
                     ctx.spend()
                     continue
@@ -1184,6 +1266,75 @@ def _path(n: int, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
         return None
     if n == 3:
         return _path_bp3(u, v, f, ctx)
+    if f.weight == 0 and len(f.suffix) >= 2:
+        return _free_path_memo(n, u, v, f, ctx)
+    return _path_cases(n, u, v, f, ctx)
+
+
+def _free_path_memo(n: int, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
+    """A fault-free path of level n, 4 <= n <= f.dim - 2, through the
+    build's memo.
+
+    The key is (n, u, v) in the frame of the level's symbols in ascending
+    order, the order-preserving relabel, and a miss stores its path in that
+    frame (:func:`_frame_table`'s places hold the suffix), its trace, the
+    attempts it spent and the symbols it was built in.  A hit charges the
+    same attempts, lifts the path with one translate and moves every symbol
+    that the trace details name, subgraph indices and vertices alike, so
+    it returns what a miss would: the relabel keeps every scan's order
+    (module docstring).
+    """
+    ref = [i for i in f.indices if i > 0]
+    rank = {}
+    for k, x in enumerate(ref, 1):
+        rank[x], rank[-x] = k, -k
+    key = (n, tuple(map(rank.__getitem__, u[:n])), tuple(map(rank.__getitem__, v[:n])))
+    symbols = (*ref, *f.suffix)
+    hit = ctx.memo.get(key)
+    if hit is None:
+        before = ctx.attempts
+        got = _path_cases(n, u, v, f, ctx)
+        frame = None
+        if got is not None:
+            lift = _frame_table(ref, f.suffix)
+            drop = bytearray(256)
+            for place, x in enumerate(lift):
+                if x:
+                    drop[x] = place
+            frame = got[0].translate(drop)
+        ctx.memo[key] = (frame, got and got[1], ctx.attempts - before, symbols)
+        return got
+    frame, trace, spent, built_in = hit
+    for _ in range(spent):
+        ctx.spend()
+    if frame is None:
+        return None
+    moved = {}
+    for a, b in zip(built_in, symbols):
+        moved[a], moved[-a] = b, -b
+    return frame.translate(_frame_table(ref, f.suffix)), _relabeled(trace, moved)
+
+
+def _relabeled(trace: CaseTrace, moved: dict[int, int]) -> CaseTrace:
+    """``trace`` with every symbol its details name moved: subgraph indices,
+    and the symbols of vertices written by ``format_vertex``."""
+
+    def move(value):
+        if isinstance(value, list):
+            return [move(x) for x in value]
+        if isinstance(value, str):
+            return format_vertex(moved[int(x)] for x in value.split(","))
+        return moved[value]
+
+    return CaseTrace(
+        trace.label,
+        {key: move(value) for key, value in trace.detail.items()},
+        [_relabeled(child, moved) for child in trace.children],
+    )
+
+
+def _path_cases(n: int, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
+    """The path case dispatch above BP_3, on the fault weights."""
     ws = _weights(f)
     order = f.indices
     wmax = max(ws.values())
@@ -1212,22 +1363,21 @@ def _path_case2(n: int, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx, istar: int)
     if c1 is None:
         return None
     C1, tr1 = c1
-    idx1 = _ring_index(C1)
     j1, j2 = u[n - 1], v[n - 1]
     scope = len({istar, j1, j2})
 
     if scope == 3:
-        return _path_c2_outside_two(n, u, v, f, ctx, istar, C1, idx1, tr1)
+        return _path_c2_outside_two(n, u, v, f, ctx, istar, C1, tr1)
     if scope == 2:
         if istar in (j1, j2):
-            return _path_c2_endpoint_inside(n, u, v, f, ctx, istar, C1, idx1, tr1)
+            return _path_c2_endpoint_inside(n, u, v, f, ctx, istar, C1, tr1)
         if j1 == -istar:
-            return _path_c2_complement_pair(n, u, v, f, ctx, istar, C1, idx1, tr1)
-        return _path_c2_outside_pair(n, u, v, f, ctx, istar, C1, idx1, tr1)
-    return _path_c2_inside_pair(n, u, v, f, ctx, istar, C1, idx1, tr1)
+            return _path_c2_complement_pair(n, u, v, f, ctx, istar, C1, tr1)
+        return _path_c2_outside_pair(n, u, v, f, ctx, istar, C1, tr1)
+    return _path_c2_inside_pair(n, u, v, f, ctx, istar, C1, tr1)
 
 
-def _path_c2_outside_two(n, u, v, f, ctx, istar, C1, idx1, tr1):
+def _path_c2_outside_two(n, u, v, f, ctx, istar, C1, tr1):
     """Endpoints in two distinct subgraphs, both outside the heavy one."""
     options = []
     if u[n - 1] != -istar:
@@ -1240,7 +1390,8 @@ def _path_c2_outside_two(n, u, v, f, ctx, istar, C1, idx1, tr1):
         for s, ns in _cross_candidates(n, istar, jx, f):
             if ns == e_x:
                 continue
-            for s1 in _ring_neighbors(C1, idx1, s):
+            ps = _pos(C1, s)
+            for s1, ps1 in _ring_neighbors(f, C1, ps):
                 ns1 = _usable_stub(s1, f)
                 if ns1 is None or ns1[n - 1] == jx or ns1 == e_y:
                     continue
@@ -1254,18 +1405,19 @@ def _path_c2_outside_two(n, u, v, f, ctx, istar, C1, idx1, tr1):
                     ctx.spend()
                     continue
                 bv, trb = bridge
-                full = fv + _open_ring(C1, idx1, s, s1) + bv
+                full = fv + _open_ring(C1, ps, ps1) + bv
                 if swapped:
-                    full = list(reversed(full))
+                    full = bp_graph.reverse_records(full)
                 return full, CaseTrace("L19/2.1", {"i1": istar}, [tr1, trf, trb])
     return None
 
 
-def _path_c2_endpoint_inside(n, u, v, f, ctx, istar, C1, idx1, tr1):
+def _path_c2_endpoint_inside(n, u, v, f, ctx, istar, C1, tr1):
     """One endpoint inside the heavy subgraph, the other outside."""
     e_in, e_out, swapped = (u, v, False) if u[n - 1] == istar else (v, u, True)
     rest = [j for j in f.indices if j != istar]
-    for u1 in _ring_neighbors(C1, idx1, e_in):
+    pe = _pos(C1, e_in)
+    for u1, pu1 in _ring_neighbors(f, C1, pe):
         nu1 = _usable_stub(u1, f)
         if nu1 is None or nu1 == e_out:
             continue
@@ -1274,14 +1426,14 @@ def _path_c2_endpoint_inside(n, u, v, f, ctx, istar, C1, idx1, tr1):
             ctx.spend()
             continue
         bv, trb = bridge
-        full = _open_ring(C1, idx1, e_in, u1) + bv
+        full = _open_ring(C1, pe, pu1) + bv
         if swapped:
-            full = list(reversed(full))
+            full = bp_graph.reverse_records(full)
         return full, CaseTrace("L19/2.2", {"shape": "endpoint-inside"}, [tr1, trb])
     return None
 
 
-def _path_c2_outside_pair(n, u, v, f, ctx, istar, C1, idx1, tr1):
+def _path_c2_outside_pair(n, u, v, f, ctx, istar, C1, tr1):
     """Both endpoints in one subgraph j (not the complement of the heavy one):
     cover j endpoint-to-endpoint, then splice the heavy cycle and the rest
     into an edge of that path whose one side crosses into the heavy subgraph."""
@@ -1290,25 +1442,27 @@ def _path_c2_outside_pair(n, u, v, f, ctx, istar, C1, idx1, tr1):
     if base is None:
         return None
     P, trp = base
-    pos = _ring_index(P)
     rest = [q for q in f.indices if q not in (istar, j)]
-    for i in range(len(P) - 1):
-        for s, t in ((P[i], P[i + 1]), (P[i + 1], P[i])):
+    for i, x, y in _steps(f, P):
+        for s, t, ps, pt in ((x, y, i, i + 1), (y, x, i + 1, i)):
             if -s[0] != istar:
                 continue
             ns = _usable_stub(s, f)
-            if ns is None or ns not in idx1:
+            if ns is None:
+                continue
+            pns = bp_graph.record_index(C1, _record(ns))
+            if pns < 0:
                 continue
             nt = _usable_stub(t, f)
             if nt is None or nt[n - 1] == istar:
                 continue
-            for z in _ring_neighbors(C1, idx1, ns):
+            for z, pz in _ring_neighbors(f, C1, pns):
                 nz = _usable_stub(z, f)
                 if nz is None or nz[n - 1] == j:
                     continue
                 if nz[n - 1] == nt[n - 1]:
                     raise InternalInvariantError("outside-pair chain endpoints coincide")
-                got = _splice(n, rest, P, pos, s, t, lambda: _open_ring(C1, idx1, ns, z), nz, nt, f, ctx)
+                got = _splice(n, rest, P, ps, pt, lambda: _open_ring(C1, pns, pz), nz, nt, f, ctx)
                 if got is None:
                     ctx.spend()
                     continue
@@ -1317,18 +1471,18 @@ def _path_c2_outside_pair(n, u, v, f, ctx, istar, C1, idx1, tr1):
     return None
 
 
-def _path_c2_complement_pair(n, u, v, f, ctx, istar, C1, idx1, tr1):
+def _path_c2_complement_pair(n, u, v, f, ctx, istar, C1, tr1):
     """Both endpoints in the complement of the heavy subgraph.  No edges join
     the two, so the splice hands off through a shared intermediate subgraph."""
     base = _subgraph(n, -istar, f, ctx, u, v)
     if base is None:
         return None
     P, trp = base
-    pos = _ring_index(P)
-    ring_edges = [(C1[i], C1[(i + 1) % len(C1)]) for i in range(len(C1))]
+    ring = bp_graph.unpack(f.dim, C1)  # every ring edge is read for each edge of P
+    size = len(ring)
     mids = {}  # the g-path from ns to nz, asked for once per (ns, nz)
-    for i in range(len(P) - 1):
-        for s, t in ((P[i], P[i + 1]), (P[i + 1], P[i])):
+    for i, x, y in _steps(f, P):
+        for s, t, ps, pt in ((x, y, i, i + 1), (y, x, i + 1, i)):
             ns = _usable_stub(s, f)
             if ns is None:
                 continue
@@ -1339,8 +1493,9 @@ def _path_c2_complement_pair(n, u, v, f, ctx, istar, C1, idx1, tr1):
             if nt is None or nt[n - 1] in (istar, g):
                 continue
             rest = [q for q in f.indices if q not in (istar, -istar, g)]
-            for z0, w0 in ring_edges:
-                for z, w in ((z0, w0), (w0, z0)):
+            for p0, z0 in enumerate(ring):
+                p1 = (p0 + 1) % size
+                for z, w, pz, pw in ((z0, ring[p1], p0, p1), (ring[p1], z0, p1, p0)):
                     nz = _usable_stub(z, f)
                     if nz is None or nz[n - 1] != g or nz == ns:
                         continue
@@ -1350,7 +1505,9 @@ def _path_c2_complement_pair(n, u, v, f, ctx, istar, C1, idx1, tr1):
                     if (ns, nz) not in mids:
                         mids[ns, nz] = _subgraph(n, g, f, ctx, ns, nz)
                     mid = mids[ns, nz]
-                    got = mid and _splice(n, rest, P, pos, s, t, lambda: mid[0] + _open_ring(C1, idx1, z, w), nw, nt, f, ctx)
+                    got = mid and _splice(
+                        n, rest, P, ps, pt, lambda: mid[0] + _open_ring(C1, pz, pw), nw, nt, f, ctx
+                    )
                     if got is None:
                         ctx.spend()
                         continue
@@ -1361,13 +1518,14 @@ def _path_c2_complement_pair(n, u, v, f, ctx, istar, C1, idx1, tr1):
     return None
 
 
-def _path_c2_inside_pair(n, u, v, f, ctx, istar, C1, idx1, tr1):
+def _path_c2_inside_pair(n, u, v, f, ctx, istar, C1, tr1):
     """Both endpoints inside the heavy subgraph."""
     rest = [q for q in f.indices if q != istar]
-    if v in _ring_neighbors(C1, idx1, u):
-        Q = _open_ring(C1, idx1, u, v)
-        for i in range(len(Q) - 1):
-            s, t = Q[i], Q[i + 1]
+    pu = _pos(C1, u)
+    at_v = [q for w, q in _ring_neighbors(f, C1, pu) if w == v]
+    if at_v:
+        Q = _open_ring(C1, pu, at_v[0])
+        for i, s, t in _steps(f, Q):
             ns, nt = _usable_stub(s, f), _usable_stub(t, f)
             if ns is None or nt is None:
                 continue
@@ -1378,17 +1536,17 @@ def _path_c2_inside_pair(n, u, v, f, ctx, istar, C1, idx1, tr1):
                 ctx.spend()
                 continue
             bv, trb = bridge
-            full = Q[: i + 1] + bv + Q[i + 1 :]
-            return full, CaseTrace("L19/2.3.1", {}, [tr1, trb])
+            cut = (i + 1) * _WIDTH
+            return Q[:cut] + bv + Q[cut:], CaseTrace("L19/2.3.1", {}, [tr1, trb])
         return None
     # endpoints non-adjacent on the cycle: walk one arc between them, cross
     # to the outside and come back along the other
-    R = _ring_from(C1, idx1[u])
-    k = R.index(v)
-    arc_p = R[1:k]  # forward arc strictly between u and v
-    arc_q = R[:k:-1]  # backward arc strictly between u and v
+    R = _ring_from(C1, pu)
+    k = (_pos(C1, v) - pu) % (len(C1) // _WIDTH)
+    arc_p = R[_WIDTH : k * _WIDTH]  # forward arc strictly between u and v
+    arc_q = bp_graph.reverse_records(R[(k + 1) * _WIDTH :])  # backward arc strictly between u and v
     for first, second in ((arc_q, arc_p), (arc_p, arc_q)):
-        nv1, nu1 = _usable_stub(first[-1], f), _usable_stub(second[0], f)
+        nv1, nu1 = _usable_stub(_at(f, first, -1), f), _usable_stub(_at(f, second, 0), f)
         if nu1 is None or nv1 is None:
             continue
         bridge = _connector(n, rest, nv1, nu1, f, ctx)
@@ -1396,7 +1554,7 @@ def _path_c2_inside_pair(n, u, v, f, ctx, istar, C1, idx1, tr1):
             ctx.spend()
             continue
         bv, trb = bridge
-        return [u] + first + bv + second + [v], CaseTrace("L19/2.3.2", {}, [tr1, trb])
+        return _record(u) + first + bv + second + _record(v), CaseTrace("L19/2.3.2", {}, [tr1, trb])
     return None
 
 
@@ -1404,25 +1562,32 @@ def _path_c2_inside_pair(n, u, v, f, ctx, istar, C1, idx1, tr1):
 # output checking and public wrappers
 
 
-def _check_output(n: int, f: _Faults, vertices: list[Vertex], closed: bool, u=None, v=None) -> None:
-    """Cheap structural self-check; violations are internal bugs.
+def _check_output(n: int, f: _Faults, packed: bytes, closed: bool, u=None, v=None) -> None:
+    """Cheap structural self-check of a packed sequence; violations are
+    internal bugs.
 
-    Whole-sequence passes decide whether any step is bad; only then does the
-    step-by-step loop run, to raise the error of the first bad step.  Faulty
-    edges are looked up where their endpoints sit, not keyed at every step.
+    Whole-sequence passes on the bytes decide whether any step is bad: the
+    count, distinctness from a set over the 8-byte records, no removed
+    vertex, the column walk and where the faulty edges' ends sit.  Only
+    then is the sequence decoded for the step-by-step loop, to raise the
+    error of the first bad step.
     """
+    width = bp_graph.PACKED_WIDTH
+    count = len(packed) // width
     expected = bp_graph.vertex_count(n) - len(f.removed)
-    if len(vertices) != expected:
-        raise InternalInvariantError(f"built {len(vertices)} vertices, expected {expected}")
-    if closed and len(vertices) < 8:  # the girth bounds any cycle below
+    if count != expected:
+        raise InternalInvariantError(f"built {count} vertices, expected {expected}")
+    if closed and count < 8:  # the girth bounds any cycle below
         raise InternalInvariantError("cycles must have at least eight vertices")
-    if len(set(vertices)) != len(vertices):
+    records = set(memoryview(packed).cast("q"))
+    if len(records) != count:
         raise InternalInvariantError("repeated vertex in construction")
     if (
-        not f.removed.isdisjoint(vertices)
-        or not bp_graph.is_walk(n, vertices, closed)
-        or any(bp_graph.edge_steps(vertices, a, b, closed) for a, b in f.edges)
+        not records.isdisjoint(memoryview(bp_graph.pack(n, f.removed)).cast("q"))
+        or not bp_graph.is_packed_walk(n, packed, closed)
+        or any(bp_graph.packed_edge_steps(packed, _record(a), _record(b), closed) for a, b in f.edges)
     ):
+        vertices = bp_graph.unpack(n, packed)
         removed = f.removed
         edge_set = f.edge_set
         steps = len(vertices) if closed else len(vertices) - 1
@@ -1435,7 +1600,7 @@ def _check_output(n: int, f: _Faults, vertices: list[Vertex], closed: bool, u=No
                 raise InternalInvariantError("construction uses a faulty edge")
             if not bp_graph.is_adjacent(a, b):
                 raise InternalInvariantError(f"non-adjacent step {format_vertex(a)} -> {format_vertex(b)}")
-    if not closed and (vertices[0] != u or vertices[-1] != v):
+    if not closed and packed[:width] + packed[-width:] != bp_graph.pack(n, (u, v)):
         raise InternalInvariantError("wrong path endpoints")
 
 
@@ -1478,9 +1643,9 @@ def hamiltonian_cycle(n: int, fault_set: FaultSet) -> VertexCycle:
     got = _cycle(n, f, ctx)
     if got is None:
         raise ctx.failure("scan exhausted")
-    vertices, tr = got
-    _check_output(n, f, vertices, closed=True)
-    return VertexCycle(tuple(vertices), _finish(tr, n))
+    packed, tr = got
+    _check_output(n, f, packed, closed=True)
+    return VertexCycle(n, packed, _finish(tr, n))
 
 
 def hamiltonian_path(n: int, u, v, fault_set: FaultSet) -> VertexPath:
@@ -1490,6 +1655,6 @@ def hamiltonian_path(n: int, u, v, fault_set: FaultSet) -> VertexPath:
     got = _path(n, u, v, f, ctx)
     if got is None:
         raise ctx.failure("scan exhausted")
-    vertices, tr = got
-    _check_output(n, f, vertices, closed=False, u=u, v=v)
-    return VertexPath(tuple(vertices), _finish(tr, n))
+    packed, tr = got
+    _check_output(n, f, packed, closed=False, u=u, v=v)
+    return VertexPath(n, packed, _finish(tr, n))

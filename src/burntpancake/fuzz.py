@@ -129,11 +129,11 @@ def run_fuzz(
         try:
             if op == "cycle":
                 built = hamiltonian_cycle(n, fs)
-                check = oracle.verify_cycle(n, fs, built)
+                check = oracle.verify_cycle(n, fs, built.packed)
             else:
                 u, v = sample_endpoints(rng, n, fs)
                 built = hamiltonian_path(n, u, v, fs)
-                check = oracle.verify_path(n, fs, u, v, built)
+                check = oracle.verify_path(n, fs, u, v, built.packed)
         except StrictModeFailure:
             report.strict_failures += 1
             report.failures.append({"trial": trial, "kind": "strict", "faults": fs.to_json_dict()})

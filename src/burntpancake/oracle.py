@@ -154,26 +154,11 @@ def _packed_ok(n: int, fault_set: FaultSet, packed: bytes, closed: bool, ends=()
         ):
             return False
         for a, b in fault_set.faulty_edges:
-            pos = _packed_index(packed, bp_graph.pack(n, [a]))
-            if pos >= 0:
-                key = bp_graph.pack(n, [b])
-                after, before = ((pos + d) % count * width for d in (1, -1))
-                if (pos + 1 < count or closed) and packed[after : after + width] == key:
-                    return False
-                if (pos > 0 or closed) and packed[before : before + width] == key:
-                    return False
+            if bp_graph.packed_edge_steps(packed, bp_graph.pack(n, [a]), bp_graph.pack(n, [b]), closed):
+                return False
         return not ends or packed[:width] + packed[-width:] == bp_graph.pack(n, ends)
     except (struct.error, TypeError):
         return False
-
-
-def _packed_index(packed: bytes, key: bytes) -> int:
-    """The index of the first record of ``packed`` equal to ``key``, or -1."""
-    width = bp_graph.PACKED_WIDTH
-    pos = packed.find(key)
-    while pos > 0 and pos % width:
-        pos = packed.find(key, pos + 1)
-    return pos // width if pos >= 0 else -1
 
 
 def verify_cycle(n: int, fault_set: FaultSet, cycle) -> VerificationReport:

@@ -7,6 +7,8 @@ import pytest
 from burntpancake.bp3_fixtures import FREE_PATHS, LEAF_CYCLES, PAIR_CYCLES
 from burntpancake.bp_graph import (
     edge_dimension,
+    pack,
+    unpack,
     edge_key,
     frame_tables,
     is_adjacent,
@@ -27,6 +29,7 @@ from burntpancake.constructor import (
     _cross_candidates,
     _Ctx,
     _Faults,
+    _frame_bytes,
     _free_path,
     _leaf_view,
     _loop,
@@ -221,7 +224,7 @@ def test_leaf_cycle_table_matches_search(monkeypatch):
     for slot, (key, cycle) in enumerate(zip(keys, cycles)):
         cons._bp3_cycle_cache.clear()
         try:
-            if cons._bp3_search_cycle(*key) != cycle:
+            if cons._bp3_search_cycle(*key) != _frame_bytes(cycle):
                 wrong.append(slot)
         except InternalInvariantError:
             wrong.append(slot)
@@ -296,7 +299,7 @@ def test_fault_free_bp3_paths_share_47_keys(monkeypatch):
 
 def _bp3_leaf_path(u, v, f):
     got = _path(3, u, v, f, _Ctx())
-    return None if got is None else got[0]
+    return None if got is None else unpack(3, got[0])
 
 
 @pytest.mark.parametrize(
@@ -382,7 +385,8 @@ def test_chain_path_closure_is_cycle_on_bp4():
     u = identity(4)
     v = out_neighbor(u)
     fs = FaultSet.build(4)
-    vertices, _ = _chain(4, subgraph_indices(4), u, v, _Faults.from_fault_set(fs), _Ctx())
+    packed, _ = _chain(4, subgraph_indices(4), u, v, _Faults.from_fault_set(fs), _Ctx())
+    vertices = unpack(4, packed)
     assert vertices[0] == u and vertices[-1] == v
     assert verify_cycle(4, fs, vertices).ok  # closing edge (v, u) exists
 
@@ -391,7 +395,8 @@ def test_chain_path_vertex_count_with_pair_removed():
     fs = FaultSet.build(5, matching_pairs=[[(2, 1, 3, 4, 5), (-1, -2, 3, 4, 5)]])
     u = identity(5)
     v = out_neighbor(u)
-    vertices, _ = _chain(5, subgraph_indices(5), u, v, _Faults.from_fault_set(fs), _Ctx())
+    packed, _ = _chain(5, subgraph_indices(5), u, v, _Faults.from_fault_set(fs), _Ctx())
+    vertices = unpack(5, packed)
     assert len(vertices) == vertex_count(5) - 2
     assert verify_path(5, fs, u, v, vertices).ok
 
@@ -400,7 +405,8 @@ def test_loop_path_bp4_same_subgraph():
     u = identity(4)
     v = (-2, -1, 3, 4)
     fs = FaultSet.build(4)
-    vertices, trace = _loop(4, subgraph_indices(4), u, v, _Faults.from_fault_set(fs), _Ctx())
+    packed, trace = _loop(4, subgraph_indices(4), u, v, _Faults.from_fault_set(fs), _Ctx())
+    vertices = unpack(4, packed)
     assert len(vertices) == vertex_count(4)
     assert verify_path(4, fs, u, v, vertices).ok
     # the spliced edge's out-neighbors land in distinct subgraphs; the
@@ -738,7 +744,7 @@ def test_cross_candidates_are_the_sorted_ring_junctions():
                     built = _subgraph(m, i, g, _Ctx()) if ws[i] <= m - 3 else None
                     if built is None:
                         continue
-                    ring = built[0]
+                    ring = unpack(n, built[0])
                     for j in g.indices:
                         if j == i:
                             continue
@@ -750,23 +756,33 @@ def test_cross_candidates_are_the_sorted_ring_junctions():
 
 
 def test_ring_cuts_on_a_bp3_ring():
-    ring = list(hamiltonian_cycle(3, FaultSet.build(3)).vertices)
-    idx = {x: p for p, x in enumerate(ring)}
+    # the ring helpers cut packed rings at positions; the cuts are read back
+    # as vertices
+    built = hamiltonian_cycle(3, FaultSet.build(3))
+    packed, ring = built.packed, list(built.vertices)
     size = len(ring)
+
+    def ring_from(p):
+        return unpack(3, _ring_from(packed, p))
+
+    def open_ring(pa, pb):
+        return unpack(3, _open_ring(packed, pa, pb))
+
     for p in range(size):
-        assert _ring_from(ring, p) == [ring[(p + t) % size] for t in range(size)]
+        assert ring_from(p) == [ring[(p + t) % size] for t in range(size)]
     # b after a on the ring: the path walks backward from a; before it, forward
-    assert _open_ring(ring, idx, ring[0], ring[1]) == ring[:1] + ring[:0:-1]
-    assert _open_ring(ring, idx, ring[1], ring[0]) == ring[1:] + ring[:1]
-    assert _open_ring(ring, idx, ring[-1], ring[0]) == ring[::-1]
-    assert _open_ring(ring, idx, ring[0], ring[-1]) == ring
-    for a, b in zip(ring, ring[1:] + ring[:1]):
-        for x, y in ((a, b), (b, a)):
-            got = _open_ring(ring, idx, x, y)
-            assert got[0] == x and got[-1] == y and sorted(got) == sorted(ring)
+    assert open_ring(0, 1) == ring[:1] + ring[:0:-1]
+    assert open_ring(1, 0) == ring[1:] + ring[:1]
+    assert open_ring(size - 1, 0) == ring[::-1]
+    assert open_ring(0, size - 1) == ring
+    for pa in range(size):
+        pb = (pa + 1) % size
+        for x, y in ((pa, pb), (pb, pa)):
+            got = open_ring(x, y)
+            assert got[0] == ring[x] and got[-1] == ring[y] and sorted(got) == sorted(ring)
             assert all(map(is_adjacent, got, got[1:]))
     with pytest.raises(InternalInvariantError, match="ring edge expected"):
-        _open_ring(ring, idx, ring[0], ring[2])
+        _open_ring(packed, 0, 2)
 
 
 def test_public_builders_reject_dimension_above_limit(monkeypatch):
@@ -872,10 +888,10 @@ def check_cases():
 def test_check_output_raises_exactly_on_bad_output(check_cases, label):
     _, n, f, seq, closed, (u, v), message = check_cases[label]
     if message is None:
-        _check_output(n, f, seq, closed, u, v)
+        _check_output(n, f, pack(n, seq), closed, u, v)
     else:
         with pytest.raises(InternalInvariantError, match=message):
-            _check_output(n, f, seq, closed, u, v)
+            _check_output(n, f, pack(n, seq), closed, u, v)
 
 
 def test_self_checks_test_no_step_alone(monkeypatch):
@@ -923,7 +939,11 @@ def test_leaf_frame_is_order_preserving_and_commutes_with_reversals():
             return tuple(rank[s] for s in u[:3])
 
         for r in [None, *leaf]:
-            embed, lift, _, _ = _leaf_view(_Faults(3, suffix=suffix), r)
+            embed, table, _, _ = _leaf_view(_Faults(3, suffix=suffix), r)
+
+            def lift(vertices):
+                return unpack(5, _frame_bytes(vertices).translate(table))
+
             if r is None:
                 lifted = lift(bp3)
                 assert all(a < b for a, b in zip(lifted, lifted[1:]))
@@ -992,7 +1012,7 @@ def test_leaf_cycle_bit_flips_never_decode_to_repeats(monkeypatch):
             monkeypatch.setattr(cons, "LEAF_CYCLES", bytes(table))
             monkeypatch.setattr(cons, "_bp3_cycle_cache", {})
             try:
-                cycle = cons._bp3_search_cycle(*key)
+                cycle = unpack(3, cons._bp3_search_cycle(*key))
             except InternalInvariantError as exc:
                 assert f"slot {slot} " in str(exc)
                 messages.append(str(exc))
