@@ -24,9 +24,8 @@ reference, and it names the bad step when a check fails.  The column test
 answers the same question for every step of a whole sequence at once: it
 compares columns of a packed sequence as big integers, with no Python call
 per step.  It has two entry points: :func:`is_walk` packs tuples, for the
-constructor's self-check and the oracle on tuples, and
-:func:`is_packed_walk` reads a packed sequence as it is, for the oracle on
-the packed form that the CLI writes and reads.
+oracle on tuples, and :func:`is_packed_walk` reads a packed sequence as it
+is, for the constructor's self-check and the oracle on the packed form.
 
 The packed form of a vertex of BP_n, n <= :data:`PACKED_WIDTH`, is
 ``PACKED_WIDTH`` signed bytes: its n symbols, then zero padding.  A packed

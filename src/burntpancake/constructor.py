@@ -49,6 +49,31 @@ does not depend on the orientation, and assembles the path in the
 orientation it has.  Arcs joined by connectors are oriented before they
 are assembled, so each splice shape has one assembly expression.
 
+Every cycle and path is built as one packed sequence (``bp_graph.pack``:
+8 signed bytes a vertex, its symbols then zero padding), from leaf to
+root.  The leaf keeps its BP_3 answers in frame form, each vertex's three
+frame symbols followed by five places, and lifts one with a single
+``bytes.translate`` through a 256-byte table (``_frame_table``) that sends
+the frame symbols to the reference vertex's and the places to the suffix.
+Above it, chains, loops, splices and ring cuts join and cut bytes at
+whole records, reverse them record by record, and find a vertex by its
+record; a scan that reads vertices (a loop's base path, the scans of the
+heavy cases) decodes them as it reads.  ``_check_output`` runs on the
+bytes, and the public objects hold them: ``vertices`` decodes on access.
+
+A build keeps a memo of its fault-free paths of levels 4..n-2 in
+``_Ctx.memo`` (``_free_path_memo``).  Their keys are the level and the
+endpoints in the frame of the level's symbols in ascending order.  That
+relabel is strictly increasing on signed symbols and commutes with
+negation and prefix reversals, so it keeps the lexicographic order of
+cross edges, the canonical order of subgraph indices and every leaf
+frame; with no faults to tell two fault-free requests apart, a request
+whose frame matches an earlier one is built as that one was, relabelled.
+A hit therefore lifts the stored path with one translate, moves the
+symbols its trace names and charges the attempts its miss spent.  Level
+n-1 requests barely repeat and would hold a sixth of the graph each, so
+the memo is idle at n <= 5.
+
 Each rejected candidate costs one attempt (``_Ctx.spend``).  The call
 that finds the budget spent raises StrictModeFailure on the spot, which
 ends the whole build.  A scan that comes up empty returns None instead,
@@ -294,10 +319,11 @@ class _Ctx:
 
 
 # ---------------------------------------------------------------------------
-# BP_3 base level: complete backtracking search, memoized.  The search
-# defines two tables that are read instead of searched: paths are asked for
-# from the identity, and fault-free ones come from FREE_PATHS; cycles with at
-# most one removed vertex or banned edge come from LEAF_CYCLES.
+# BP_3 base level: complete backtracking search, memoized in frame form.
+# The search defines two tables that are read instead of searched: paths
+# are asked for from the identity, and fault-free ones come from FREE_PATHS;
+# cycles with at most one removed vertex or banned edge come from
+# LEAF_CYCLES.
 
 _BP3_VERTICES = all_vertices(3)
 _BP3_INDEX = {x: i for i, x in enumerate(_BP3_VERTICES)}

@@ -345,6 +345,39 @@ def test_out_of_memory_exit_code(tmp_path, monkeypatch, capsys):
     assert err.startswith("out of memory: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("existing", [False, True], ids=["new file", "over an artifact"])
+def test_failed_write_leaves_no_artifact(existing, tmp_path, monkeypatch, capsys):
+    # a MemoryError after two pieces of an n=5 artifact: exit 5, and the
+    # part-written file is gone, whether or not a file was there before
+    from burntpancake import artifact
+
+    render = artifact.render
+
+    def two_pieces_then_boom(*args):
+        pieces = render(*args)
+        yield next(pieces)
+        yield next(pieces)
+        raise MemoryError
+
+    out = tmp_path / "c5.json"
+    if existing:
+        assert main(["cycle", "--n", "5", "--out", str(out)]) == 0
+    monkeypatch.setattr(artifact, "render", two_pieces_then_boom)
+    assert main(["cycle", "--n", "5", "--out", str(out)]) == 5
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("out of memory: ")
+
+
+def test_artifact_written_over_a_longer_file(tmp_path):
+    # the artifact is written over what the file held and cut to its length
+    fresh, reused = tmp_path / "fresh.json", tmp_path / "reused.json"
+    assert main(["cycle", "--n", "4", "--out", str(fresh)]) == 0
+    reused.write_bytes(b"x" * (2 * fresh.stat().st_size))
+    assert main(["cycle", "--n", "4", "--out", str(reused)]) == 0
+    assert reused.read_bytes() == fresh.read_bytes()
+    assert main(["verify", str(reused)]) == 0
+
+
 class _Trace:
     def __init__(self, labels):
         self._labels = labels

@@ -1019,3 +1019,191 @@ def test_leaf_cycle_bit_flips_never_decode_to_repeats(monkeypatch):
             else:
                 assert len(set(cycle)) == len(cycle) == 48 - len(key[0]), (slot, bit)
     assert sum("repeats a vertex" in m for m in messages) >= 12
+
+
+# ------------------------------------------------------------------ memo
+# Fault-free paths of levels 4..n-2 go through a per-build memo keyed in
+# the frame of the level's symbols in ascending order.  It rests on a build
+# commuting with that relabel, which the first test checks directly.
+
+
+def _relabel_into(m, suffix):
+    """The order-preserving map of BP_m into the subgraph of BP_{m+len(suffix)}
+    whose vertices end in ``suffix``, on vertices and on symbols."""
+    fixed = {abs(x) for x in suffix}
+    free = [a for a in range(1, m + len(suffix) + 1) if a not in fixed]
+    symbol = {k: a for k, a in enumerate(free, 1)}
+    symbol.update({-k: -a for k, a in enumerate(free, 1)})
+
+    def vertex(x):
+        return tuple(symbol[s] for s in x) + suffix
+
+    return vertex, symbol
+
+
+def _moved_details(trace, vertex, symbol):
+    """Each node's (label, detail) with the details' vertices and subgraph
+    indices carried by the relabel."""
+
+    def move(value):
+        if isinstance(value, list):
+            return [move(x) for x in value]
+        if isinstance(value, str) and "," in value:
+            return ",".join(map(str, vertex(parse_vertex(value))))
+        return symbol[value] if isinstance(value, int) else value
+
+    return [(node.label, {k: move(v) for k, v in node.detail.items()}) for node in _trace_nodes(trace)]
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_level_build_commutes_with_order_preserving_relabel(m):
+    # a level-m build in BP_m coordinates, and the same instance relabelled
+    # into BP_{m+2} or BP_{m+3} under a random suffix, where the memo serves
+    # fault-free paths of levels 4..n-2: the relabel carries every vertex,
+    # label and trace detail of the first onto the second
+    import random
+
+    faulty = fault_free = 0
+    for trial in range(16):
+        rng = random.Random(f"relabel:{m}:{trial}")
+        extra = rng.choice((2, 3)) if m + 3 <= 8 else 2
+        symbols = rng.sample(range(1, m + extra + 1), extra)
+        suffix = tuple(s if rng.random() < 0.5 else -s for s in symbols)
+        vertex, symbol = _relabel_into(m, suffix)
+        for op in ("cycle", "path"):
+            fs = sample_fault_set(m, m - 2 if op == "cycle" else m - 3, trial_rng(23 + m, trial))
+            f = _Faults.from_fault_set(fs)
+            moved = _Faults(
+                m,
+                tuple((vertex(a), vertex(b)) for a, b in f.pairs),
+                (),
+                tuple((vertex(a), vertex(b)) for a, b in f.edges),
+                suffix,
+            )
+            if op == "cycle":
+                want, got = cons_cycle(m, f), cons_cycle(m, moved)
+            else:
+                u, v = sample_endpoints(trial_rng(23 + m, trial), m, fs)
+                want, got = _path(m, u, v, f, _Ctx()), _path(m, vertex(u), vertex(v), moved, _Ctx())
+            assert unpack(m + extra, got[0]) == [vertex(x) for x in unpack(m, want[0])]
+            assert _moved_details(want[1], vertex, symbol) == [(x.label, x.detail) for x in _trace_nodes(got[1])]
+            faulty += fs.size > 0
+            fault_free += fs.size == 0
+    assert faulty and fault_free
+
+
+def cons_cycle(m, f):
+    from burntpancake.constructor import _cycle
+
+    return _cycle(m, f, _Ctx())
+
+
+def _full_n6_builds(count):
+    """Full-budget n=6 cycles, loop-engine and chain-engine paths from
+    ``trial_rng``, ``count`` of each, as (op, fault set, endpoints)."""
+    found = {"cycle": [], "loop": [], "chain": []}
+    trial = 0
+    while min(map(len, found.values())) < count:
+        rng = trial_rng(31, trial)
+        fs = sample_fault_set(6, 4, rng)
+        if fs.size == 4 and len(found["cycle"]) < count:
+            found["cycle"].append(("cycle", fs, ()))
+        rng = trial_rng(31, trial)
+        fs = sample_fault_set(6, 3, rng)
+        if fs.size == 3:
+            u, v = sample_endpoints(rng, 6, fs)
+            engine = "loop" if u[-1] == v[-1] else "chain"
+            if len(found[engine]) < count:
+                found[engine].append(("path", fs, (u, v)))
+        trial += 1
+    return [case for cases in found.values() for case in cases]
+
+
+def _built_with_attempts(monkeypatch, cases):
+    import burntpancake.constructor as cons
+
+    made = []
+    ctx_type = cons._Ctx
+
+    def recorded():
+        made.append(ctx_type())
+        return made[-1]
+
+    monkeypatch.setattr(cons, "_Ctx", recorded)
+    out = []
+    for op, fs, ends in cases:
+        built = hamiltonian_cycle(6, fs) if op == "cycle" else hamiltonian_path(6, *ends, fs)
+        out.append((built.vertices, built.trace, made[-1].attempts))
+    return out
+
+
+def test_memo_changes_no_build(monkeypatch):
+    # full-budget n=6 builds with the memo and with it defeated give the same
+    # vertices, labels, trace details (CaseTrace equality) and attempts,
+    # first as they are, then with one fault-free BP_3 path request in
+    # about four refused, a rule that depends only on the request's own
+    # frame, so memo hits have attempts to replay
+    import burntpancake.constructor as cons
+
+    cases = _full_n6_builds(3)
+    requests = []
+    memo = cons._free_path_memo
+
+    def counted(*args):
+        requests.append(args[0])
+        return memo(*args)
+
+    path_bp3 = cons._path_bp3
+
+    def choosy(u, v, f, ctx):
+        embed = cons._leaf_view(f, u)[0]
+        if f.weight == 0 and embed(v)[1] < 0 and embed(v)[2] < 0:
+            return None
+        return path_bp3(u, v, f, ctx)
+
+    for refuse in (False, True):
+        if refuse:
+            monkeypatch.setattr(cons, "_path_bp3", choosy)
+        monkeypatch.setattr(cons, "_free_path_memo", counted)
+        with_memo = _built_with_attempts(monkeypatch, cases)
+        monkeypatch.setattr(cons, "_free_path_memo", lambda n, u, v, f, ctx: cons._path_cases(n, u, v, f, ctx))
+        without = _built_with_attempts(monkeypatch, cases)
+        assert with_memo == without
+        assert all(attempts > 0 for _, _, attempts in with_memo) == refuse
+    assert set(requests) == {4} and len(requests) > 100
+
+
+def test_memo_has_no_switch():
+    # the memo is always on: no builder parameter, no _Ctx argument, no
+    # environment variable and no command-line option turns it off
+    import inspect
+
+    import burntpancake.constructor as cons
+    from burntpancake.cli import build_parser
+
+    assert list(inspect.signature(cons._Ctx).parameters) == ["attempts", "max_attempts"]
+    assert list(inspect.signature(hamiltonian_cycle).parameters) == ["n", "fault_set"]
+    assert list(inspect.signature(hamiltonian_path).parameters) == ["n", "u", "v", "fault_set"]
+    source = Path(cons.__file__).read_text()
+    assert "environ" not in source and "getenv" not in source
+    assert "memo" not in build_parser().format_help()
+
+
+@pytest.mark.parametrize("same_subgraph", [True, False], ids=["loop", "chain"])
+def test_memo_hit_equals_a_fresh_build(same_subgraph):
+    # one fault-free level-4 request in BP_6 under suffix (5, -6), then the
+    # same request in frame under (-1, 3), where the free symbols and the
+    # suffix's order both differ: the second is a hit, and it gives what a
+    # build with an empty memo gives, path, labels and trace details (the
+    # loop engine names its split vertices, suffix and all)
+    first, second = _relabel_into(4, (5, -6)), _relabel_into(4, (-1, 3))
+    u = (2, -1, 4, 3)
+    v = (-1, -2, 4, 3) if same_subgraph else (3, 1, -2, 4)
+    ctx = _Ctx()
+    for vertex, _ in (first, second):
+        suffix = vertex((1, 2, 3, 4))[4:]
+        got = _path(4, vertex(u), vertex(v), _Faults(4, suffix=suffix), ctx)
+        assert len(ctx.memo) == 1
+    fresh = _path(4, vertex(u), vertex(v), _Faults(4, suffix=suffix), _Ctx())
+    assert got == fresh
+    assert ("L20" in got[1].labels()) == same_subgraph
