@@ -71,8 +71,8 @@ frame; with no faults to tell two fault-free requests apart, a request
 whose frame matches an earlier one is built as that one was, relabelled.
 A hit therefore lifts the stored path with one translate, moves the
 symbols its trace names and charges the attempts its miss spent.  Level
-n-1 requests barely repeat and would hold a sixth of the graph each, so
-the memo is idle at n <= 5.
+n-1 requests barely repeat, and each would hold 1/(2n) of the graph (5.2
+MB at n = 8), so they are built directly, and the memo is idle at n <= 5.
 
 Each rejected candidate costs one attempt (``_Ctx.spend``).  The call
 that finds the budget spent raises StrictModeFailure on the spot, which
