@@ -13,11 +13,13 @@ vertex).  The builders return their objects in that form, and ``cycle``
 and ``path`` hand those bytes as they are to the oracle and to
 ``artifact.render``, which writes the JSON from them, piece by piece,
 straight to the output; the text is exactly
-``json.dumps(doc, indent=2) + "\n"``.  A write that fails part way
-removes the file it was writing, then lets the error through.  ``verify`` first offers the file to
-``artifact.read_packed``, which reads only the writer's exact layout, into
-the packed form; any other file is read with ``json.load`` as it always
-was, so what is accepted, and every exit code and message, is the same.
+``json.dumps(doc, indent=2) + "\n"``.  ``--out`` is written over the
+file's old bytes (``_write_in_place``), and a write that fails part way
+removes the file, then lets the error through.  ``verify`` first offers
+the file to ``artifact.read_packed``, which reads only the writer's exact
+layout, into the packed form; any other file is read with ``json.load``
+as it always was, so what is accepted, and every exit code and message,
+is the same.
 The ``artifact`` module is imported by the commands that use it.
 """
 

@@ -538,8 +538,8 @@ def _leaf_view(f: _Faults, ref: Vertex | None = None):
     def embed(x: Vertex) -> Vertex:
         return down[x[0]], down[x[1]], down[x[2]]
 
-    removed = frozenset(map(embed, f.removed))
-    return embed, _frame_table(ref, f.suffix), removed, frozenset(edge_key(embed(a), embed(b)) for a, b in f.edge_set)
+    lift = _frame_table(ref, f.suffix)
+    return embed, lift, frozenset(map(embed, f.removed)), frozenset(edge_key(embed(a), embed(b)) for a, b in f.edge_set)
 
 
 def _cycle_bp3(f: _Faults, ctx: _Ctx):
