@@ -5,78 +5,62 @@ cycle tolerates n-2 such elements and a path between prescribed endpoints
 n-3, and both bounds are tight.  Constructions are recursive and
 deterministic; an independent oracle verifies every output structurally and
 can certify non-existence by exhaustive search at small sizes.
+
+``import burntpancake`` loads no submodule.  Each public name is looked up
+in its defining module when it is first asked for (PEP 562), so a program
+loads only the modules whose names it uses: ``verify`` never loads the
+constructor.  Nothing is stored in the package's namespace, so the package
+always returns what the defining module holds now.
 """
 
-from .bp_graph import CapabilityError
-from .constructor import (
-    BudgetExceededError,
-    CaseTrace,
-    ConstructionError,
-    NoOrderingError,
-    StrictModeFailure,
-    UsageError,
-    VertexCycle,
-    VertexPath,
-    hamiltonian_cycle,
-    hamiltonian_path,
-    order_subgraphs,
-)
-from .fault_model import FaultSet, ValidationReport, validate
-from .oracle import (
-    SearchResult,
-    SearchStatus,
-    VerificationReport,
-    exhaustive_cycle_search,
-    exhaustive_path_search,
-    tightness_witness_cycle,
-    tightness_witness_path,
-    verify_cycle,
-    verify_path,
-)
-from .signed_perm import (
-    Vertex,
-    all_vertices,
-    compose,
-    format_vertex,
-    identity,
-    inverse,
-    left_translate,
-    parse_vertex,
-    prefix_reversal,
-)
+from importlib import import_module
 
-__all__ = [
-    "BudgetExceededError",
-    "CapabilityError",
-    "CaseTrace",
-    "ConstructionError",
-    "FaultSet",
-    "NoOrderingError",
-    "SearchResult",
-    "SearchStatus",
-    "StrictModeFailure",
-    "UsageError",
-    "ValidationReport",
-    "VerificationReport",
-    "Vertex",
-    "VertexCycle",
-    "VertexPath",
-    "all_vertices",
-    "compose",
-    "exhaustive_cycle_search",
-    "exhaustive_path_search",
-    "format_vertex",
-    "hamiltonian_cycle",
-    "hamiltonian_path",
-    "identity",
-    "inverse",
-    "left_translate",
-    "order_subgraphs",
-    "parse_vertex",
-    "prefix_reversal",
-    "tightness_witness_cycle",
-    "tightness_witness_path",
-    "validate",
-    "verify_cycle",
-    "verify_path",
-]
+# each public name, and the module that defines it
+_EXPORTS = {
+    "BudgetExceededError": "errors",
+    "CapabilityError": "bp_graph",
+    "CaseTrace": "constructor",
+    "ConstructionError": "errors",
+    "FaultSet": "fault_model",
+    "NoOrderingError": "errors",
+    "SearchResult": "oracle",
+    "SearchStatus": "oracle",
+    "StrictModeFailure": "errors",
+    "UsageError": "errors",
+    "ValidationReport": "fault_model",
+    "VerificationReport": "oracle",
+    "Vertex": "signed_perm",
+    "VertexCycle": "constructor",
+    "VertexPath": "constructor",
+    "all_vertices": "signed_perm",
+    "compose": "signed_perm",
+    "exhaustive_cycle_search": "oracle",
+    "exhaustive_path_search": "oracle",
+    "format_vertex": "signed_perm",
+    "hamiltonian_cycle": "constructor",
+    "hamiltonian_path": "constructor",
+    "identity": "signed_perm",
+    "inverse": "signed_perm",
+    "left_translate": "signed_perm",
+    "order_subgraphs": "constructor",
+    "parse_vertex": "signed_perm",
+    "prefix_reversal": "signed_perm",
+    "tightness_witness_cycle": "oracle",
+    "tightness_witness_path": "oracle",
+    "validate": "fault_model",
+    "verify_cycle": "oracle",
+    "verify_path": "oracle",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

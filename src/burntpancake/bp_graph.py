@@ -109,6 +109,9 @@ def is_adjacent(u: Vertex, v: Vertex) -> bool:
 
 # Bytes a vertex in the packed form; an n=8 vertex has no padding.
 PACKED_WIDTH = 8
+# The largest n that the builders and the commands accept; an n=8 vertex
+# fills a packed record.
+SOFT_DIMENSION_LIMIT = 8
 # Steps per block of the column test; a block packs 32 776 bytes.
 _WALK_BLOCK = 1 << 12
 # Byte of -x for the byte of x, in two's complement (exact except for -128).

@@ -20,7 +20,15 @@ the file to ``artifact.read_packed``, which reads only the writer's exact
 layout, into the packed form; any other file is read with ``json.load``
 as it always was, so what is accepted, and every exit code and message,
 is the same.
-The ``artifact`` module is imported by the commands that use it.
+
+Each command imports the modules it runs and no others: ``cycle`` and
+``path`` import ``constructor``, ``fuzz`` imports ``fuzz`` (and through it
+``constructor``), and the commands that write or read artifacts import
+``artifact``.  The exceptions that ``main`` maps to exit codes are in
+``errors`` and ``SOFT_DIMENSION_LIMIT`` is in ``bp_graph``, so ``verify``,
+``stats`` and ``tightness`` never load the constructor.  That matters
+because a fresh interpreter without a bytecode cache compiles every module
+it loads, and ``constructor`` is the largest.
 """
 
 from __future__ import annotations
@@ -31,16 +39,9 @@ import sys
 from itertools import chain
 
 from . import bp_graph, oracle
-from .constructor import (
-    SOFT_DIMENSION_LIMIT,
-    BudgetExceededError,
-    StrictModeFailure,
-    UsageError,
-    hamiltonian_cycle,
-    hamiltonian_path,
-)
+from .bp_graph import SOFT_DIMENSION_LIMIT
+from .errors import BudgetExceededError, StrictModeFailure, UsageError
 from .fault_model import FaultSet, validate
-from .fuzz import run_fuzz
 from .signed_perm import all_vertices, format_vertex, int_symbols, parse_vertex
 
 EXIT_OK = 0
@@ -147,12 +148,16 @@ def _write_in_place(path: str, pieces) -> None:
 
 
 def cmd_cycle(args) -> int:
+    from .constructor import hamiltonian_cycle
+
     fs = _load_faults(args.faults, args.n)
     built = hamiltonian_cycle(args.n, fs)
     return _emit_verified(args, "cycle", built, oracle.verify_cycle(args.n, fs, built.packed))
 
 
 def cmd_path(args) -> int:
+    from .constructor import hamiltonian_path
+
     fs = _load_faults(args.faults, args.n)
     u = parse_vertex(args.source, args.n)
     v = parse_vertex(args.target, args.n)
@@ -204,6 +209,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    from .fuzz import run_fuzz
+
     if args.trials < 1:
         raise UsageError("trials must be >= 1")
     if not 3 <= args.n <= SOFT_DIMENSION_LIMIT:

@@ -86,19 +86,28 @@ trace.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from operator import neg
+from typing import NamedTuple
 
 from . import bp_graph
 from .bp3_fixtures import FREE_PATHS, LEAF_CYCLES, PAIR_CYCLES
 from .bp_graph import (
+    SOFT_DIMENSION_LIMIT,  # re-exported
     Edge,
     edge_dimension,
     edge_key,
     index_sort_key,
     iter_cross_edges,
     subgraph_indices,
+)
+from .errors import (  # re-exported: the package's exceptions, as the same objects
+    BudgetExceededError,
+    ConstructionError,
+    InternalInvariantError,
+    NoOrderingError,
+    StrictModeFailure,
+    UsageError,
 )
 from .fault_model import FaultSet, validate
 from .signed_perm import (
@@ -114,42 +123,28 @@ Pair = Edge
 _WIDTH = bp_graph.PACKED_WIDTH  # bytes a vertex in the packed form
 
 
-class UsageError(ValueError):
-    """A caller violated an operation's preconditions."""
-
-
-class BudgetExceededError(UsageError):
-    """The fault set is larger than the operation's tolerance."""
-
-
-class ConstructionError(RuntimeError):
-    def __init__(self, message: str, trace: "CaseTrace | None" = None):
-        super().__init__(message)
-        self.trace = trace
-
-
-class StrictModeFailure(ConstructionError):
-    """No construction found: a prescribed candidate scan came up empty, or
-    the attempt budget ran out."""
-
-
-class NoOrderingError(ConstructionError):
-    """No complement-free arrangement of the requested subgraph indices."""
-
-
-class InternalInvariantError(ConstructionError):
-    """A guarantee the case dispatch should enforce failed; an internal bug."""
-
-
 # ---------------------------------------------------------------------------
 # case traces
 
 
-@dataclass
 class CaseTrace:
-    label: str
-    detail: dict = field(default_factory=dict)
-    children: list["CaseTrace"] = field(default_factory=list)
+    """A case label, its details and the traces of the sub-builds under it.
+    Compared field by field; mutable, so unhashable."""
+
+    __hash__ = None
+
+    def __init__(self, label: str, detail: dict | None = None, children: list[CaseTrace] | None = None):
+        self.label = label
+        self.detail = {} if detail is None else detail
+        self.children = [] if children is None else children
+
+    def __repr__(self) -> str:
+        return f"CaseTrace(label={self.label!r}, detail={self.detail!r}, children={self.children!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not CaseTrace:
+            return NotImplemented
+        return (self.label, self.detail, self.children) == (other.label, other.detail, other.children)
 
     def labels(self) -> list[str]:
         out = [self.label]
@@ -158,8 +153,7 @@ class CaseTrace:
         return out
 
 
-@dataclass(frozen=True)
-class VertexPath:
+class VertexPath(NamedTuple):
     """A Hamiltonian path of BP_n, held as its packed sequence."""
 
     n: int
@@ -176,8 +170,7 @@ class VertexPath:
         return bp_graph.unpack_at(self.n, self.packed, 0), bp_graph.unpack_at(self.n, self.packed, -1)
 
 
-@dataclass(frozen=True)
-class VertexCycle:
+class VertexCycle(NamedTuple):
     """A Hamiltonian cycle of BP_n, held as its packed sequence."""
 
     n: int
@@ -194,13 +187,40 @@ class VertexCycle:
 # extended fault bookkeeping
 
 
-@dataclass(frozen=True)
 class _Faults:
-    n: int
-    pairs: tuple[Pair, ...] = ()
-    singles: tuple[Vertex, ...] = ()
-    edges: tuple[Pair, ...] = ()
-    suffix: Vertex = ()  # the symbols every vertex of this level ends in
+    """The faults of one level: ``n``, ``pairs``, ``singles``, ``edges``
+    and ``suffix`` (the symbols every vertex of this level ends in).
+
+    Immutable, compared and hashed by those fields.  The cached properties
+    below store their values in the instance's ``__dict__`` directly.
+    """
+
+    def __init__(self, n: int, pairs: tuple[Pair, ...] = (), singles: tuple[Vertex, ...] = (),
+                 edges: tuple[Pair, ...] = (), suffix: Vertex = ()):
+        self.__dict__.update(n=n, pairs=pairs, singles=singles, edges=edges, suffix=suffix)
+
+    def _key(self) -> tuple:
+        return self.n, self.pairs, self.singles, self.edges, self.suffix
+
+    def __repr__(self) -> str:
+        return (
+            f"_Faults(n={self.n!r}, pairs={self.pairs!r}, singles={self.singles!r}, "
+            f"edges={self.edges!r}, suffix={self.suffix!r})"
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not _Faults:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @staticmethod
     def from_fault_set(fs: FaultSet) -> "_Faults":
@@ -245,13 +265,16 @@ class _Faults:
         return bool(self.singles) or any(a[p] != b[p] for a, b in self.pairs)
 
     def without_pair(self, pair: Pair) -> "_Faults":
-        return replace(self, pairs=tuple(p for p in self.pairs if p != pair))
+        pairs = tuple(p for p in self.pairs if p != pair)
+        return _Faults(self.n, pairs, self.singles, self.edges, self.suffix)
 
     def without_single(self, v: Vertex) -> "_Faults":
-        return replace(self, singles=tuple(s for s in self.singles if s != v))
+        singles = tuple(s for s in self.singles if s != v)
+        return _Faults(self.n, self.pairs, singles, self.edges, self.suffix)
 
     def without_edge(self, e: Pair) -> "_Faults":
-        return replace(self, edges=tuple(x for x in self.edges if x != e))
+        edges = tuple(x for x in self.edges if x != e)
+        return _Faults(self.n, self.pairs, self.singles, edges, self.suffix)
 
 
 def _weights(f: _Faults) -> dict[int, int]:
@@ -296,12 +319,25 @@ def _restrict_embed(f: _Faults, i: int) -> _Faults:
 # construction context
 
 
-@dataclass
 class _Ctx:
-    attempts: int = 0
-    max_attempts: int = 200_000
-    # fault-free paths of this build, in frame form (``_free_path_memo``)
-    memo: dict = field(default_factory=dict, init=False, repr=False)
+    """One build's attempt count, budget and memo; compared field by field,
+    the memo included, though the repr leaves it out."""
+
+    __hash__ = None
+
+    def __init__(self, attempts: int = 0, max_attempts: int = 200_000):
+        self.attempts = attempts
+        self.max_attempts = max_attempts
+        # fault-free paths of this build, in frame form (``_free_path_memo``)
+        self.memo: dict = {}
+
+    def __repr__(self) -> str:
+        return f"_Ctx(attempts={self.attempts!r}, max_attempts={self.max_attempts!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not _Ctx:
+            return NotImplemented
+        return (self.attempts, self.max_attempts, self.memo) == (other.attempts, other.max_attempts, other.memo)
 
     def failure(self, why: str) -> StrictModeFailure:
         """The failure of a build that found nothing, naming why it stopped."""
@@ -1016,7 +1052,8 @@ def _cycle_case3_single(n: int, f: _Faults, ctx: _Ctx, istar: int, sv: Vertex):
     else:
         # sv's pair straddles two subgraphs: its partner outside stays avoided
         other = pair[0] if pair[1] == sv else pair[1]
-        reduced = replace(f.without_pair(pair), singles=tuple(sorted({*f.singles, other})))
+        pairs = tuple(p for p in f.pairs if p != pair)
+        reduced = _Faults(f.n, pairs, tuple(sorted({*f.singles, other})), f.edges, f.suffix)
     c1 = _subgraph(n, istar, reduced, ctx)
     if c1 is None:
         return None
@@ -1628,9 +1665,6 @@ def _check_output(n: int, f: _Faults, packed: bytes, closed: bool, u=None, v=Non
                 raise InternalInvariantError(f"non-adjacent step {format_vertex(a)} -> {format_vertex(b)}")
     if not closed and packed[:width] + packed[-width:] != bp_graph.pack(n, (u, v)):
         raise InternalInvariantError("wrong path endpoints")
-
-
-SOFT_DIMENSION_LIMIT = 8
 
 
 def _public_input(n: int, fault_set: FaultSet, bound: int, u=None, v=None):

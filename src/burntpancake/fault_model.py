@@ -9,9 +9,8 @@ any removed vertex.  ``|F|`` counts elements, not vertices.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import bp_graph
 from .signed_perm import Vertex, check_vertex, format_vertex, int_symbols
@@ -24,8 +23,7 @@ def _canon_pair(a: Iterable[int], b: Iterable[int], n: int) -> Pair:
     return (va, vb) if va <= vb else (vb, va)
 
 
-@dataclass(frozen=True)
-class FaultSet:
+class FaultSet(NamedTuple):
     """Immutable, canonically ordered hybrid fault set for ``BP_n``."""
 
     n: int
@@ -79,8 +77,7 @@ class FaultSet:
         return FaultSet.from_json_dict(json.loads(text))
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str
     element: str
     detail: str
@@ -89,8 +86,7 @@ class Violation:
         return f"{self.kind} {self.element}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     violations: tuple[Violation, ...] = ()
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
 
 from . import bp_graph, oracle
 from .constructor import StrictModeFailure, hamiltonian_cycle, hamiltonian_path
@@ -76,19 +75,52 @@ def sample_endpoints(rng: random.Random, n: int, fault_set: FaultSet) -> tuple[V
             return u, v
 
 
-@dataclass
 class FuzzReport:
-    n: int
-    op: str
-    seed: int
-    max_faults: int
-    trials: int = 0
-    successes: int = 0
-    verification_failures: int = 0
-    strict_failures: int = 0
-    case_histogram: dict[str, int] = field(default_factory=dict)
-    failures: list[dict] = field(default_factory=list)
-    wall_time: float = 0.0
+    """One campaign's counts, case histogram and failures.  Compared field
+    by field; mutable, so unhashable."""
+
+    _FIELDS = (
+        "n", "op", "seed", "max_faults", "trials", "successes", "verification_failures", "strict_failures",
+        "case_histogram", "failures", "wall_time",
+    )
+    __hash__ = None
+
+    def __init__(
+        self,
+        n: int,
+        op: str,
+        seed: int,
+        max_faults: int,
+        trials: int = 0,
+        successes: int = 0,
+        verification_failures: int = 0,
+        strict_failures: int = 0,
+        case_histogram: dict[str, int] | None = None,
+        failures: list[dict] | None = None,
+        wall_time: float = 0.0,
+    ):
+        self.n = n
+        self.op = op
+        self.seed = seed
+        self.max_faults = max_faults
+        self.trials = trials
+        self.successes = successes
+        self.verification_failures = verification_failures
+        self.strict_failures = strict_failures
+        self.case_histogram = {} if case_histogram is None else case_histogram
+        self.failures = [] if failures is None else failures
+        self.wall_time = wall_time
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def __repr__(self) -> str:
+        return "FuzzReport(" + ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS) + ")"
+
+    def __eq__(self, other):
+        if other.__class__ is not FuzzReport:
+            return NotImplemented
+        return self._values() == other._values()
 
     @property
     def ok(self) -> bool:

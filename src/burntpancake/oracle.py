@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import struct
 import time
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import bp_graph
 from .fault_model import FaultSet
@@ -29,8 +28,7 @@ SEARCH_LIMIT = 4
 CONNECTIVITY_STRIDE = 32
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     ok: bool
     violations: tuple[tuple[str, int, str], ...] = ()
 
@@ -207,8 +205,7 @@ class SearchStatus(Enum):
     TIMEOUT = "timeout"
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     status: SearchStatus
     vertices: tuple[Vertex, ...] = ()
     nodes_expanded: int = 0

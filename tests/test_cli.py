@@ -139,10 +139,10 @@ def test_fuzz_exit_codes_and_determinism(tmp_path, capsys):
 def test_fuzz_checks_each_budget_before_any_trial(monkeypatch, capsys):
     # --op both at the cycle budget is past the path budget: exit 4 with one
     # line on stderr before the cycle campaign runs a trial
-    import burntpancake.cli as cli
+    import burntpancake.fuzz as fuzz
 
     campaigns = []
-    monkeypatch.setattr(cli, "run_fuzz", lambda *args, **kwargs: campaigns.append(args))
+    monkeypatch.setattr(fuzz, "run_fuzz", lambda *args, **kwargs: campaigns.append(args))
     assert main(["fuzz", "--n", "4", "--trials", "1000", "--max-faults", "2", "--op", "both"]) == 4
     out, err = capsys.readouterr()
     assert out == "" and campaigns == []
@@ -246,13 +246,13 @@ def test_tightness_rejects_n_outside_limit(n, monkeypatch, capsys):
 
 
 def test_strict_failure_exit_code(tmp_path, monkeypatch):
-    import burntpancake.cli as cli
+    import burntpancake.constructor as constructor
     from burntpancake.constructor import StrictModeFailure
 
     def boom(*args, **kwargs):
         raise StrictModeFailure("forced")
 
-    monkeypatch.setattr(cli, "hamiltonian_cycle", boom)
+    monkeypatch.setattr(constructor, "hamiltonian_cycle", boom)
     assert main(["cycle", "--n", "3"]) == 3
 
 
