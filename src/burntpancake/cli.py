@@ -1,8 +1,9 @@
 """Command-line front end: construct, verify, fuzz, count, and witness.
 
-Exit codes: 0 success, 1 verification or absence failure, 2 invalid input,
-3 strict-mode construction failure, 4 fault budget exceeded, 5 out of memory
-(a ``MemoryError`` anywhere in a command, reported in one line on stderr).
+Exit codes: 0 success, 1 verification or absence failure, 2 invalid input
+(an ``--out`` that cannot be written among it), 3 strict-mode construction
+failure, 4 fault budget exceeded, 5 out of memory (a ``MemoryError``
+anywhere in a command, reported in one line on stderr).
 
 Every emitted construction is self-verified against the oracle before the
 process can exit 0.  Reports and artifacts are deterministic for a fixed
@@ -15,7 +16,8 @@ and ``path`` hand those bytes as they are to the oracle and to
 straight to the output; the text is exactly
 ``json.dumps(doc, indent=2) + "\n"``.  ``--out`` is written over the
 file's old bytes (``_write_in_place``), and a write that fails part way
-removes the file, then lets the error through.  ``verify`` first offers
+removes the file, then lets the error through; every command with
+``--out`` writes through it.  ``verify`` first offers
 the file to ``artifact.read_packed``, which reads only the writer's exact
 layout, into the packed form; any other file is read with ``json.load``
 as it always was, so what is accepted, and every exit code and message,
@@ -73,8 +75,7 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_in_place(out, [text.encode()])
 
 
 def _artifact_doc(kind: str, n: int, trace, extra: dict | None) -> dict:
@@ -130,21 +131,26 @@ def _write_in_place(path: str, pieces) -> None:
     system mounted with ``discard`` took 30-90 ms for a 3 MB artifact,
     against under 1 ms to write over them.  If writing fails (say a
     ``MemoryError`` while rendering), a regular file is removed before the
-    error goes on, so no part-written artifact is left behind.
+    error goes on, so no part-written artifact is left behind.  A path that
+    cannot be written (a directory, a missing directory, a full device) is
+    invalid input: ``UsageError`` naming the path and the reason.
     """
     import os
 
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
-        regular = os.path.isfile(path)  # not a device such as /dev/null
-        try:
-            fh.writelines(pieces)
-            if regular:
-                fh.truncate()
-        except BaseException:
-            fh.close()
-            if regular:
-                os.remove(path)
-            raise
+    try:
+        with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+            regular = os.path.isfile(path)  # not a device such as /dev/null
+            try:
+                fh.writelines(pieces)
+                if regular:
+                    fh.truncate()
+            except BaseException:
+                fh.close()
+                if regular:
+                    os.remove(path)
+                raise
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def cmd_cycle(args) -> int:
@@ -308,9 +314,7 @@ def cmd_tightness(args) -> int:
             "path_witness": path_witness.to_json_dict(),
             "path_endpoints": [list(x), list(y)],
         }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        _emit(json.dumps(doc, indent=2) + "\n", args.out)
     return EXIT_OK if ok else EXIT_VERIFY
 
 

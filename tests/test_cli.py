@@ -368,6 +368,26 @@ def test_failed_write_leaves_no_artifact(existing, tmp_path, monkeypatch, capsys
     assert capsys.readouterr().err.startswith("out of memory: ")
 
 
+UNWRITABLE_OUT = {
+    "cycle json": ["cycle", "--n", "3"],
+    "cycle text": ["cycle", "--n", "3", "--format", "text"],
+    "path json": ["path", "--n", "3", "--source", "1,2,3", "--target=-1,2,3"],
+    "path text": ["path", "--n", "3", "--source", "1,2,3", "--target=-1,2,3", "--format", "text"],
+    "fuzz": ["fuzz", "--n", "3", "--trials", "2", "--max-faults", "0", "--op", "cycle"],
+    "tightness": ["tightness", "--n", "3"],
+}
+
+
+@pytest.mark.parametrize("argv", UNWRITABLE_OUT.values(), ids=UNWRITABLE_OUT.keys())
+def test_unwritable_out_is_invalid_input(argv, tmp_path, capsys):
+    # a directory, or a file in a missing directory, as --out: exit 2 with
+    # one line naming the path, not a traceback and exit 1
+    for out, reason in ((tmp_path, "Is a directory"), (tmp_path / "no" / "a.json", "No such file or directory")):
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"invalid input: cannot write {out}: {reason}\n"
+    assert sorted(tmp_path.iterdir()) == []
+
+
 def test_artifact_written_over_a_longer_file(tmp_path):
     # the artifact is written over what the file held and cut to its length
     fresh, reused = tmp_path / "fresh.json", tmp_path / "reused.json"
