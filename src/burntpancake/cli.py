@@ -16,8 +16,9 @@ and ``path`` hand those bytes as they are to the oracle and to
 straight to the output; the text is exactly
 ``json.dumps(doc, indent=2) + "\n"``.  ``--out`` is written over the
 file's old bytes (``_write_in_place``), and a write that fails part way
-removes the file, then lets the error through; every command with
-``--out`` writes through it.  ``verify`` first offers
+removes the file, then lets the error through; a path that cannot be
+written is invalid input.  Every command with ``--out`` writes through
+it.  ``verify`` first offers
 the file to ``artifact.read_packed``, which reads only the writer's exact
 layout, into the packed form; any other file is read with ``json.load``
 as it always was, so what is accepted, and every exit code and message,

@@ -129,7 +129,7 @@ _WIDTH = bp_graph.PACKED_WIDTH  # bytes a vertex in the packed form
 
 class CaseTrace:
     """A case label, its details and the traces of the sub-builds under it.
-    Compared field by field; mutable, so unhashable."""
+    Compared attribute by attribute; mutable, so unhashable."""
 
     __hash__ = None
 
@@ -144,7 +144,7 @@ class CaseTrace:
     def __eq__(self, other):
         if other.__class__ is not CaseTrace:
             return NotImplemented
-        return (self.label, self.detail, self.children) == (other.label, other.detail, other.children)
+        return vars(self) == vars(other)
 
     def labels(self) -> list[str]:
         out = [self.label]
@@ -195,8 +195,14 @@ class _Faults:
     below store their values in the instance's ``__dict__`` directly.
     """
 
-    def __init__(self, n: int, pairs: tuple[Pair, ...] = (), singles: tuple[Vertex, ...] = (),
-                 edges: tuple[Pair, ...] = (), suffix: Vertex = ()):
+    def __init__(
+        self,
+        n: int,
+        pairs: tuple[Pair, ...] = (),
+        singles: tuple[Vertex, ...] = (),
+        edges: tuple[Pair, ...] = (),
+        suffix: Vertex = (),
+    ):
         self.__dict__.update(n=n, pairs=pairs, singles=singles, edges=edges, suffix=suffix)
 
     def _key(self) -> tuple:
@@ -320,8 +326,8 @@ def _restrict_embed(f: _Faults, i: int) -> _Faults:
 
 
 class _Ctx:
-    """One build's attempt count, budget and memo; compared field by field,
-    the memo included, though the repr leaves it out."""
+    """One build's attempt count, budget and memo; compared attribute by
+    attribute, the memo included, though the repr leaves it out."""
 
     __hash__ = None
 
@@ -337,7 +343,7 @@ class _Ctx:
     def __eq__(self, other):
         if other.__class__ is not _Ctx:
             return NotImplemented
-        return (self.attempts, self.max_attempts, self.memo) == (other.attempts, other.max_attempts, other.memo)
+        return vars(self) == vars(other)
 
     def failure(self, why: str) -> StrictModeFailure:
         """The failure of a build that found nothing, naming why it stopped."""

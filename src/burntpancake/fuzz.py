@@ -76,13 +76,10 @@ def sample_endpoints(rng: random.Random, n: int, fault_set: FaultSet) -> tuple[V
 
 
 class FuzzReport:
-    """One campaign's counts, case histogram and failures.  Compared field
-    by field; mutable, so unhashable."""
+    """One campaign's counts, case histogram and failures.  Its attributes
+    are the fields set in ``__init__``, compared one by one; mutable, so
+    unhashable."""
 
-    _FIELDS = (
-        "n", "op", "seed", "max_faults", "trials", "successes", "verification_failures", "strict_failures",
-        "case_histogram", "failures", "wall_time",
-    )
     __hash__ = None
 
     def __init__(
@@ -111,16 +108,13 @@ class FuzzReport:
         self.failures = [] if failures is None else failures
         self.wall_time = wall_time
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._FIELDS)
-
     def __repr__(self) -> str:
-        return "FuzzReport(" + ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS) + ")"
+        return "FuzzReport(" + ", ".join(f"{name}={value!r}" for name, value in vars(self).items()) + ")"
 
     def __eq__(self, other):
         if other.__class__ is not FuzzReport:
             return NotImplemented
-        return self._values() == other._values()
+        return vars(self) == vars(other)
 
     @property
     def ok(self) -> bool:
