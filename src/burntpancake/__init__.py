@@ -7,8 +7,8 @@ deterministic; an independent oracle verifies every output structurally and
 can certify non-existence by exhaustive search at small sizes.
 
 ``import burntpancake`` loads no submodule.  Each public name is looked up
-in its defining module when it is first asked for (PEP 562), so a program
-loads only the modules whose names it uses: ``verify`` never loads the
+in its defining module when it is asked for (PEP 562), so a program loads
+only the modules whose names it uses: ``verify`` never loads the
 constructor.  Nothing is stored in the package's namespace, so the package
 always returns what the defining module holds now.
 """
