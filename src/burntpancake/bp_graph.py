@@ -23,9 +23,9 @@ was there), so one comparison of the first k symbols decides.  It is the
 reference, and it names the bad step when a check fails.  The column test
 answers the same question for every step of a whole sequence at once: it
 compares columns of a packed sequence as big integers, with no Python call
-per step.  It has two entry points: :func:`is_walk` packs tuples, for the
-oracle on tuples, and :func:`is_packed_walk` reads a packed sequence as it
-is, for the constructor's self-check and the oracle on the packed form.
+per step.  :func:`is_packed_walk` runs it on a packed sequence as it lies,
+for the constructor's self-check and the oracle; both decide on the bytes
+and use tuples only to name what is wrong.
 
 The packed form of a vertex of BP_n, n <= :data:`PACKED_WIDTH`, is
 ``PACKED_WIDTH`` signed bytes: its n symbols, then zero padding.  A packed
@@ -34,7 +34,7 @@ sequence is its vertices' records one after another (:func:`pack`,
 the records can serve as 8-byte keys, found with :func:`record_index`.
 The constructor assembles its cycles and paths in this form, so the
 record helpers here (:func:`iter_unpack`, :func:`unpack_at`,
-:func:`reverse_records`, :func:`packed_edge_steps`) serve both it and the
+:func:`reverse_records`, :func:`packed_edge_used`) serve both it and the
 oracle.
 Cross edges between two subgraphs are produced lazily by
 :func:`iter_cross_edges`, already in lexicographic order, so a caller that
@@ -46,7 +46,7 @@ from __future__ import annotations
 import struct
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain, islice, starmap
+from itertools import starmap
 from math import factorial
 from operator import neg
 
@@ -176,87 +176,53 @@ def reverse_records(packed: bytes) -> bytes:
     return memoryview(packed).cast("q")[::-1].tobytes()
 
 
-def packed_edge_steps(packed: bytes, a: bytes, b: bytes, closed: bool) -> list[int]:
-    """:func:`edge_steps` on a packed sequence, for the records a and b:
-    the steps that run between them, ascending."""
+def packed_edge_used(packed: bytes, a: bytes, b: bytes, closed: bool) -> bool:
+    """Whether a step of a packed sequence runs between the records a and
+    b, the last record stepping to the first when ``closed``.  Only the
+    first record equal to ``a`` is looked at, so the sequence must not
+    repeat a vertex."""
     pos = record_index(packed, a)
     if pos < 0:
-        return []
+        return False
     size = len(packed) // PACKED_WIDTH
-    steps = []
-    for step, other in (((pos - 1) % size, pos - 1), (pos, pos + 1)):
+    for other in (pos - 1, pos + 1):
         at = other % size * PACKED_WIDTH
         if (0 <= other < size or closed) and packed[at : at + PACKED_WIDTH] == b:
-            steps.append(step)
-    return sorted(steps)
-
-
-def _is_signed_perm(v: Sequence[int], n: int) -> bool:
-    return sorted(map(abs, v)) == list(range(1, n + 1))
-
-
-def is_walk(n: int, vertices: Sequence[Vertex], closed: bool) -> bool:
-    """Whether every step of ``vertices`` joins adjacent vertices: exactly
-    ``all(map(is_adjacent, vertices, successors))``, where the successors
-    are ``vertices[1:]``, followed by ``vertices[0]`` when ``closed``.
-
-    Fast path.  When ``vertices[0]`` is a tuple that is a signed permutation
-    of 1..n, n <= :data:`PACKED_WIDTH`, the steps are packed and tested a
-    block of :data:`_WALK_BLOCK` at a time (:func:`_prefix_reversal_steps`),
-    blocks overlapping by one vertex, and the answer is whether each step is
-    an exact prefix reversal: some k with ``v[j] == -u[k-1-j]`` for j < k
-    and ``v[j] == u[j]`` for j >= k.  A block whose entries are not all
-    tuples, or do not each pack into n signed bytes (``struct.error``: a
-    wrong length, floats, values outside -128..127), and input that breaks
-    the guard itself (``TypeError``), leave the fast path for the per-step
-    loop.
-
-    Why the answers agree.  Every step the fast path accepts is an exact
-    prefix reversal of its first vertex, and a prefix reversal of a signed
-    permutation of 1..n is one too; so, from the valid first vertex, every
-    vertex up to the first rejected step is valid, and byte negation, exact
-    on valid symbols, was exact wherever it decided.  For a valid ``u``,
-    ``_dimension(u, v)`` is nonzero exactly when v is some prefix reversal
-    of u (the module docstring's argument), so every accepted step is
-    accepted by :func:`is_adjacent`, and the first rejected one is rejected
-    by it.  The first-vertex guard is needed: ``(1, -1, 3)`` is its own
-    2-prefix reversal, a step that the column test accepts and
-    :func:`is_adjacent` rejects.  Symbols compare by value on both paths
-    (``True`` packs, and compares, as 1).
-    """
-    size = len(vertices)
-    steps = size if closed else size - 1
-    try:
-        first = vertices[0] if size else None
-        if type(first) is tuple and len(first) == n <= PACKED_WIDTH and _is_signed_perm(first, n):
-            record = _record(n).pack
-            for start in range(0, steps, _WALK_BLOCK):
-                block = vertices[start : start + _WALK_BLOCK + 1]
-                if closed and start + _WALK_BLOCK >= size:
-                    block = [*block, first]
-                if set(map(type, block)) != {tuple}:
-                    break
-                if not _prefix_reversal_steps(n, b"".join(starmap(record, block))):
-                    return False
-            else:
-                return True
-    except (struct.error, TypeError):
-        pass
-    successors = islice(vertices, 1, None)
-    if closed:
-        successors = chain(successors, vertices[:1])
-    return all(map(is_adjacent, vertices, successors))
+            return True
+    return False
 
 
 def is_packed_walk(n: int, packed: bytes, closed: bool) -> bool:
-    """``is_walk(n, unpack(n, packed), closed)``, read off the packed
-    sequence: when its first vertex is a signed permutation of 1..n, the
-    column test runs on the records as they lie, a block at a time, and the
-    argument of :func:`is_walk` carries over (a record's bytes are its
-    symbols, so nothing can fail to pack); otherwise the tuples decide."""
+    """Whether every step of a packed sequence of BP_n joins adjacent
+    vertices: exactly ``all(map(is_adjacent, vertices, successors))`` on
+    ``vertices = unpack(n, packed)``, where the successors are
+    ``vertices[1:]``, followed by ``vertices[0]`` when ``closed``.
+
+    When the first vertex is a signed permutation of 1..n, the column test
+    (:func:`_prefix_reversal_steps`) runs on the records as they lie, a
+    block of :data:`_WALK_BLOCK` steps at a time, blocks overlapping by one
+    vertex, and the answer is whether each step is an exact prefix
+    reversal: some k with ``v[j] == -u[k-1-j]`` for j < k and
+    ``v[j] == u[j]`` for j >= k.  Otherwise the decoded steps go through
+    :func:`is_adjacent` one by one.
+
+    Why the answers agree.  Every step the column test accepts is an exact
+    prefix reversal of its first vertex, and a prefix reversal of a signed
+    permutation of 1..n is one too; so, from the valid first vertex, every
+    vertex up to the first rejected step is valid, and byte negation, exact
+    on valid symbols (not on -128), was exact wherever it decided.  For a
+    valid ``u``, ``_dimension(u, v)`` is nonzero exactly when v is some
+    prefix reversal of u (the module docstring's argument), so every
+    accepted step is accepted by :func:`is_adjacent`, and the first
+    rejected one is rejected by it.  The first-vertex guard is needed:
+    ``(1, -1, 3)`` is its own 2-prefix reversal, a step that the column
+    test accepts and :func:`is_adjacent` rejects.  A record's bytes are
+    its symbols, so the decoded tuples are what the column test read.
+    """
     size = _records(n, packed)
-    if not size or not _is_signed_perm(struct.unpack_from(f"{n}b", packed), n):
-        return is_walk(n, unpack(n, packed), closed)
+    if not size or sorted(map(abs, struct.unpack_from(f"{n}b", packed))) != list(range(1, n + 1)):
+        vertices = unpack(n, packed)
+        return all(map(is_adjacent, vertices, vertices[1:] + vertices[:1] if closed else vertices[1:]))
     steps = size if closed else size - 1
     span = _WALK_BLOCK * PACKED_WIDTH
     for start in range(0, steps * PACKED_WIDTH, span):
@@ -301,26 +267,6 @@ def _prefix_reversal_steps(n: int, flat: bytes) -> bool:
         failing &= ((mismatch & low) + low | mismatch) & high
         suffix |= v[k - 1] ^ u[k - 1]
     return not failing
-
-
-def edge_steps(vertices: Sequence[Vertex], a: Vertex, b: Vertex, closed: bool) -> list[int]:
-    """The steps of ``vertices`` that run between a and b, ascending.
-
-    Step p runs from ``vertices[p]`` to the next vertex; when ``closed``,
-    the last step wraps round to the first vertex.  Only the first position
-    of ``a`` is looked at, so the sequence must not repeat a vertex.
-    """
-    try:
-        pos = vertices.index(a)
-    except ValueError:
-        return []
-    size = len(vertices)
-    steps = []
-    if (pos > 0 or closed) and vertices[pos - 1] == b:
-        steps.append((pos - 1) % size)
-    if (pos < size - 1 or closed) and vertices[(pos + 1) % size] == b:
-        steps.append(pos)
-    return sorted(steps)
 
 
 def subgraph_indices(n: int) -> list[int]:

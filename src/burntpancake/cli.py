@@ -14,11 +14,11 @@ vertex).  The builders return their objects in that form, and ``cycle``
 and ``path`` hand those bytes as they are to the oracle and to
 ``artifact.render``, which writes the JSON from them, piece by piece,
 straight to the output; the text is exactly
-``json.dumps(doc, indent=2) + "\n"``.  ``--out`` is written over the
-file's old bytes (``_write_in_place``), and a write that fails part way
-removes the file, then lets the error through; a path that cannot be
-written is invalid input.  Every command with ``--out`` writes through
-it.  ``verify`` first offers
+``json.dumps(doc, indent=2) + "\n"``.  ``--out`` is opened before any
+work (``_open_out``; a file it made and nothing wrote is removed), then
+written over its old bytes (``_write_in_place``); a write that fails part
+way removes the file, then lets the error through; a path that cannot be
+written is invalid input.  ``verify`` first offers
 the file to ``artifact.read_packed``, which reads only the writer's exact
 layout, into the packed form; any other file is read with ``json.load``
 as it always was, so what is accepted, and every exit code and message,
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import chain
 
@@ -136,8 +137,6 @@ def _write_in_place(path: str, pieces) -> None:
     cannot be written (a directory, a missing directory, a full device) is
     invalid input: ``UsageError`` naming the path and the reason.
     """
-    import os
-
     try:
         with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
             regular = os.path.isfile(path)  # not a device such as /dev/null
@@ -152,6 +151,18 @@ def _write_in_place(path: str, pieces) -> None:
                 raise
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _open_out(path: str) -> bool:
+    """Open ``path`` as ``_write_in_place`` will, before the command does
+    its work, so that a path that cannot be written fails at once
+    (``UsageError``); True when the open made the file."""
+    made = not os.path.lexists(path)
+    try:
+        os.close(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666))
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    return made
 
 
 def cmd_cycle(args) -> int:
@@ -372,7 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    out = getattr(args, "out", None)
+    made = False
     try:
+        made = out is not None and _open_out(out)
         return args.func(args)
     except BudgetExceededError as exc:
         print(f"fault budget exceeded: {exc}", file=sys.stderr)
@@ -386,6 +400,11 @@ def main(argv=None) -> int:
     except MemoryError:
         print("out of memory: the command needs more memory than this process can have", file=sys.stderr)
         return EXIT_MEMORY
+    finally:
+        # every output has a byte at least, so an empty file that the open
+        # made was never written: the command failed first
+        if made and os.path.isfile(out) and not os.path.getsize(out):
+            os.remove(out)
 
 
 def entry() -> None:

@@ -1654,7 +1654,7 @@ def _check_output(n: int, f: _Faults, packed: bytes, closed: bool, u=None, v=Non
     if (
         not records.isdisjoint(memoryview(bp_graph.pack(n, f.removed)).cast("q"))
         or not bp_graph.is_packed_walk(n, packed, closed)
-        or any(bp_graph.packed_edge_steps(packed, _record(a), _record(b), closed) for a, b in f.edges)
+        or any(bp_graph.packed_edge_used(packed, _record(a), _record(b), closed) for a, b in f.edges)
     ):
         vertices = bp_graph.unpack(n, packed)
         removed = f.removed

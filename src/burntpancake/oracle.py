@@ -1,12 +1,11 @@
 """Independent verification and brute-force search.
 
 The verifiers check construction outputs structurally against the graph and
-the fault set; they share no code with the constructor.  They take a
-sequence of vertices, an object with ``vertices``, or a packed sequence
-(``bp_graph.pack``: 8 signed bytes a vertex).  A packed sequence is first
-put through whole-sequence passes on its bytes; when one fails, it is
-decoded to tuples and checked as tuples are, so its report is the report
-on its tuples.  The exhaustive
+the fault set; they share no code with the constructor.  They decide on
+packed bytes (``bp_graph.pack``: 8 signed bytes a vertex), by
+whole-sequence passes (``_packed_ok``, which argues that they accept
+exactly what leaves nothing to report); tuples serve only to name the
+violations of a sequence that fails.  The exhaustive
 searches run on small instances (n <= 4) with materialized adjacency.  They
 are complete, and only claim ``ProvenAbsent`` on full exhaustion of the
 search space, but not always fast: some n=4 path searches time out, and a
@@ -41,93 +40,36 @@ class VerificationReport(NamedTuple):
         return "; ".join(f"{k}@{p}: {d}" for k, p, d in self.violations)
 
 
-def _vertex_sequence(obj) -> tuple[Vertex, ...]:
-    vertices = getattr(obj, "vertices", obj)
-    return tuple(map(tuple, vertices))
-
-
 def _is_vertex(v: Vertex, n: int) -> bool:
     """True iff ``v`` is a signed permutation of 1..n made of ints."""
     return len(v) == n and set(map(type, v)) == {int} and sorted(map(abs, v)) == list(range(1, n + 1))
 
 
-def _verify_common(
-    n: int, fault_set: FaultSet, vertices: tuple[Vertex, ...], closed: bool
-) -> list[tuple[str, int, str]]:
-    bad: list[tuple[str, int, str]] = []
-    removed = fault_set.removed_vertices()
-    expected = bp_graph.vertex_count(n) - len(removed)
-    if len(vertices) != expected:
-        bad.append(("WrongLength", -1, f"{len(vertices)} vertices, expected {expected}"))
-
-    seen = set(vertices)
-    distinct = len(seen) == len(vertices)
-    avoids_removed = removed.isdisjoint(seen)
-    if not (distinct and avoids_removed):
-        seen_so_far: set[Vertex] = set()
-        for pos, v in enumerate(vertices):
-            if v in seen_so_far:
-                bad.append(("RepeatedVertex", pos, format_vertex(v)))
-            seen_so_far.add(v)
-            if v in removed:
-                bad.append(("FaultyVertexUsed", pos, format_vertex(v)))
-
-    adjacent = bp_graph.is_walk(n, vertices, closed)
-
-    # The MissingVertex walk may be skipped only when the sequence provably
-    # covers every vertex outside ``removed``.  ``is_walk`` answers as
-    # ``is_adjacent`` on every step would (its docstring proves it, and
-    # tests hold it to the per-step loop), so when ``adjacent`` holds every
-    # step is a prefix reversal.  The first vertex is a vertex of BP_n, and
-    # a prefix reversal maps a vertex to a vertex, so every entry equals a
-    # vertex of BP_n (symbol by symbol, and numbers that compare equal hash
-    # equal, so set lookups agree).  The entries are distinct, none is
-    # removed, and there are |V| - |removed| of them; with removed a subset
-    # of V(BP_n), they are all of V(BP_n) minus removed, and the walk would
-    # report nothing.  In every other case the walk runs.
-    complete = (
-        adjacent
-        and distinct
-        and avoids_removed
-        and len(vertices) == expected
-        and _is_vertex(vertices[0], n)
-        and all(_is_vertex(r, n) for r in removed)
-    )
-    if not complete:
-        for v in iter_vertices(n):
-            if v not in seen and v not in removed:
-                bad.append(("MissingVertex", -1, format_vertex(v)))
-
-    if adjacent and distinct:  # edge_steps needs each vertex once
-        used = {pos for a, b in fault_set.faulty_edges for pos in bp_graph.edge_steps(vertices, a, b, closed)}
-        for pos in sorted(used):
-            a, b = vertices[pos], vertices[(pos + 1) % len(vertices)]
-            bad.append(("FaultyEdgeUsed", pos, f"{format_vertex(a)} -> {format_vertex(b)}"))
-        return bad
-    faulty = {bp_graph.edge_key(a, b) for a, b in fault_set.faulty_edges}
-    steps = len(vertices) if closed else len(vertices) - 1
-    for pos in range(steps):
-        a = vertices[pos]
-        b = vertices[(pos + 1) % len(vertices)]
-        if not bp_graph.is_adjacent(a, b):
-            bad.append(("NonAdjacent", pos, f"{format_vertex(a)} -> {format_vertex(b)}"))
-        elif bp_graph.edge_key(a, b) in faulty:
-            bad.append(("FaultyEdgeUsed", pos, f"{format_vertex(a)} -> {format_vertex(b)}"))
-    return bad
-
-
-def _packed_ok(n: int, fault_set: FaultSet, packed: bytes, closed: bool, ends=()) -> bool:
+def _packed_ok(n: int, fault_set: FaultSet, packed: bytes, closed: bool, ends=None) -> bool:
     """Whether a packed sequence passes every check of a verifier, decided
-    by whole-sequence passes on its bytes; False sends it to the tuples.
+    by whole-sequence passes on its bytes: True proves that the loop of
+    :func:`_verify` finds nothing, and False only sends the sequence there.
+    A removed vertex, faulty edge or endpoint that does not pack
+    (``struct.error``, ``TypeError``) gives False.
 
-    The passes: the vertex count (at least 3 for a cycle); the first vertex
-    is a signed permutation and every record is zero-padded; the column
-    walk; distinctness, from a set over the 8-byte records; no removed
-    vertex, each removed one being a vertex of BP_n; no faulty edge, found
-    by where its ends sit; the endpoints.  Together they leave
-    ``_verify_common`` nothing to report, by the argument written there for
-    skipping the MissingVertex walk.  A removed vertex, faulty edge or
-    endpoint that does not pack (``struct.error``) fails them.
+    Why True leaves nothing to report.  The count (at least 3 for a cycle)
+    rules out ``WrongLength`` and ``ShortCycle``, the first and last
+    records ``WrongEndpoints``.  ``is_packed_walk`` answers as ``is_adjacent`` on
+    every step would, so there is no ``NonAdjacent``; and since every step
+    is then a prefix reversal, which maps a vertex of BP_n to a vertex, and
+    the first record is one, every record is a vertex of BP_n.  With zero
+    padding (checked), equal vertices have equal records, so distinct
+    records rule out ``RepeatedVertex``, and records disjoint from the
+    removed ones ``FaultyVertexUsed``.  That makes the records |V| -
+    |removed| distinct vertices of BP_n outside ``removed``, which is
+    checked to be a subset of V(BP_n): all of V(BP_n) minus ``removed``,
+    so there is no ``MissingVertex``.  Each
+    vertex sits at one position, so the steps next to the first record of
+    a faulty edge's end are the only ones that can run along that edge: no
+    ``FaultyEdgeUsed``.  Tuples that pack to these bytes have the decoded
+    symbols' values (``struct`` packs integers only; ``True`` packs as 1
+    and equals it), and the report compares and hashes by value, so it is
+    empty on them too.
     """
     width = bp_graph.PACKED_WIDTH
     count = len(packed) // width
@@ -152,11 +94,66 @@ def _packed_ok(n: int, fault_set: FaultSet, packed: bytes, closed: bool, ends=()
         ):
             return False
         for a, b in fault_set.faulty_edges:
-            if bp_graph.packed_edge_steps(packed, bp_graph.pack(n, [a]), bp_graph.pack(n, [b]), closed):
+            if bp_graph.packed_edge_used(packed, bp_graph.pack(n, [a]), bp_graph.pack(n, [b]), closed):
                 return False
         return not ends or packed[:width] + packed[-width:] == bp_graph.pack(n, ends)
     except (struct.error, TypeError):
         return False
+
+
+def _verify(n: int, fault_set: FaultSet, seq, ends=None) -> VerificationReport:
+    """The report on a claimed cycle (``ends`` None) or path: ok when its
+    bytes pass :func:`_packed_ok`, else each violation named on the
+    vertices the caller gave.  A built object (``packed`` bytes) is judged
+    by its bytes and reported by its own ``vertices``, whatever n it is
+    checked at; anything that is not bytes is read once into tuples."""
+    closed = ends is None
+    packed = getattr(seq, "packed", seq)
+    vertices = None
+    if not isinstance(packed, (bytes, bytearray)):
+        vertices = tuple(map(tuple, getattr(seq, "vertices", seq)))
+        try:
+            packed = bp_graph.pack(n, vertices)
+        except (struct.error, TypeError):
+            packed = b""  # fails _packed_ok
+    if _packed_ok(n, fault_set, packed, closed, ends):
+        return VerificationReport(True)
+    if vertices is None:
+        vertices = bp_graph.unpack(n, packed) if packed is seq else tuple(map(tuple, seq.vertices))
+    if not vertices:
+        return VerificationReport(False, (("WrongLength", -1, "empty"),))
+
+    bad: list[tuple[str, int, str]] = []
+    removed = fault_set.removed_vertices()
+    expected = bp_graph.vertex_count(n) - len(removed)
+    if len(vertices) != expected:
+        bad.append(("WrongLength", -1, f"{len(vertices)} vertices, expected {expected}"))
+    seen: set[Vertex] = set()
+    for pos, v in enumerate(vertices):
+        if v in seen:
+            bad.append(("RepeatedVertex", pos, format_vertex(v)))
+        seen.add(v)
+        if v in removed:
+            bad.append(("FaultyVertexUsed", pos, format_vertex(v)))
+    for v in iter_vertices(n):
+        if v not in seen and v not in removed:
+            bad.append(("MissingVertex", -1, format_vertex(v)))
+    # looked up both ways round: edge_key would order the symbols, and
+    # symbols that do not order (complex numbers) would raise
+    faulty = {(a, b) for a, b in fault_set.faulty_edges}
+    for pos in range(len(vertices) if closed else len(vertices) - 1):
+        a, b = vertices[pos], vertices[(pos + 1) % len(vertices)]
+        if not bp_graph.is_adjacent(a, b):
+            bad.append(("NonAdjacent", pos, f"{format_vertex(a)} -> {format_vertex(b)}"))
+        elif (a, b) in faulty or (b, a) in faulty:
+            bad.append(("FaultyEdgeUsed", pos, f"{format_vertex(a)} -> {format_vertex(b)}"))
+    if closed and len(vertices) == 2:
+        bad.append(("ShortCycle", -1, "2 vertices: a cycle needs at least 3"))
+    if not closed and (vertices[0] != tuple(ends[0]) or vertices[-1] != tuple(ends[1])):
+        got = f"{format_vertex(vertices[0])}..{format_vertex(vertices[-1])}"
+        want = f"{format_vertex(ends[0])}..{format_vertex(ends[1])}"
+        bad.append(("WrongEndpoints", 0, f"got {got}, expected {want}"))
+    return VerificationReport(ok=not bad, violations=tuple(bad))
 
 
 def verify_cycle(n: int, fault_set: FaultSet, cycle) -> VerificationReport:
@@ -164,39 +161,12 @@ def verify_cycle(n: int, fault_set: FaultSet, cycle) -> VerificationReport:
 
     A closed walk must have three vertices at least: two vertices would
     run one edge there and back (``ShortCycle``)."""
-    if isinstance(cycle, (bytes, bytearray)):
-        if _packed_ok(n, fault_set, cycle, closed=True):
-            return VerificationReport(True)
-        cycle = bp_graph.unpack(n, cycle)
-    vertices = _vertex_sequence(cycle)
-    if not vertices:
-        return VerificationReport(False, (("WrongLength", -1, "empty"),))
-    bad = _verify_common(n, fault_set, vertices, closed=True)
-    if len(vertices) == 2:
-        bad.append(("ShortCycle", -1, "2 vertices: a cycle needs at least 3"))
-    return VerificationReport(ok=not bad, violations=tuple(bad))
+    return _verify(n, fault_set, cycle)
 
 
 def verify_path(n: int, fault_set: FaultSet, u: Vertex, v: Vertex, path) -> VerificationReport:
     """Check a claimed Hamiltonian path between ``u`` and ``v``."""
-    if isinstance(path, (bytes, bytearray)):
-        if _packed_ok(n, fault_set, path, closed=False, ends=(u, v)):
-            return VerificationReport(True)
-        path = bp_graph.unpack(n, path)
-    vertices = _vertex_sequence(path)
-    if not vertices:
-        return VerificationReport(False, (("WrongLength", -1, "empty"),))
-    bad = _verify_common(n, fault_set, vertices, closed=False)
-    if vertices[0] != tuple(u) or vertices[-1] != tuple(v):
-        bad.append(
-            (
-                "WrongEndpoints",
-                0,
-                f"got {format_vertex(vertices[0])}..{format_vertex(vertices[-1])}, "
-                f"expected {format_vertex(u)}..{format_vertex(v)}",
-            )
-        )
-    return VerificationReport(ok=not bad, violations=tuple(bad))
+    return _verify(n, fault_set, path, (u, v))
 
 
 class SearchStatus(Enum):

@@ -381,11 +381,33 @@ UNWRITABLE_OUT = {
 @pytest.mark.parametrize("argv", UNWRITABLE_OUT.values(), ids=UNWRITABLE_OUT.keys())
 def test_unwritable_out_is_invalid_input(argv, tmp_path, capsys):
     # a directory, or a file in a missing directory, as --out: exit 2 with
-    # one line naming the path, not a traceback and exit 1
+    # one line naming the path, not a traceback and exit 1, and before the
+    # command prints anything (tightness prints its checks as it goes)
     for out, reason in ((tmp_path, "Is a directory"), (tmp_path / "no" / "a.json", "No such file or directory")):
         assert main([*argv, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"invalid input: cannot write {out}: {reason}\n"
+        assert capsys.readouterr() == ("", f"invalid input: cannot write {out}: {reason}\n")
     assert sorted(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["cycle", "fuzz"])
+def test_failing_command_leaves_out_as_it_was(command, tmp_path, capsys):
+    # --out is opened before the work; a command that then fails (here a
+    # fault set over budget, exit 4) removes the file the open created and
+    # leaves an existing file's bytes untouched
+    fs = FaultSet.build(3, matching_pairs=[[identity(3), generator(3, 1)]], faulty_edges=[[(2, 1, 3), (-1, -2, 3)]])
+    faults = tmp_path / "f.json"
+    faults.write_text(fs.to_json())
+    argv = {
+        "cycle": ["cycle", "--n", "3", "--faults", str(faults)],
+        "fuzz": ["fuzz", "--n", "4", "--trials", "1", "--max-faults", "3"],
+    }[command]
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == 4
+    assert not out.exists()
+    out.write_bytes(b"kept")
+    assert main([*argv, "--out", str(out)]) == 4
+    assert out.read_bytes() == b"kept"
+    assert capsys.readouterr().out == ""
 
 
 def test_artifact_written_over_a_longer_file(tmp_path):

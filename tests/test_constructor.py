@@ -895,9 +895,11 @@ def test_check_output_raises_exactly_on_bad_output(check_cases, label):
 
 
 def test_self_checks_test_no_step_alone(monkeypatch):
-    """Both self-checks of a built n=6 cycle take ``is_walk``'s column test:
-    neither makes one ``bp_graph._dimension`` call.  A count, not a time,
-    so a fast path that silently falls back fails here on any machine.
+    """Both self-checks of a built n=6 cycle, ``_check_output`` and the
+    oracle on the built object, which it reads by its packed bytes, take
+    the column test of ``is_packed_walk``: neither makes one
+    ``bp_graph._dimension`` call.  A count, not a time, so a check that
+    silently falls back to the per-step loop fails here on any machine.
     Only the checks are counted: the builder's validation of the fault set
     tests its faulty edge with ``is_adjacent``, one call."""
     from burntpancake import bp_graph, constructor

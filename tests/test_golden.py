@@ -63,7 +63,7 @@ import pytest
 
 from burntpancake import bp_graph
 from burntpancake.bp_graph import edge_key, neighbors
-from burntpancake.constructor import _small_search, hamiltonian_cycle, hamiltonian_path
+from burntpancake.constructor import VertexCycle, VertexPath, _small_search, hamiltonian_cycle, hamiltonian_path
 from burntpancake.fault_model import FaultSet
 from burntpancake.fuzz import sample_endpoints, sample_fault_set, trial_rng
 from burntpancake.oracle import exhaustive_path_search, verify_cycle, verify_path
@@ -480,15 +480,23 @@ def test_golden_oracle_walk_reports():
 
 @pytest.mark.parametrize("block", [5, 64, bp_graph._WALK_BLOCK])
 def test_is_walk_matches_steps_on_the_walk_corpus(monkeypatch, block):
-    """``is_walk`` against the per-step loop on every sequence of the
-    corpus above, with blocks small enough that every mutation sits near a
-    block boundary (5), a few (64), and as shipped."""
+    """``is_packed_walk`` against the per-step loop on every sequence of the
+    corpus above that packs at n=5 (True, 0, -128 and the self-loop among
+    them), with blocks small enough that every mutation sits near a block
+    boundary (5), a few (64), and as shipped."""
     monkeypatch.setattr(bp_graph, "_WALK_BLOCK", block)
     cycle = list(hamiltonian_cycle(5, sample_fault_set(5, 3, trial_rng(0, 1))).vertices)
+    packed_labels = set()
     for seq in (cycle, cycle[::-1][:1000]):
         for label, got in _walk_corruptions(5, seq):
+            try:
+                packed = bp_graph.pack(5, got)
+            except struct.error:
+                continue
+            packed_labels.add(label)
             for closed in (False, True):
-                assert bp_graph.is_walk(5, got, closed) == _steps_reference(got, closed), (label, closed)
+                assert bp_graph.is_packed_walk(5, packed, closed) == _steps_reference(got, closed), (label, closed)
+    assert {"all True", "0 for 1 at 0", "-128 for -1 at 0", "self-loop", "valid"} <= packed_labels
 
 
 def _oracle_sequences():
@@ -534,26 +542,59 @@ def _oracle_sequences():
 
 
 def test_packed_sequence_gets_the_report_of_its_tuples(monkeypatch):
-    """The oracle on a packed sequence reports what it reports on the
-    decoded tuples, for every case above that packs, and decodes only the
-    sequences that it rejects: a valid one passes on the bytes alone."""
-    unpack = bp_graph.unpack
-    decoded = []
+    """The oracle reports on every form of a sequence what it reports on
+    its vertices: for every case above, on a one-shot iterator and a list
+    of lists of them; for every case that packs, on the packed bytes, a
+    bytearray and a built object holding them, as on the decoded tuples;
+    and on built n=5 objects checked at n=4 and n=6, as on their tuples.
+    Only forms that hold bytes are decoded, and only when they are
+    rejected; a valid sequence that packs passes on its bytes alone, in
+    every form, with no step through ``is_adjacent``."""
+    cases = list(_oracle_sequences())
+    cycle_faults = sample_fault_set(5, 3, trial_rng(0, 1))
+    cycle = hamiltonian_cycle(5, cycle_faults)
+    rng = trial_rng(0, 1)
+    path_faults = sample_fault_set(5, 2, rng)
+    u, v = sample_endpoints(rng, 5, path_faults)
+    path = hamiltonian_path(5, u, v, path_faults)
+    unpack, iter_unpack, is_adjacent = bp_graph.unpack, bp_graph.iter_unpack, bp_graph.is_adjacent
+    decoded, steps = [], []
     monkeypatch.setattr(bp_graph, "unpack", lambda n, packed: decoded.append(n) or unpack(n, packed))
+    monkeypatch.setattr(bp_graph, "iter_unpack", lambda n, packed: decoded.append(n) or iter_unpack(n, packed))
+    monkeypatch.setattr(bp_graph, "is_adjacent", lambda a, b: steps.append(1) or is_adjacent(a, b))
     outcomes = []
-    for n, fs, got, ends in _oracle_sequences():
+    for n, fs, got, ends in cases:
+
+        def check(seq):
+            return verify_cycle(n, fs, seq) if ends is None else verify_path(n, fs, *ends, seq)
+
         try:
             packed = bp_graph.pack(n, got)
         except struct.error:
+            packed = None
+        want = check(got)
+        for seq in (iter(got), [list(x) for x in got]):
+            assert check(seq) == want, (n, got[:3], ends)
+        assert not decoded
+        assert not (packed is not None and want.ok and steps)
+        steps.clear()
+        if packed is None:
             continue
         tuples = unpack(n, packed)
-        for seq in (packed, bytearray(packed)):
-            before = len(decoded)
-            if ends is None:
-                have, want = verify_cycle(n, fs, seq), verify_cycle(n, fs, tuples)
-            else:
-                have, want = verify_path(n, fs, *ends, seq), verify_path(n, fs, *ends, tuples)
-            assert have == want, (n, tuples[:3], ends)
-            assert (len(decoded) > before) == (not want.ok)
+        want = check(tuples)
+        built = VertexCycle(n, packed, None) if ends is None else VertexPath(n, packed, None)
+        for seq in (packed, bytearray(packed), built):
+            assert check(seq) == want, (n, tuples[:3], ends)
+            assert bool(decoded) == (not want.ok)
+            assert not (want.ok and steps)
+            decoded.clear()
+            steps.clear()
         outcomes.append(want.ok)
     assert outcomes.count(True) >= 6 and outcomes.count(False) >= 100
+    assert verify_cycle(5, cycle_faults, cycle).ok and verify_path(5, path_faults, u, v, path).ok
+    assert not (decoded or steps)
+    for m in (4, 6):
+        free = FaultSet.build(m)
+        have = verify_cycle(m, free, cycle), verify_path(m, free, u[:m], v[:m], path)
+        want = verify_cycle(m, free, cycle.vertices), verify_path(m, free, u[:m], v[:m], path.vertices)
+        assert have == want and not (want[0].ok or want[1].ok)
