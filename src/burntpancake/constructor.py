@@ -36,10 +36,10 @@ reversals, so every lexicographic scan, sort and tie-break sees the same
 sequence, and at n = 3 it is the identity.  Any other r
 is that relabel followed by a left translation ``x -> compose(w, x)``, an
 automorphism of BP_n that keeps the dimension of every edge.  The path leaf
-takes its start u as r, so its memo and ``FREE_PATHS`` hold paths from the
-identity only; the single-pair cycle takes the pair's larger endpoint, in
-whose frame the pair is {identity, generator k} and ``PAIR_CYCLES[k]``
-lifts as it is.
+takes its start u as r, so its memo, ``FREE_PATHS`` and ``SINGLE_PATHS``
+hold paths from the identity only; the single-pair cycle takes the pair's
+larger endpoint, in whose frame the pair is {identity, generator k} and
+``PAIR_CYCLES[k]`` lifts as it is.
 
 A splice replaces an edge (s, t) of a path or ring with a detour that
 leaves s and returns to t.  Where (s, t) can lie either way round on a
@@ -86,12 +86,11 @@ trace.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from functools import cached_property
 from operator import neg
 from typing import NamedTuple
 
 from . import bp_graph
-from .bp3_fixtures import FREE_PATHS, LEAF_CYCLES, PAIR_CYCLES
+from .bp3_fixtures import FREE_PATHS, LEAF_CYCLES, NO_PATH, PAIR_CYCLES, SINGLE_PATHS
 from .bp_graph import (
     SOFT_DIMENSION_LIMIT,  # re-exported
     Edge,
@@ -187,6 +186,23 @@ class VertexCycle(NamedTuple):
 # extended fault bookkeeping
 
 
+class _cached:
+    """``functools.cached_property`` without its lock (Python 3.11 takes a
+    per-class lock on every first access): the first access stores the
+    value in the instance's ``__dict__``, which later accesses read before
+    this descriptor."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 class _Faults:
     """The faults of one level: ``n``, ``pairs``, ``singles``, ``edges``
     and ``suffix`` (the symbols every vertex of this level ends in).
@@ -237,17 +253,17 @@ class _Faults:
         """The n of the BP_n whose coordinates every vertex here is in."""
         return self.n + len(self.suffix)
 
-    @cached_property
+    @_cached
     def removed(self) -> frozenset[Vertex]:
         out = {v for pair in self.pairs for v in pair}
         out.update(self.singles)
         return frozenset(out)
 
-    @cached_property
+    @_cached
     def edge_set(self) -> frozenset[Pair]:
         return frozenset(self.edges)
 
-    @cached_property
+    @_cached
     def fault_vertices(self) -> frozenset[Vertex]:
         out = set(self.removed)
         for a, b in self.edges:
@@ -259,13 +275,13 @@ class _Faults:
     def weight(self) -> int:
         return len(self.pairs) + len(self.singles) + len(self.edges)
 
-    @cached_property
+    @_cached
     def indices(self) -> list[int]:
         # the symbols the suffix leaves, in canonical order
         fixed = {abs(x) for x in self.suffix}
         return [i for i in subgraph_indices(self.n + len(self.suffix)) if abs(i) not in fixed]
 
-    @cached_property
+    @_cached
     def has_singles_anywhere(self) -> bool:
         p = self.n - 1
         return bool(self.singles) or any(a[p] != b[p] for a, b in self.pairs)
@@ -362,8 +378,9 @@ class _Ctx:
 
 # ---------------------------------------------------------------------------
 # BP_3 base level: complete backtracking search, memoized in frame form.
-# The search defines two tables that are read instead of searched: paths
-# are asked for from the identity, and fault-free ones come from FREE_PATHS;
+# The search defines three tables that are read instead of searched: paths
+# are asked for from the identity, fault-free ones come from FREE_PATHS and
+# those with one removed vertex and no banned edge from SINGLE_PATHS;
 # cycles with at most one removed vertex or banned edge come from
 # LEAF_CYCLES.
 
@@ -380,14 +397,17 @@ _BP3_STEP = tuple(tuple(_BP3_INDEX[prefix_reversal(x, k)] for k in (1, 2, 3)) fo
 # Hamiltonian path, smaller first (dimensions counted from 0 here).
 _BP3_NEXT = ((1, 2), (0, 2), (0, 1))
 _BP3_IDENTITY = identity(3)
+# The index of the identity, where every stored path starts.
+_BP3_START = _BP3_INDEX[_BP3_IDENTITY]
 # _BP3_EDGE_RANK[e]: the rank of edge e among the 72 edges of BP_3 in sorted
 # edge_key order, which numbers the banned-edge slots of LEAF_CYCLES.
 _BP3_EDGE_RANK = {
     (_BP3_VERTICES[i], _BP3_VERTICES[j]): r
     for r, (i, j) in enumerate((i, j) for i, ws in enumerate(_BP3_NEIGHBORS) for j in ws if i < j)
 }
-# The places of a BP_3 frame record after its three symbols (``_frame_bytes``).
-_BP3_PLACES = bytes(range(19, 24))
+# The frame record of each BP_3 vertex (``_frame_bytes``): its three symbols
+# as signed bytes, then the places 19..23.
+_BP3_RECORD = {x: bytes(map((255).__and__, x)) + bytes(range(19, 24)) for x in _BP3_VERTICES}
 _bp3_path_cache: dict[tuple, bytes | None] = {}
 _bp3_cycle_cache: dict[tuple, bytes | None] = {}
 
@@ -411,9 +431,10 @@ def _small_search(
     search space is exhausted.
 
     This search defines every BP_3 path and cycle the constructor uses,
-    and so two tables shipped precomputed in ``bp3_fixtures``: the
-    fault-free paths as ``FREE_PATHS`` and the cycles with at most one
-    removed vertex or banned edge as ``LEAF_CYCLES``.  Tier-1 compares both
+    and so three tables shipped precomputed in ``bp3_fixtures``: the
+    fault-free paths as ``FREE_PATHS``, the paths with one removed vertex
+    and no banned edge as ``SINGLE_PATHS`` and the cycles with at most one
+    removed vertex or banned edge as ``LEAF_CYCLES``.  Tier-1 compares each
     with this function, slot by slot.
     """
     skip = {_BP3_INDEX[x] for x in removed}
@@ -475,12 +496,13 @@ def _small_search(
     return tuple(_BP3_VERTICES[i] for i in path) if rec(start) else None
 
 
-def _decode_steps(table: bytes, slot: int, start: int, steps: int, ends) -> tuple[Vertex, ...]:
+def _decode_steps(table: bytes, slot: int, start: int, steps: int, ends, removed: int = -1) -> tuple[Vertex, ...]:
     """The BP_3 path of ``steps`` steps from the vertex of index ``start``
     stored in slot ``slot`` of ``table`` (step code in ``bp3_fixtures``).
-    A decoded path that repeats a vertex, or whose last vertex's index is
-    not in ``ends``, raises InternalInvariantError naming the slot; callers
-    memoize, so each slot is checked once per key and process."""
+    A decoded path that repeats a vertex, visits the vertex of index
+    ``removed``, or whose last vertex's index is not in ``ends``, raises
+    InternalInvariantError naming the slot; callers memoize, so each slot is
+    checked once per key and process."""
     bits = int.from_bytes(table[6 * slot : 6 * slot + 6], "big")
     d = bits >> 46
     path = [start]
@@ -493,6 +515,8 @@ def _decode_steps(table: bytes, slot: int, start: int, steps: int, ends) -> tupl
             path.append(cur)
     if len(set(path)) != len(path):
         raise InternalInvariantError(f"stored BP_3 path in slot {slot} repeats a vertex")
+    if removed in path:
+        raise InternalInvariantError(f"stored BP_3 path in slot {slot} visits its removed vertex")
     if path[-1] not in ends:
         raise InternalInvariantError(f"stored BP_3 path in slot {slot} ends elsewhere")
     return tuple(_BP3_VERTICES[x] for x in path)
@@ -502,14 +526,18 @@ def _free_path(v: Vertex) -> tuple[Vertex, ...]:
     """The path of fault-free BP_3 from the identity to v, decoded from
     ``FREE_PATHS``; one that does not end at v raises InternalInvariantError."""
     j = _BP3_INDEX[v]
-    return _decode_steps(FREE_PATHS, j, _BP3_INDEX[_BP3_IDENTITY], 47, (j,))
+    return _decode_steps(FREE_PATHS, j, _BP3_START, 47, (j,))
 
 
 def _frame_bytes(path) -> bytes:
     """A BP_3 path or cycle, given as vertices, in frame form: each record
     holds the vertex's three symbols, then the places 19..23 that a lift
     table (:func:`_frame_table`) fills with the suffix or zero padding."""
-    return b"".join(bytes(map((255).__and__, x)) + _BP3_PLACES for x in path)
+    return b"".join(map(_BP3_RECORD.__getitem__, path))
+
+
+# PAIR_CYCLES in frame form, for the single-pair cycle leaf.
+_PAIR_FRAMES = {k: _frame_bytes(cycle) for k, cycle in PAIR_CYCLES.items()}
 
 
 def _frame_table(ref, suffix: Vertex) -> bytes:
@@ -528,14 +556,29 @@ def _frame_table(ref, suffix: Vertex) -> bytes:
 
 def _bp3_search_path(removed: frozenset[Vertex], banned: frozenset[Pair], v: Vertex) -> bytes | None:
     """The BP_3 path from the identity to v that ``_small_search`` defines,
-    in frame form; a fault-free one is decoded from the table rather than
-    searched."""
+    in frame form.  A fault-free one is decoded from ``FREE_PATHS``, and one
+    with a single removed vertex x and no banned edge from ``SINGLE_PATHS``:
+    slot ``48 * i + j`` for x and v the i-th and j-th vertex of
+    ``_BP3_VERTICES``, 46 steps in ``FREE_PATHS``'s step code, and the
+    marker ``NO_PATH`` for the six keys without a path, tested before
+    decoding.  No table is checked on import; ``_decode_steps`` checks each
+    decoded path, and tier-1 compares every slot with the search and prints
+    the regenerated table on a mismatch.  Every other key is searched,
+    among them those with x or v the identity or v = x, for which the
+    search answers None at once."""
     key = (removed, banned, v)
     if key not in _bp3_path_cache:
-        if removed or banned:
-            got = _small_search(3, removed, banned, _BP3_IDENTITY, v)
-        else:
+        if not removed and not banned:
             got = _free_path(v)
+        elif len(removed) == 1 and not banned and removed.isdisjoint((_BP3_IDENTITY, v)) and v != _BP3_IDENTITY:
+            (x,) = removed
+            slot = 48 * _BP3_INDEX[x] + _BP3_INDEX[v]
+            if SINGLE_PATHS[6 * slot : 6 * slot + 6] == NO_PATH:
+                got = None
+            else:
+                got = _decode_steps(SINGLE_PATHS, slot, _BP3_START, 46, (_BP3_INDEX[v],), _BP3_INDEX[x])
+        else:
+            got = _small_search(3, removed, banned, _BP3_IDENTITY, v)
         _bp3_path_cache[key] = got and _frame_bytes(got)
     return _bp3_path_cache[key]
 
@@ -551,16 +594,18 @@ def _bp3_search_cycle(removed: frozenset[Vertex], banned: frozenset[Pair]) -> by
         if len(removed) + len(banned) > 1:
             got = _small_search(3, removed, banned, None, None)
         else:
+            skip = -1
             if removed:
                 (x,) = removed
-                slot = 1 + _BP3_INDEX[x]
+                skip = _BP3_INDEX[x]
+                slot = 1 + skip
             elif banned:
                 (e,) = banned
                 slot = 49 + _BP3_EDGE_RANK[e]
             else:
                 slot = 0
             start = 1 if slot == 1 else 0
-            got = _decode_steps(LEAF_CYCLES, slot, start, 47 - len(removed), _BP3_NEIGHBORS[start])
+            got = _decode_steps(LEAF_CYCLES, slot, start, 47 - len(removed), _BP3_NEIGHBORS[start], skip)
         _bp3_cycle_cache[key] = got and _frame_bytes(got)
     return _bp3_cycle_cache[key]
 
@@ -592,7 +637,7 @@ def _cycle_bp3(f: _Faults, ctx: _Ctx):
         a, b = f.pairs[0]
         k = edge_dimension(a, b)
         lift = _leaf_view(f, b)[1]
-        return _frame_bytes(PAIR_CYCLES[k]).translate(lift), CaseTrace(
+        return _PAIR_FRAMES[k].translate(lift), CaseTrace(
             f"L13/{k}", {"pair": [format_vertex(a), format_vertex(b)]}
         )
     _, lift, removed, banned = _leaf_view(f)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from burntpancake.bp3_fixtures import FREE_PATHS, LEAF_CYCLES, PAIR_CYCLES
+from burntpancake.bp3_fixtures import FREE_PATHS, LEAF_CYCLES, NO_PATH, PAIR_CYCLES, SINGLE_PATHS
 from burntpancake.bp_graph import (
     edge_dimension,
     pack,
@@ -46,7 +46,7 @@ from burntpancake.constructor import (
     order_subgraphs,
 )
 from burntpancake.fault_model import FaultSet
-from burntpancake.fuzz import sample_endpoints, sample_fault_set, trial_rng
+from burntpancake.fuzz import run_fuzz, sample_endpoints, sample_fault_set, trial_rng
 from burntpancake.oracle import SearchStatus, exhaustive_path_search, verify_cycle, verify_path
 from burntpancake.signed_perm import (
     all_vertices,
@@ -139,8 +139,8 @@ def test_base_path_rejects_equal_endpoints():
 
 
 def _step_slot(path) -> bytes:
-    """One FREE_PATHS or LEAF_CYCLES slot for ``path`` (encoding in
-    bp3_fixtures): a path of 47 vertices leaves the low bit 0."""
+    """One FREE_PATHS, SINGLE_PATHS or LEAF_CYCLES slot for ``path``
+    (encoding in bp3_fixtures): a path of 47 vertices leaves the low bit 0."""
     dims = [edge_dimension(a, b) for a, b in zip(path, path[1:])]
     bits = dims[0] - 1
     for prev, d in zip(dims, dims[1:]):
@@ -283,6 +283,86 @@ def test_leaf_cycles_are_read_not_searched(monkeypatch):
             u, v = sample_endpoints(rng, 5, fs)
             assert verify_path(5, fs, u, v, hamiltonian_path(5, u, v, fs)).ok
     assert cons._bp3_cycle_cache and cycle_searches == []
+
+
+def test_single_path_table_matches_search(monkeypatch):
+    # the table is a stored copy of the search's paths from the identity
+    # with one vertex x removed, for every x other than the identity and
+    # every v other than the identity and x; the marker slots are exactly
+    # the keys without a path.  On a mismatch the failure prints the table
+    # the search gives, as base64 lines ready to paste into bp3_fixtures
+    import burntpancake.constructor as cons
+
+    none = frozenset()
+    e = identity(3)
+    vertices = all_vertices(3)
+    paths = {}
+    for i, x in enumerate(vertices):
+        for j, v in enumerate(vertices):
+            if e not in (x, v) and x != v:
+                paths[48 * i + j, x, v] = _small_search(3, frozenset((x,)), none, e, v)
+    assert len(paths) == 2162 and len(SINGLE_PATHS) == 6 * 48 * 48
+    marked = {slot for slot in range(48 * 48) if SINGLE_PATHS[6 * slot : 6 * slot + 6] == NO_PATH}
+    absent = {slot for (slot, _, _), path in paths.items() if path is None}
+    monkeypatch.setattr(cons, "_bp3_path_cache", {})
+    wrong = []
+    for (slot, x, v), path in paths.items():
+        cons._bp3_path_cache.clear()
+        try:
+            if cons._bp3_search_path(frozenset((x,)), none, v) != (path and _frame_bytes(path)):
+                wrong.append(slot)
+        except InternalInvariantError:
+            wrong.append(slot)
+    if wrong or marked != absent:
+        table = bytearray(len(SINGLE_PATHS))
+        for (slot, _, _), path in paths.items():
+            table[6 * slot : 6 * slot + 6] = NO_PATH if path is None else _step_slot(path)
+        pytest.fail(
+            f"{len(wrong)} stored paths differ from the search, first slots {wrong[:3]}; "
+            f"marker slots {sorted(marked)}, keys without a path {sorted(absent)}; "
+            f"regenerated:\n{_base64_lines(table)}"
+        )
+    assert len(absent) == 6
+
+
+def test_corrupt_single_path_raises(monkeypatch):
+    import burntpancake.constructor as cons
+
+    # flipping the last step bit of a slot (bit 1: bit 0 pads a path of 46
+    # steps) swaps the path's final step, so the decoded path does not end
+    # at the target
+    x, v = (-3, -2, -1), (-1, 2, 3)
+    slot = 48 * cons._BP3_INDEX[x] + cons._BP3_INDEX[v]
+    table = bytearray(SINGLE_PATHS)
+    table[6 * slot + 5] ^= 2
+    monkeypatch.setattr(cons, "SINGLE_PATHS", bytes(table))
+    monkeypatch.setattr(cons, "_bp3_path_cache", {})
+    with pytest.raises(InternalInvariantError, match="stored BP_3 path"):
+        _bp3_leaf_path(identity(3), v, _Faults(3, singles=(x,)))
+
+
+def test_single_removed_vertex_paths_are_read_not_searched(monkeypatch):
+    """Cold fuzz campaigns at n=4 and n=5, every operation at its budget,
+    ask the path leaf for keys with one removed vertex and no banned edge
+    only from SINGLE_PATHS, so no path-mode search has such a key.  A
+    count, not a time, so it holds on any machine."""
+    import burntpancake.constructor as cons
+
+    search = cons._small_search
+    single_searches = []
+
+    def counted(n, removed, banned, u, v):
+        if u is not None and len(removed) == 1 and not banned:
+            single_searches.append((removed, v))
+        return search(n, removed, banned, u, v)
+
+    monkeypatch.setattr(cons, "_small_search", counted)
+    monkeypatch.setattr(cons, "_bp3_cycle_cache", {})
+    monkeypatch.setattr(cons, "_bp3_path_cache", {})
+    for n, op, budget, trials in ((4, "cycle", 2, 200), (4, "path", 1, 200), (5, "cycle", 3, 40), (5, "path", 2, 40)):
+        assert run_fuzz(n, op, trials, budget, seed=26).ok
+    read = [key for key in cons._bp3_path_cache if len(key[0]) == 1 and not key[1]]
+    assert read and single_searches == []
 
 
 def test_fault_free_bp3_paths_share_47_keys(monkeypatch):

@@ -25,14 +25,17 @@ first; ``--jobs`` splits the work over that many processes.  Prints, per
 family, one line of counts, one histogram of the case labels of the built
 objects' traces (every trace node but the root, sorted by label) and one
 line with the number of cycle-mode and path-mode BP_3 searches
-(``constructor._small_search`` calls, which the leaf's tables and memo
-spare) summed over the processes, one line with the number of distinct
-faulted path keys ``(removed, banned, v)`` those searches were asked for,
-by shape ``(|removed|, |banned|)`` and over all processes, and each failing
-instance to stderr; exits 1 if any instance fails to build or to verify.
-Each process keeps its own memo, so the path-mode count grows with
-``--jobs`` and the key count does not; a build of the cycle family makes no
-cycle-mode search.
+(``constructor._small_search`` calls, which the leaf's three tables and
+its memo spare) summed over the processes, one line with the number of
+distinct faulted path keys ``(removed, banned, v)`` those searches were
+asked for, by shape ``(|removed|, |banned|)`` and over all processes, and
+each failing instance to stderr; exits 1 if any instance fails to build or
+to verify.  Each process keeps its own memo, so the path-mode count grows
+with ``--jobs`` and the key count does not.  ``FREE_PATHS`` holds the
+fault-free path keys, ``SINGLE_PATHS`` those of shape ``1,0`` and
+``LEAF_CYCLES`` the cycle keys with at most one fault, so no key of shape
+``1,0`` is searched and a build of the cycle family makes no cycle-mode
+search.
 """
 
 from __future__ import annotations
