@@ -190,7 +190,8 @@ class _cached:
     """``functools.cached_property`` without its lock (Python 3.11 takes a
     per-class lock on every first access): the first access stores the
     value in the instance's ``__dict__``, which later accesses read before
-    this descriptor."""
+    this descriptor.  The values are pure functions of the fields, so two
+    threads that race on a first access store equal values."""
 
     def __init__(self, func):
         self.func = func
