@@ -61,18 +61,24 @@ record; a scan that reads vertices (a loop's base path, the scans of the
 heavy cases) decodes them as it reads.  ``_check_output`` runs on the
 bytes, and the public objects hold them: ``vertices`` decodes on access.
 
-A build keeps a memo of its fault-free paths of levels 4..n-2 in
-``_Ctx.memo`` (``_free_path_memo``).  Their keys are the level and the
-endpoints in the frame of the level's symbols in ascending order.  That
-relabel is strictly increasing on signed symbols and commutes with
-negation and prefix reversals, so it keeps the lexicographic order of
-cross edges, the canonical order of subgraph indices and every leaf
-frame; with no faults to tell two fault-free requests apart, a request
-whose frame matches an earlier one is built as that one was, relabelled.
-A hit therefore lifts the stored path with one translate, moves the
-symbols its trace names and charges the attempts its miss spent.  Level
-n-1 requests barely repeat, and each would hold 1/(2n) of the graph (5.2
-MB at n = 8), so they are built directly, and the memo is idle at n <= 5.
+The process keeps one memo of fault-free paths, ``_path_memo``
+(``_free_path_memo``), shared by every build: level 4 at every dimension
+n >= 5 and, above it, levels up to n-2.  Its keys are the level, the
+suffix length and the endpoints in the frame of the level's symbols in
+ascending order.  That relabel is strictly increasing on signed symbols
+and commutes with negation and prefix reversals, so it keeps the
+lexicographic order of cross edges, the canonical order of subgraph
+indices and every leaf frame; with no faults to tell two fault-free
+requests apart, a request whose frame matches an earlier one is built as
+that one was, relabelled, whichever build made the first.  A hit
+therefore lifts the stored path with one translate, moves the symbols its
+trace names and charges the attempts its miss spent.  The suffix length
+is part of the key because a frame's places stand for the suffix: a
+frame stored under a shorter suffix would lift with padding where
+suffix symbols belong.  Level n-1 requests above 4 barely repeat, and
+each would hold 1/(2n) of the graph (5.2 MB at n = 8), so they are built
+directly.  The stored frames are capped at ``_PATH_MEMO_CAP`` bytes (32
+MiB), and the memo is emptied before a store would pass the cap.
 
 Each rejected candidate costs one attempt (``_Ctx.spend``).  The call
 that finds the budget spent raises StrictModeFailure on the spot, which
@@ -343,16 +349,14 @@ def _restrict_embed(f: _Faults, i: int) -> _Faults:
 
 
 class _Ctx:
-    """One build's attempt count, budget and memo; compared attribute by
-    attribute, the memo included, though the repr leaves it out."""
+    """One build's attempt count and budget; compared attribute by
+    attribute."""
 
     __hash__ = None
 
     def __init__(self, attempts: int = 0, max_attempts: int = 200_000):
         self.attempts = attempts
         self.max_attempts = max_attempts
-        # fault-free paths of this build, in frame form (``_free_path_memo``)
-        self.memo: dict = {}
 
     def __repr__(self) -> str:
         return f"_Ctx(attempts={self.attempts!r}, max_attempts={self.max_attempts!r})"
@@ -1381,35 +1385,50 @@ def _path(n: int, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
         return None
     if n == 3:
         return _path_bp3(u, v, f, ctx)
-    if f.weight == 0 and len(f.suffix) >= 2:
+    if f.weight == 0 and (len(f.suffix) >= 2 or (n == 4 and f.suffix)):
         return _free_path_memo(n, u, v, f, ctx)
     return _path_cases(n, u, v, f, ctx)
 
 
-def _free_path_memo(n: int, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
-    """A fault-free path of level n, 4 <= n <= f.dim - 2, through the
-    build's memo.
+# The process's fault-free paths (``_free_path_memo``), their frames' bytes,
+# and the cap on those bytes.  Anything may empty the memo, so the count
+# starts again at zero whenever the memo is found empty.
+_path_memo: dict[tuple, tuple] = {}
+_path_memo_bytes = 0
+_PATH_MEMO_CAP = 32 << 20
 
-    The key is (n, u, v) in the frame of the level's symbols in ascending
-    order, the order-preserving relabel, and a miss stores its path in that
-    frame (:func:`_frame_table`'s places hold the suffix), its trace, the
-    attempts it spent and the symbols it was built in.  A hit charges the
-    same attempts, lifts the path with one translate and moves every symbol
-    that the trace details name, subgraph indices and vertices alike, so
-    it returns what a miss would: the relabel keeps every scan's order
-    (module docstring).
+
+def _free_path_memo(n: int, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
+    """A fault-free path of level n through the process's memo
+    ``_path_memo``: level 4 in any BP_dim with dim >= 5, or 5 <= n <= dim - 2.
+
+    The key is (n, len(f.suffix), u, v) with u and v in the frame of the
+    level's symbols in ascending order, the order-preserving relabel, and a
+    miss stores its path in that frame (:func:`_frame_table`'s places hold
+    the suffix), a copy of its trace, the attempts it spent and the symbols
+    it was built in.  A hit charges the same attempts, lifts the path with
+    one translate and moves every symbol that the trace details name,
+    subgraph indices and vertices alike, so it returns what a miss would:
+    the relabel keeps every scan's order (module docstring).  A miss whose
+    frame would take the stored bytes past ``_PATH_MEMO_CAP`` empties the
+    memo first, and one larger than the cap is not stored.  The memo needs
+    no lock: a dict's get and set are atomic, and two builds racing to
+    store one key store equal entries.  Racing stores can miscount the
+    bytes by the frames they race on, until the next emptying.
     """
+    global _path_memo_bytes
     ref = [i for i in f.indices if i > 0]
     rank = {}
     for k, x in enumerate(ref, 1):
         rank[x], rank[-x] = k, -k
-    key = (n, tuple(map(rank.__getitem__, u[:n])), tuple(map(rank.__getitem__, v[:n])))
+    key = (n, len(f.suffix), tuple(map(rank.__getitem__, u[:n])), tuple(map(rank.__getitem__, v[:n])))
     symbols = (*ref, *f.suffix)
-    hit = ctx.memo.get(key)
+    moved = {}
+    hit = _path_memo.get(key)
     if hit is None:
         before = ctx.attempts
         got = _path_cases(n, u, v, f, ctx)
-        frame = None
+        frame = trace = None
         if got is not None:
             lift = _frame_table(ref, f.suffix)
             drop = bytearray(256)
@@ -1417,14 +1436,23 @@ def _free_path_memo(n: int, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
                 if x:
                     drop[x] = place
             frame = got[0].translate(drop)
-        ctx.memo[key] = (frame, got and got[1], ctx.attempts - before, symbols)
+            # a copy, so that nothing done to the returned trace reaches the memo
+            for a in symbols:
+                moved[a], moved[-a] = a, -a
+            trace = _relabeled(got[1], moved)
+        size = len(frame or b"")
+        if not _path_memo or _path_memo_bytes + size > _PATH_MEMO_CAP:
+            _path_memo.clear()
+            _path_memo_bytes = 0
+        if size <= _PATH_MEMO_CAP:
+            _path_memo[key] = (frame, trace, ctx.attempts - before, symbols)
+            _path_memo_bytes += size
         return got
     frame, trace, spent, built_in = hit
     for _ in range(spent):
         ctx.spend()
     if frame is None:
         return None
-    moved = {}
     for a, b in zip(built_in, symbols):
         moved[a], moved[-a] = b, -b
     return frame.translate(_frame_table(ref, f.suffix)), _relabeled(trace, moved)

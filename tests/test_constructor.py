@@ -1,4 +1,5 @@
 import base64
+import copy
 import itertools
 from pathlib import Path
 
@@ -1104,9 +1105,11 @@ def test_leaf_cycle_bit_flips_never_decode_to_repeats(monkeypatch):
 
 
 # ------------------------------------------------------------------ memo
-# Fault-free paths of levels 4..n-2 go through a per-build memo keyed in
-# the frame of the level's symbols in ascending order.  It rests on a build
+# Fault-free paths of level 4 at every dimension >= 5 and of levels 5..n-2
+# go through one memo that every build in the process shares, keyed in the
+# frame of the level's symbols in ascending order.  It rests on a build
 # commuting with that relabel, which the first test checks directly.
+# conftest.py empties it around every test.
 
 
 def _relabel_into(m, suffix):
@@ -1201,39 +1204,34 @@ def _full_n6_builds(count):
     return [case for cases in found.values() for case in cases]
 
 
-def _built_with_attempts(monkeypatch, cases):
+def _n5_campaign_builds(seed, trials):
+    """The builds of full-budget n=5 cycle and path fuzz campaigns, as
+    ``run_fuzz`` makes them, as (op, fault set, endpoints)."""
+    cases = []
+    for op, budget in (("cycle", 3), ("path", 2)):
+        for trial in range(trials):
+            rng = trial_rng(seed, trial)
+            fs = sample_fault_set(5, budget, rng)
+            cases.append((op, fs, () if op == "cycle" else sample_endpoints(rng, 5, fs)))
+    return cases
+
+
+def test_memo_changes_no_build(monkeypatch, recorded_builds):
+    # full-budget n=6 builds and n=5 campaign builds with the memo (each run
+    # from an empty one that its builds share) and with it defeated give
+    # the same vertices, labels, trace details (CaseTrace equality) and
+    # attempts, first as they are, then with one fault-free BP_3 path
+    # request in about four refused, a rule that depends only on the
+    # request's own frame, so memo hits have attempts to replay
     import burntpancake.constructor as cons
 
-    made = []
-    ctx_type = cons._Ctx
-
-    def recorded():
-        made.append(ctx_type())
-        return made[-1]
-
-    monkeypatch.setattr(cons, "_Ctx", recorded)
-    out = []
-    for op, fs, ends in cases:
-        built = hamiltonian_cycle(6, fs) if op == "cycle" else hamiltonian_path(6, *ends, fs)
-        out.append((built.vertices, built.trace, made[-1].attempts))
-    return out
-
-
-def test_memo_changes_no_build(monkeypatch):
-    # full-budget n=6 builds with the memo and with it defeated give the same
-    # vertices, labels, trace details (CaseTrace equality) and attempts,
-    # first as they are, then with one fault-free BP_3 path request in
-    # about four refused, a rule that depends only on the request's own
-    # frame, so memo hits have attempts to replay
-    import burntpancake.constructor as cons
-
-    cases = _full_n6_builds(3)
+    cases = _full_n6_builds(3) + _n5_campaign_builds(28, 10)
     requests = []
     memo = cons._free_path_memo
 
-    def counted(*args):
-        requests.append(args[0])
-        return memo(*args)
+    def counted(n, u, v, f, ctx):
+        requests.append((n, f.dim))
+        return memo(n, u, v, f, ctx)
 
     path_bp3 = cons._path_bp3
 
@@ -1246,13 +1244,15 @@ def test_memo_changes_no_build(monkeypatch):
     for refuse in (False, True):
         if refuse:
             monkeypatch.setattr(cons, "_path_bp3", choosy)
+        cons._path_memo.clear()
         monkeypatch.setattr(cons, "_free_path_memo", counted)
-        with_memo = _built_with_attempts(monkeypatch, cases)
+        with_memo = recorded_builds(cases)
+        assert cons._path_memo
         monkeypatch.setattr(cons, "_free_path_memo", lambda n, u, v, f, ctx: cons._path_cases(n, u, v, f, ctx))
-        without = _built_with_attempts(monkeypatch, cases)
+        without = recorded_builds(cases)
         assert with_memo == without
         assert all(attempts > 0 for _, _, attempts in with_memo) == refuse
-    assert set(requests) == {4} and len(requests) > 100
+    assert set(requests) == {(4, 5), (4, 6)} and requests.count((4, 5)) > 100
 
 
 def test_memo_has_no_switch():
@@ -1281,11 +1281,94 @@ def test_memo_hit_equals_a_fresh_build(same_subgraph):
     first, second = _relabel_into(4, (5, -6)), _relabel_into(4, (-1, 3))
     u = (2, -1, 4, 3)
     v = (-1, -2, 4, 3) if same_subgraph else (3, 1, -2, 4)
+    import burntpancake.constructor as cons
+
     ctx = _Ctx()
     for vertex, _ in (first, second):
         suffix = vertex((1, 2, 3, 4))[4:]
         got = _path(4, vertex(u), vertex(v), _Faults(4, suffix=suffix), ctx)
-        assert len(ctx.memo) == 1
+        assert len(cons._path_memo) == 1
+    cons._path_memo.clear()
     fresh = _path(4, vertex(u), vertex(v), _Faults(4, suffix=suffix), _Ctx())
     assert got == fresh
     assert ("L20" in got[1].labels()) == same_subgraph
+
+
+def test_memo_across_dimensions_equals_fresh_builds(cross_dimension_builds, recorded_builds):
+    # full-budget builds at n = 5, 6, 7 and then 5 again, sharing one memo,
+    # each equal a build from an empty memo in vertices, trace details and
+    # attempts.  A level-4 frame holds one place for each suffix symbol, so
+    # one stored under BP_5's single-symbol suffix would lift into BP_6 with
+    # padding where a suffix symbol belongs: the key's suffix length keeps
+    # the dimensions apart.
+    import burntpancake.constructor as cons
+
+    dims = [case[1].n for case, _ in cross_dimension_builds]
+    assert dims == [5] * 6 + [6, 6, 7] + [5] * 6
+    for case, warm in cross_dimension_builds:
+        cons._path_memo.clear()
+        assert recorded_builds([case]) == [warm], case
+
+
+def test_memo_keeps_no_returned_trace(recorded_builds):
+    # what a caller does to a built trace does not reach the memo: the
+    # second of two equal builds still equals the first as built
+    case = _n5_campaign_builds(28, 1)[1]
+    (vertices, trace, attempts), = recorded_builds([case])
+    want = (vertices, copy.deepcopy(trace), attempts)
+    for node in _trace_nodes(trace):
+        node.label = "x"
+        node.detail.clear()
+    assert recorded_builds([case]) == [want]
+
+
+def test_memo_bytes_stay_under_the_cap(monkeypatch, cross_dimension_builds, recorded_builds):
+    # under a cap of 8 KiB (two level-4 frames of 3 KiB; a level-5 frame of
+    # 30 KiB is not stored) the cross-dimension builds give what they give
+    # under the real cap, the stored frames never pass it, and the memo is
+    # emptied to make room.  Under a cap of 64 KiB, with room to spare, the
+    # byte count starts again at zero after the memo is emptied from outside.
+    import burntpancake.constructor as cons
+
+    monkeypatch.setattr(cons, "_PATH_MEMO_CAP", 8 << 10)
+    memo = cons._free_path_memo
+    sizes = []
+
+    def checked(n, u, v, f, ctx):
+        got = memo(n, u, v, f, ctx)
+        stored = sum(len(frame or b"") for frame, *_ in cons._path_memo.values())
+        assert stored == cons._path_memo_bytes <= cons._PATH_MEMO_CAP
+        sizes.append(len(cons._path_memo))
+        return got
+
+    monkeypatch.setattr(cons, "_free_path_memo", checked)
+    cases = [case for case, _ in cross_dimension_builds]
+    assert recorded_builds(cases) == [warm for _, warm in cross_dimension_builds]
+    assert any(a > b for a, b in zip(sizes, sizes[1:]))
+    monkeypatch.setattr(cons, "_PATH_MEMO_CAP", 64 << 10)
+    for _ in range(2):
+        cons._path_memo.clear()
+        assert recorded_builds(cases[:1]) == [cross_dimension_builds[0][1]]
+
+
+def test_memo_spares_level4_builds_in_an_n5_campaign(monkeypatch):
+    # a cold full-budget n=5 campaign serves many of its fault-free level-4
+    # path requests from paths its earlier builds made
+    import burntpancake.constructor as cons
+
+    counts = {"requests": 0, "built": 0}
+    path, path_cases = cons._path, cons._path_cases
+
+    def requested(n, u, v, f, ctx):
+        counts["requests"] += n == 4 and f.weight == 0
+        return path(n, u, v, f, ctx)
+
+    def built(n, u, v, f, ctx):
+        counts["built"] += n == 4 and f.weight == 0
+        return path_cases(n, u, v, f, ctx)
+
+    monkeypatch.setattr(cons, "_path", requested)
+    monkeypatch.setattr(cons, "_path_cases", built)
+    for op, budget in (("cycle", 3), ("path", 2)):
+        assert run_fuzz(5, op, 10, budget, seed=28).ok
+    assert 0 < counts["built"] < counts["requests"]

@@ -147,9 +147,7 @@ def test_ctx_repr_eq_mutable():
     assert repr(a) == "_Ctx(attempts=0, max_attempts=200000)"
     assert repr(_Ctx(2, 5)) == "_Ctx(attempts=2, max_attempts=5)"
     assert a == _Ctx() and a != _Ctx(1)
-    assert a.memo == {} and a.memo is not _Ctx().memo
-    a.memo["key"] = b""
-    assert a != _Ctx()  # the memo is compared, though not shown
+    assert vars(a) == {"attempts": 0, "max_attempts": 200_000}  # the path memo is the process's
     with pytest.raises(TypeError):
         hash(a)
     a.attempts = 3
