@@ -1423,7 +1423,6 @@ def _free_path_memo(n: int, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
         rank[x], rank[-x] = k, -k
     key = (n, len(f.suffix), tuple(map(rank.__getitem__, u[:n])), tuple(map(rank.__getitem__, v[:n])))
     symbols = (*ref, *f.suffix)
-    moved = {}
     hit = _path_memo.get(key)
     if hit is None:
         before = ctx.attempts
@@ -1436,10 +1435,7 @@ def _free_path_memo(n: int, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
                 if x:
                     drop[x] = place
             frame = got[0].translate(drop)
-            # a copy, so that nothing done to the returned trace reaches the memo
-            for a in symbols:
-                moved[a], moved[-a] = a, -a
-            trace = _relabeled(got[1], moved)
+            trace = _copied(got[1])  # nothing done to the returned trace reaches the memo
         size = len(frame or b"")
         if not _path_memo or _path_memo_bytes + size > _PATH_MEMO_CAP:
             _path_memo.clear()
@@ -1453,9 +1449,19 @@ def _free_path_memo(n: int, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
         ctx.spend()
     if frame is None:
         return None
+    moved = {}
     for a, b in zip(built_in, symbols):
         moved[a], moved[-a] = b, -b
     return frame.translate(_frame_table(ref, f.suffix)), _relabeled(trace, moved)
+
+
+def _copied(trace: CaseTrace) -> CaseTrace:
+    """``trace`` with every node, detail dict and detail list copied."""
+    return CaseTrace(
+        trace.label,
+        {key: value[:] if isinstance(value, list) else value for key, value in trace.detail.items()},
+        list(map(_copied, trace.children)),
+    )
 
 
 def _relabeled(trace: CaseTrace, moved: dict[int, int]) -> CaseTrace:

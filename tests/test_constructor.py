@@ -1318,6 +1318,9 @@ def test_memo_keeps_no_returned_trace(recorded_builds):
     want = (vertices, copy.deepcopy(trace), attempts)
     for node in _trace_nodes(trace):
         node.label = "x"
+        for value in node.detail.values():
+            if isinstance(value, list):
+                value.clear()
         node.detail.clear()
     assert recorded_builds([case]) == [want]
 
