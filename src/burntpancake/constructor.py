@@ -93,6 +93,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from operator import neg
+from threading import Lock
 from typing import NamedTuple
 
 from . import bp_graph
@@ -1391,11 +1392,13 @@ def _path(n: int, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
 
 
 # The process's fault-free paths (``_free_path_memo``), their frames' bytes,
-# and the cap on those bytes.  Anything may empty the memo, so the count
-# starts again at zero whenever the memo is found empty.
+# the cap on those bytes and the lock that stores take.  Anything may empty
+# the memo, so the count starts again at zero whenever a store finds the
+# memo empty.
 _path_memo: dict[tuple, tuple] = {}
 _path_memo_bytes = 0
 _PATH_MEMO_CAP = 32 << 20
+_path_memo_store = Lock()
 
 
 def _free_path_memo(n: int, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
@@ -1411,10 +1414,10 @@ def _free_path_memo(n: int, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
     subgraph indices and vertices alike, so it returns what a miss would:
     the relabel keeps every scan's order (module docstring).  A miss whose
     frame would take the stored bytes past ``_PATH_MEMO_CAP`` empties the
-    memo first, and one larger than the cap is not stored.  The memo needs
+    memo first, and one larger than the cap is not stored.  Lookups take
     no lock: a dict's get and set are atomic, and two builds racing to
-    store one key store equal entries.  Racing stores can miscount the
-    bytes by the frames they race on, until the next emptying.
+    store one key store equal entries.  A store takes ``_path_memo_store``
+    so that the byte count and the cap test see every store.
     """
     global _path_memo_bytes
     ref = [i for i in f.indices if i > 0]
@@ -1437,12 +1440,13 @@ def _free_path_memo(n: int, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
             frame = got[0].translate(drop)
             trace = _copied(got[1])  # nothing done to the returned trace reaches the memo
         size = len(frame or b"")
-        if not _path_memo or _path_memo_bytes + size > _PATH_MEMO_CAP:
-            _path_memo.clear()
-            _path_memo_bytes = 0
-        if size <= _PATH_MEMO_CAP:
-            _path_memo[key] = (frame, trace, ctx.attempts - before, symbols)
-            _path_memo_bytes += size
+        with _path_memo_store:
+            if not _path_memo or _path_memo_bytes + size > _PATH_MEMO_CAP:
+                _path_memo.clear()
+                _path_memo_bytes = 0
+            if size <= _PATH_MEMO_CAP:
+                _path_memo[key] = (frame, trace, ctx.attempts - before, symbols)
+                _path_memo_bytes += size
         return got
     frame, trace, spent, built_in = hit
     for _ in range(spent):

@@ -1354,6 +1354,48 @@ def test_memo_bytes_stay_under_the_cap(monkeypatch, cross_dimension_builds, reco
         assert recorded_builds(cases[:1]) == [cross_dimension_builds[0][1]]
 
 
+def test_memo_stores_from_threads_keep_the_count(monkeypatch):
+    # four threads, more than the machine's cores, build the same n=5
+    # campaign cases in rotated orders under a 16 KiB cap and a short
+    # switch interval: each build equals its build alone, and the byte
+    # count equals the stored frames, which a lost update would break
+    import sys
+    import threading
+
+    import burntpancake.constructor as cons
+
+    def build(case):
+        op, fs, ends = case
+        built = hamiltonian_cycle(5, fs) if op == "cycle" else hamiltonian_path(5, *ends, fs)
+        return built.vertices, built.trace
+
+    monkeypatch.setattr(cons, "_PATH_MEMO_CAP", 16 << 10)
+    cases = _n5_campaign_builds(28, 10)
+    want = [build(case) for case in cases]
+    cons._path_memo.clear()
+    got = [None] * 4
+
+    def work(t):
+        order = list(range(len(cases)))[t * 5 :] + list(range(len(cases)))[: t * 5]
+        got[t] = {i: build(cases[i]) for i in order}
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for result in got:
+        assert [result[i] for i in range(len(cases))] == want
+    stored = sum(len(frame or b"") for frame, *_ in cons._path_memo.values())
+    assert stored == cons._path_memo_bytes <= 16 << 10
+
+
 def test_memo_spares_level4_builds_in_an_n5_campaign(monkeypatch):
     # a cold full-budget n=5 campaign serves many of its fault-free level-4
     # path requests from paths its earlier builds made
