@@ -1408,16 +1408,17 @@ def _free_path_memo(n: int, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
     The key is (n, len(f.suffix), u, v) with u and v in the frame of the
     level's symbols in ascending order, the order-preserving relabel, and a
     miss stores its path in that frame (:func:`_frame_table`'s places hold
-    the suffix), a copy of its trace, the attempts it spent and the symbols
-    it was built in.  A hit charges the same attempts, lifts the path with
-    one translate and moves every symbol that the trace details name,
-    subgraph indices and vertices alike, so it returns what a miss would:
-    the relabel keeps every scan's order (module docstring).  A miss whose
-    frame would take the stored bytes past ``_PATH_MEMO_CAP`` empties the
-    memo first, and one larger than the cap is not stored.  Lookups take
-    no lock: a dict's get and set are atomic, and two builds racing to
-    store one key store equal entries.  A store takes ``_path_memo_store``
-    so that the byte count and the cap test see every store.
+    the suffix), its trace as tuples (``_frozen``), the attempts it spent
+    and the symbols it was built in.  A hit charges the same attempts,
+    lifts the path with one translate and moves every symbol that the
+    trace details name, subgraph indices and vertices alike, so it returns
+    what a miss would: the relabel keeps every scan's order (module
+    docstring).  A miss whose frame would take the stored bytes past
+    ``_PATH_MEMO_CAP`` empties the memo first, and one larger than the cap
+    is not stored.  Lookups take no lock: a dict's get and set are atomic,
+    and two builds racing to store one key store equal entries.  A store
+    takes ``_path_memo_store`` so that the byte count and the cap test see
+    every store.
     """
     global _path_memo_bytes
     ref = [i for i in f.indices if i > 0]
@@ -1438,7 +1439,7 @@ def _free_path_memo(n: int, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
                 if x:
                     drop[x] = place
             frame = got[0].translate(drop)
-            trace = _copied(got[1])  # nothing done to the returned trace reaches the memo
+            trace = _frozen(got[1])
         size = len(frame or b"")
         with _path_memo_store:
             if not _path_memo or _path_memo_bytes + size > _PATH_MEMO_CAP:
@@ -1459,30 +1460,34 @@ def _free_path_memo(n: int, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
     return frame.translate(_frame_table(ref, f.suffix)), _relabeled(trace, moved)
 
 
-def _copied(trace: CaseTrace) -> CaseTrace:
-    """``trace`` with every node, detail dict and detail list copied."""
-    return CaseTrace(
+def _frozen(trace: CaseTrace) -> tuple:
+    """``trace`` as the memo holds it: (label, detail items, children) in
+    tuples, each detail list as a tuple.  Nothing done to a built trace
+    reaches it, and it takes about half the memory of the nodes."""
+    return (
         trace.label,
-        {key: value[:] if isinstance(value, list) else value for key, value in trace.detail.items()},
-        list(map(_copied, trace.children)),
+        tuple((key, tuple(value) if isinstance(value, list) else value) for key, value in trace.detail.items()),
+        tuple(map(_frozen, trace.children)),
     )
 
 
-def _relabeled(trace: CaseTrace, moved: dict[int, int]) -> CaseTrace:
-    """``trace`` with every symbol its details name moved: subgraph indices,
-    and the symbols of vertices written by ``format_vertex``."""
+def _relabeled(frozen: tuple, moved: dict[int, int]) -> CaseTrace:
+    """The trace that ``frozen`` holds, with every symbol its details name
+    moved: subgraph indices, and the symbols of vertices written by
+    ``format_vertex``."""
 
     def move(value):
-        if isinstance(value, list):
+        if isinstance(value, tuple):
             return [move(x) for x in value]
         if isinstance(value, str):
             return format_vertex(moved[int(x)] for x in value.split(","))
         return moved[value]
 
+    label, detail, children = frozen
     return CaseTrace(
-        trace.label,
-        {key: move(value) for key, value in trace.detail.items()},
-        [_relabeled(child, moved) for child in trace.children],
+        label,
+        {key: move(value) for key, value in detail},
+        [_relabeled(child, moved) for child in children],
     )
 
 
