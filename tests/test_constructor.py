@@ -1278,11 +1278,11 @@ def test_memo_hit_equals_a_fresh_build(same_subgraph):
     # suffix's order both differ: the second is a hit, and it gives what a
     # build with an empty memo gives, path, labels and trace details (the
     # loop engine names its split vertices, suffix and all)
+    import burntpancake.constructor as cons
+
     first, second = _relabel_into(4, (5, -6)), _relabel_into(4, (-1, 3))
     u = (2, -1, 4, 3)
     v = (-1, -2, 4, 3) if same_subgraph else (3, 1, -2, 4)
-    import burntpancake.constructor as cons
-
     ctx = _Ctx()
     for vertex, _ in (first, second):
         suffix = vertex((1, 2, 3, 4))[4:]
@@ -1355,10 +1355,10 @@ def test_memo_bytes_stay_under_the_cap(monkeypatch, cross_dimension_builds, reco
 
 
 def test_memo_stores_from_threads_keep_the_count(monkeypatch):
-    # four threads, more than the machine's cores, build the same n=5
-    # campaign cases in rotated orders under a 16 KiB cap and a short
-    # switch interval: each build equals its build alone, and the byte
-    # count equals the stored frames, which a lost update would break
+    # four threads build the same n=5 campaign cases in rotated orders
+    # under a 16 KiB cap and a short switch interval: each build equals its
+    # build alone, and the byte count equals the stored frames, which a
+    # lost update would break
     import sys
     import threading
 
@@ -1376,8 +1376,7 @@ def test_memo_stores_from_threads_keep_the_count(monkeypatch):
     got = [None] * 4
 
     def work(t):
-        order = list(range(len(cases)))[t * 5 :] + list(range(len(cases)))[: t * 5]
-        got[t] = {i: build(cases[i]) for i in order}
+        got[t] = {i: build(cases[i]) for i in ((k + 5 * t) % len(cases) for k in range(len(cases)))}
 
     threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
     interval = sys.getswitchinterval()
