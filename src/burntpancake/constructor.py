@@ -91,9 +91,9 @@ trace.
 
 from __future__ import annotations
 
+from _thread import allocate_lock
 from collections.abc import Iterator
 from operator import neg
-from threading import Lock
 from typing import NamedTuple
 
 from . import bp_graph
@@ -1398,7 +1398,7 @@ def _path(n: int, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
 _path_memo: dict[tuple, tuple] = {}
 _path_memo_bytes = 0
 _PATH_MEMO_CAP = 32 << 20
-_path_memo_store = Lock()
+_path_memo_store = allocate_lock()
 
 
 def _free_path_memo(n: int, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
@@ -1413,9 +1413,9 @@ def _free_path_memo(n: int, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
     lifts the path with one translate and moves every symbol that the
     trace details name, subgraph indices and vertices alike, so it returns
     what a miss would: the relabel keeps every scan's order (module
-    docstring).  A miss whose frame would take the stored bytes past
-    ``_PATH_MEMO_CAP`` empties the memo first, and one larger than the cap
-    is not stored.  Lookups take no lock: a dict's get and set are atomic,
+    docstring).  A frame larger than ``_PATH_MEMO_CAP`` is not stored; any
+    other miss whose frame would take the stored bytes past the cap empties
+    the memo first.  Lookups take no lock: a dict's get and set are atomic,
     and two builds racing to store one key store equal entries.  A store
     takes ``_path_memo_store`` so that the byte count and the cap test see
     every store.
@@ -1441,13 +1441,14 @@ def _free_path_memo(n: int, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
             frame = got[0].translate(drop)
             trace = _frozen(got[1])
         size = len(frame or b"")
+        if size > _PATH_MEMO_CAP:
+            return got
         with _path_memo_store:
             if not _path_memo or _path_memo_bytes + size > _PATH_MEMO_CAP:
                 _path_memo.clear()
                 _path_memo_bytes = 0
-            if size <= _PATH_MEMO_CAP:
-                _path_memo[key] = (frame, trace, ctx.attempts - before, symbols)
-                _path_memo_bytes += size
+            _path_memo[key] = (frame, trace, ctx.attempts - before, symbols)
+            _path_memo_bytes += size
         return got
     frame, trace, spent, built_in = hit
     for _ in range(spent):

@@ -1252,7 +1252,8 @@ def test_memo_changes_no_build(monkeypatch, recorded_builds):
         without = recorded_builds(cases)
         assert with_memo == without
         assert all(attempts > 0 for _, _, attempts in with_memo) == refuse
-    assert set(requests) == {(4, 5), (4, 6)} and requests.count((4, 5)) > 100
+    assert set(requests) == {(4, 5), (4, 6)}
+    assert requests.count((4, 5)) > 100 and requests.count((4, 6)) > 100
 
 
 def test_memo_has_no_switch():
@@ -1327,9 +1328,9 @@ def test_memo_keeps_no_returned_trace(recorded_builds):
 
 def test_memo_bytes_stay_under_the_cap(monkeypatch, cross_dimension_builds, recorded_builds):
     # under a cap of 8 KiB (two level-4 frames of 3 KiB; a level-5 frame of
-    # 30 KiB is not stored) the cross-dimension builds give what they give
-    # under the real cap, the stored frames never pass it, and the memo is
-    # emptied to make room.  Under a cap of 64 KiB, with room to spare, the
+    # 30 KiB is not stored, and the level-4 paths its build stored stay) the
+    # cross-dimension builds give what they give under the real cap, the
+    # stored frames never pass it, and the memo is emptied to make room.  Under a cap of 64 KiB, with room to spare, the
     # byte count starts again at zero after the memo is emptied from outside.
     import burntpancake.constructor as cons
 
@@ -1341,6 +1342,7 @@ def test_memo_bytes_stay_under_the_cap(monkeypatch, cross_dimension_builds, reco
         got = memo(n, u, v, f, ctx)
         stored = sum(len(frame or b"") for frame, *_ in cons._path_memo.values())
         assert stored == cons._path_memo_bytes <= cons._PATH_MEMO_CAP
+        assert n == 4 or cons._path_memo
         sizes.append(len(cons._path_memo))
         return got
 
@@ -1357,8 +1359,9 @@ def test_memo_bytes_stay_under_the_cap(monkeypatch, cross_dimension_builds, reco
 def test_memo_stores_from_threads_keep_the_count(monkeypatch):
     # four threads build the same n=5 campaign cases in rotated orders
     # under a 16 KiB cap and a short switch interval: each build equals its
-    # build alone, and the byte count equals the stored frames, which a
-    # lost update would break
+    # build alone, and afterwards the byte count equals the stored frames.
+    # The lock that stores take goes untested: on CPython the unlocked
+    # count did not lose an update here either.
     import sys
     import threading
 
