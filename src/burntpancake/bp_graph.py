@@ -10,8 +10,9 @@ identity.  With r the copy's symbols in ascending order, it is the relabel
 that is strictly increasing on signed symbols, so it keeps lexicographic
 order and commutes with the prefix reversals of length up to k; other
 choices of r add a left translation.  The constructor builds in BP_n
-coordinates at every level (:func:`iter_cross_edges` takes the suffix)
-and reads its BP_3 leaf in such a frame.  :func:`frame_tables` gives the
+coordinates at every level (the cross edges take the suffix, and the
+same relabel carries a table of BP_k's middles onto the copy's) and
+reads its BP_3 leaf in such a frame.  :func:`frame_tables` gives the
 ascending relabel as signed tables, :func:`lift_all` applies one table to
 a whole list, and :func:`subgraph_lift` / :func:`subgraph_embed` are the
 one-level forms; tests compare the leaf with them.
@@ -38,7 +39,10 @@ record helpers here (:func:`iter_unpack`, :func:`unpack_at`,
 oracle.
 Cross edges between two subgraphs are produced lazily by
 :func:`iter_cross_edges`, already in lexicographic order, so a caller that
-wants only the first usable edge builds no more than it reads.
+wants only the first usable edge builds no more than it reads.  Below the
+top levels of n = 7 and 8 each edge is read off a table of signed
+permutations, built once per middle length; the constructor calls the
+same enumeration without the entry point's checks.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from __future__ import annotations
 import struct
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
+from functools import lru_cache
 from itertools import starmap
 from math import factorial
 from operator import neg
@@ -307,6 +312,33 @@ def _signed_perms(symbols: list[int]) -> Iterator[Vertex]:
             yield (head,) + tail
 
 
+# The largest middle length m whose cross edges come from a table.
+_TABLE_LIMIT = 4
+
+
+def _middles(m: int) -> Iterator[tuple[Vertex, Vertex]]:
+    """(p, q) for each signed permutation p of 1..m in lexicographic order,
+    q its reversal negated."""
+    return ((p, tuple(map(neg, reversed(p)))) for p in _signed_perms(list(range(1, m + 1))))
+
+
+@lru_cache(maxsize=None)
+def _middle_table(m: int) -> tuple[tuple[Vertex, Vertex], ...]:
+    """:func:`_middles` as a table, for m <= 4: at most 2^4 * 4! = 384 entries."""
+    return tuple(_middles(m))
+
+
+def _cross_pairs(n: int, i: int, j: int, rest: list[int], suffix: Vertex) -> Iterator[Edge]:
+    """:func:`iter_cross_edges` without its checks: ``rest`` is the positive
+    symbols of the level other than |i| and |j|, ascending."""
+    if i == -j:
+        return iter(())
+    m = n - 2
+    look = [0, *rest, *map(neg, reversed(rest))].__getitem__
+    middles = _middle_table(m) if m <= _TABLE_LIMIT else _middles(m)
+    return (((-j, *map(look, p), i, *suffix), (-i, *map(look, q), j, *suffix)) for p, q in middles)
+
+
 def iter_cross_edges(n: int, i: int, j: int, suffix: Vertex = ()) -> Iterator[Edge]:
     """All edges between subgraphs i and j, as (i-side, j-side) pairs.
 
@@ -314,20 +346,35 @@ def iter_cross_edges(n: int, i: int, j: int, suffix: Vertex = ()) -> Iterator[Ed
     of the endpoints is that of the middles, which are generated in order.
     With a ``suffix``, BP_n is the subgraph of BP_{n+len(suffix)} whose
     vertices end in it: every endpoint ends in the suffix too, and the
-    middles run over the symbols the suffix leaves.
-    Empty when j == -i; a ValueError, raised at the call, when i == j.
+    middles run over the m = n - 2 symbols the suffix, i and j leave.
+    Empty when j == -i; a ValueError, raised at the call, when i == j, when
+    an index is out of range or in the suffix, or when the suffix has a
+    zero, repeats an absolute value or leaves 1..n+len(suffix).
+
+    The middles are the signed permutations p of 1..m in lexicographic
+    order, each with q, its reversal negated, relabelled: ``look`` sends k
+    to ``rest[k-1]`` and -k to ``-rest[k-1]``, rest being the middle's
+    symbols ascending.  The edge is ``(-j, *look(p), i, *suffix)`` and its
+    out-neighbour, the n-th prefix reversal, ``(-i, *look(q), j,
+    *suffix)``.  look is strictly increasing on signed symbols (the frame
+    rule of the module docstring), so it keeps lexicographic order, and
+    the edges come in the order of their i-side ends.  For m <= 4 the
+    (p, q) come from a table (``_middle_table``, built on first use); for
+    m >= 5, the top levels at n = 7 and 8, they are enumerated as read:
+    the first candidate usually wins there, and a table would hold 46 080
+    entries or more.
     """
     fixed = {abs(x) for x in suffix}
+    dim = n + len(suffix)
+    if 0 in fixed or len(fixed) != len(suffix) or max(fixed, default=0) > dim:
+        raise ValueError(f"suffix {suffix!r} does not fit n={n}")
     for x in (i, j):
-        if x == 0 or abs(x) > n + len(suffix) or abs(x) in fixed:
+        if x == 0 or abs(x) > dim or abs(x) in fixed:
             raise ValueError(f"subgraph index {x} out of range for n={n}")
     if i == j:
         raise ValueError(f"cross edges need distinct subgraphs, got {i} twice")
-    if i == -j:
-        return iter(())
-    rest = [x for x in range(1, n + len(suffix) + 1) if x not in (abs(i), abs(j)) and x not in fixed]
-    sides = ((-j,) + middle + (i,) + suffix for middle in _signed_perms(rest))
-    return ((u, prefix_reversal(u, n)) for u in sides)
+    rest = [x for x in range(1, dim + 1) if x not in (abs(i), abs(j)) and x not in fixed]
+    return _cross_pairs(n, i, j, rest, tuple(suffix))
 
 
 def cross_edges(n: int, i: int, j: int) -> list[Edge]:

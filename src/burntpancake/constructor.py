@@ -6,9 +6,11 @@ them.  Every "choose an element such that ..." step is a lexicographic scan
 over candidates, so identical inputs produce identical outputs.  A junction
 -- a vertex of one subgraph whose out-neighbour lies in another -- is
 always picked from ``_cross_candidates``, which lists the fault-free cross
-edges between the two in lexicographic order of their ends.  Each
-construction records a tree of case labels (e.g. ``L18/3.2.2.1``); the label
-set doubles as the coverage histogram for the test suite.
+edges between the two in lexicographic order of their ends, read off
+``bp_graph``'s tables of signed permutations and relabelled onto the
+level's symbols.  Each construction records a tree of case labels (e.g.
+``L18/3.2.2.1``); the label set doubles as the coverage histogram for the
+test suite.
 
 Faults are tracked internally in an extended form: matching pairs and faulty
 edges from the public model, plus single vertices to avoid.  Singles arise
@@ -101,10 +103,10 @@ from .bp3_fixtures import FREE_PATHS, LEAF_CYCLES, NO_PATH, PAIR_CYCLES, SINGLE_
 from .bp_graph import (
     SOFT_DIMENSION_LIMIT,  # re-exported
     Edge,
+    _cross_pairs,
     edge_dimension,
     edge_key,
     index_sort_key,
-    iter_cross_edges,
     subgraph_indices,
 )
 from .errors import (  # re-exported: the package's exceptions, as the same objects
@@ -331,8 +333,11 @@ def _restrict_embed(f: _Faults, i: int) -> _Faults:
 
     A pair with only one endpoint in the subgraph degrades to a single.
     Cross edges (faulty edges with endpoints in two subgraphs) vanish here;
-    they only constrain junction selection.
+    they only constrain junction selection.  A level with no faults gives
+    its subgraphs none, and returns at once.
     """
+    if not f.weight:
+        return _Faults(f.n - 1, suffix=(i, *f.suffix))
     p = f.n - 1
     pairs: list[Pair] = []
     singles = [s for s in f.singles if s[p] == i]
@@ -416,6 +421,7 @@ _BP3_EDGE_RANK = {
 _BP3_RECORD = {x: bytes(map((255).__and__, x)) + bytes(range(19, 24)) for x in _BP3_VERTICES}
 _bp3_path_cache: dict[tuple, bytes | None] = {}
 _bp3_cycle_cache: dict[tuple, bytes | None] = {}
+_NO_FAULTS: frozenset = frozenset()  # the fault view of a fault-free leaf
 
 
 def _small_search(
@@ -622,8 +628,9 @@ def _leaf_view(f: _Faults, ref: Vertex | None = None):
     Returns ``embed`` of a vertex into BP_3 coordinates, the translate table
     (:func:`_frame_table`) that lifts a BP_3 sequence in frame form back,
     suffix and all, and the removed vertices and faulty edges embedded
-    (each edge in ``edge_key`` order, which a change of r does not keep).
-    r defaults to the leaf's symbols in ascending order, whose frame is the
+    (each edge in ``edge_key`` order, which a change of r does not keep);
+    a leaf with no faults shares one empty frozenset for both.  r defaults
+    to the leaf's symbols in ascending order, whose frame is the
     order-preserving relabel."""
     r0, r1, r2 = ref = ref[:3] if ref else [i for i in f.indices if i > 0]
     down = {r0: 1, r1: 2, r2: 3, -r0: -1, -r1: -2, -r2: -3}
@@ -632,6 +639,8 @@ def _leaf_view(f: _Faults, ref: Vertex | None = None):
         return down[x[0]], down[x[1]], down[x[2]]
 
     lift = _frame_table(ref, f.suffix)
+    if not f.weight:
+        return embed, lift, _NO_FAULTS, _NO_FAULTS
     return embed, lift, frozenset(map(embed, f.removed)), frozenset(edge_key(embed(a), embed(b)) for a, b in f.edge_set)
 
 
@@ -736,12 +745,17 @@ def _cross_candidates(n: int, i: int, j: int, f: _Faults) -> Iterator[Edge]:
     """The fault-free cross edges (s, stub) from subgraph i to j, read only as
     far as the caller needs, since the first usable edge usually wins.  The
     ends s ascend: they are the unremoved vertices of subgraph i with
-    ``-s[0] == j`` and a ``_usable_stub``, in ``iter_cross_edges`` order."""
-    removed, edge_set = f.removed, f.edge_set
-    for x, y in iter_cross_edges(n, i, j, f.suffix):
-        if x in removed or y in removed or edge_key(x, y) in edge_set:
-            continue
-        yield x, y
+    ``-s[0] == j`` and a ``_usable_stub``, in ``iter_cross_edges`` order.
+    The edges come from ``iter_cross_edges``'s unchecked form, with the
+    level's symbols read from ``f.indices``, and a level with no removed
+    vertex and no faulty edge passes them on unfiltered."""
+    ai, aj = abs(i), abs(j)
+    pairs = _cross_pairs(n, i, j, [x for x in f.indices if x > 0 and x != ai and x != aj], f.suffix)
+    removed = f.removed
+    if not removed and not f.edges:
+        return pairs
+    edge_set = f.edge_set
+    return ((x, y) for x, y in pairs if x not in removed and y not in removed and edge_key(x, y) not in edge_set)
 
 
 def _chain(n: int, I, u: Vertex, v: Vertex, f: _Faults, ctx: _Ctx):
@@ -1475,7 +1489,11 @@ def _frozen(trace: CaseTrace) -> tuple:
 def _relabeled(frozen: tuple, moved: dict[int, int]) -> CaseTrace:
     """The trace that ``frozen`` holds, with every symbol its details name
     moved: subgraph indices, and the symbols of vertices written by
-    ``format_vertex``."""
+    ``format_vertex``.  A leaf node with no details, most of them
+    (``BP3/path``), is made directly."""
+    label, detail, children = frozen
+    if not detail and not children:
+        return CaseTrace(label)
 
     def move(value):
         if isinstance(value, tuple):
@@ -1484,7 +1502,6 @@ def _relabeled(frozen: tuple, moved: dict[int, int]) -> CaseTrace:
             return format_vertex(moved[int(x)] for x in value.split(","))
         return moved[value]
 
-    label, detail, children = frozen
     return CaseTrace(
         label,
         {key: move(value) for key, value in detail},

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import deque
 
@@ -242,6 +243,62 @@ def test_iter_cross_edges_with_suffix_lift_local_edges():
                         assert list(iter_cross_edges(m, lift[i], lift[j], suffix)) == want
     with pytest.raises(ValueError):
         iter_cross_edges(3, 2, 1, (2, 5))
+
+
+@pytest.mark.parametrize("suffix", [(9,), (4, 4), (4, -4), (0,), (-6,)])
+def test_iter_cross_edges_rejects_a_suffix_that_does_not_fit(suffix):
+    # the suffix symbols must be nonzero, distinct in absolute value and
+    # within 1..n+len(suffix); the error comes at the call, before any edge
+    with pytest.raises(ValueError, match="suffix"):
+        iter_cross_edges(3, 1, 2, suffix)
+
+
+def _defined_signed_perms(symbols):
+    """The signed permutations of the ascending positive ``symbols`` in
+    lexicographic order, by their recursive definition: each head from
+    -max up to max, then the rest."""
+    if not symbols:
+        yield ()
+        return
+    for head in [-x for x in reversed(symbols)] + symbols:
+        for tail in _defined_signed_perms([x for x in symbols if x != abs(head)]):
+            yield (head,) + tail
+
+
+def _defined_cross_edges(n, i, j, suffix):
+    if i == -j:
+        return
+    fixed = {abs(i), abs(j), *map(abs, suffix)}
+    for middle in _defined_signed_perms([x for x in range(1, n + len(suffix) + 1) if x not in fixed]):
+        u = (-j, *middle, i, *suffix)
+        yield u, prefix_reversal(u, n)
+
+
+def test_cross_edge_order_is_the_definition_up_to_dimension_6():
+    # every level of every dimension up to 6 takes its middles from the
+    # tables (m = n - 2 <= 4): each suffix, each i != j
+    compared = 0
+    for dim in range(2, 7):
+        for n in range(2, dim + 1):
+            for suffix in sorted({u[n:] for u in all_vertices(dim)}):
+                leaves = [i for i in subgraph_indices(dim) if abs(i) not in map(abs, suffix)]
+                for i in leaves:
+                    for j in leaves:
+                        if i != j:
+                            want = list(_defined_cross_edges(n, i, j, suffix))
+                            assert list(iter_cross_edges(n, i, j, suffix)) == want, (n, i, j, suffix)
+                            compared += len(want)
+    assert compared > 200_000
+
+
+@pytest.mark.parametrize(
+    "n, i, j, suffix", [(7, 1, 2, ()), (7, -7, 3, ()), (8, 8, -1, ()), (8, -2, 5, ()), (7, 2, -8, (4,))]
+)
+def test_cross_edge_order_is_the_definition_above_the_tables(n, i, j, suffix):
+    # m = n - 2 >= 5 enumerates the middles without a table
+    got = list(itertools.islice(iter_cross_edges(n, i, j, suffix), 400))
+    assert got == list(itertools.islice(_defined_cross_edges(n, i, j, suffix), 400))
+    assert len(got) == 400
 
 
 def test_subgraph_embed_examples():

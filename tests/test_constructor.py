@@ -1419,3 +1419,61 @@ def test_memo_spares_level4_builds_in_an_n5_campaign(monkeypatch):
     for op, budget in (("cycle", 3), ("path", 2)):
         assert run_fuzz(5, op, 10, budget, seed=28).ok
     assert 0 < counts["built"] < counts["requests"]
+
+
+# ------------------------------------------------------------ cross edges
+# Junction candidates come from tables of signed permutations that
+# bp_graph builds on first use, one per middle length m <= 4, and that the
+# benchmark's reset_memos empties with the other caches.
+
+
+def _perfbench_reset_memos(monkeypatch):
+    """``reset_memos`` of ``perfbench/workloads.py``, loaded from its file as
+    test_checker.py loads the checker; the modules that workloads.py imports
+    by name come from ``perfbench/``."""
+    import importlib.util
+
+    here = Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(here))
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", here / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.reset_memos
+
+
+def test_cross_edge_tables_serve_a_cold_n5_campaign(monkeypatch):
+    # after the benchmark's reset, a full-budget n=5 cycle and path campaign
+    # enumerates signed permutations only to build the tables for m = 3 and
+    # m = 2, once each; every junction candidate is read from them
+    import sys
+
+    from burntpancake import bp_graph
+
+    reset_memos = _perfbench_reset_memos(monkeypatch)
+    assert run_fuzz(5, "cycle", 2, 3, seed=29).ok
+    assert bp_graph._middle_table.cache_info().currsize
+    reset_memos()
+    assert bp_graph._middle_table.cache_info().currsize == 0
+    signed_perms = bp_graph._signed_perms
+    outer = []  # the symbols of each call not made by the enumeration itself
+
+    def counted(symbols):
+        if sys._getframe(1).f_code is not signed_perms.__code__:
+            outer.append(list(symbols))
+        return signed_perms(symbols)
+
+    monkeypatch.setattr(bp_graph, "_signed_perms", counted)
+    for op, budget in (("cycle", 3), ("path", 2)):
+        assert run_fuzz(5, op, 10, budget, seed=29).ok
+    assert sorted(outer) == [[1, 2], [1, 2, 3]]
+    assert bp_graph._middle_table.cache_info().misses == 2
+
+
+def test_build_after_the_reset_equals_the_build_before(monkeypatch, recorded_builds):
+    # vertices, trace details and attempts, with warm tables and memo, then
+    # with everything the reset empties built again
+    cases = _n5_campaign_builds(29, 4)
+    reset_memos = _perfbench_reset_memos(monkeypatch)
+    before = recorded_builds(cases)
+    reset_memos()
+    assert recorded_builds(cases) == before
