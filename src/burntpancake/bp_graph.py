@@ -10,9 +10,9 @@ identity.  With r the copy's symbols in ascending order, it is the relabel
 that is strictly increasing on signed symbols, so it keeps lexicographic
 order and commutes with the prefix reversals of length up to k; other
 choices of r add a left translation.  The constructor builds in BP_n
-coordinates at every level (the cross edges take the suffix, and the
-same relabel carries a table of BP_k's middles onto the copy's) and
-reads its BP_3 leaf in such a frame.  :func:`frame_tables` gives the
+coordinates at every level (its cross edges carry the suffix, and their
+middles are a table's, moved by this relabel) and reads its BP_3 leaf in
+such a frame.  :func:`frame_tables` gives the
 ascending relabel as signed tables, :func:`lift_all` applies one table to
 a whole list, and :func:`subgraph_lift` / :func:`subgraph_embed` are the
 one-level forms; tests compare the leaf with them.
@@ -361,8 +361,8 @@ def iter_cross_edges(n: int, i: int, j: int, suffix: Vertex = ()) -> Iterator[Ed
     the edges come in the order of their i-side ends.  For m <= 4 the
     (p, q) come from a table (``_middle_table``, built on first use); for
     m >= 5, the top levels at n = 7 and 8, they are enumerated as read:
-    the first candidate usually wins there, and a table would hold 46 080
-    entries or more.
+    the first candidate usually wins there, and a table would hold 3 840
+    entries at m = 5 and 46 080 at m = 6.
     """
     fixed = {abs(x) for x in suffix}
     dim = n + len(suffix)
