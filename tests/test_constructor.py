@@ -1470,8 +1470,9 @@ def test_cross_edge_tables_serve_a_cold_n5_campaign(monkeypatch):
 
 
 def test_build_after_the_reset_equals_the_build_before(monkeypatch, recorded_builds):
-    # vertices, trace details and attempts, with warm tables and memo, then
-    # with everything the reset empties built again
+    # vertices, trace details and attempts of builds made with the tables
+    # the process holds, then again once the reset has emptied the tables,
+    # the path memo and the BP_3 memo
     cases = _n5_campaign_builds(29, 4)
     reset_memos = _perfbench_reset_memos(monkeypatch)
     before = recorded_builds(cases)
